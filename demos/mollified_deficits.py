@@ -10,7 +10,7 @@ print("subcritical ladder (m=1, s=3, lambda=1)")
 widths = (0.2, 0.1, 0.05)
 vals = []
 for eps in widths:
-    spec = riesz.MollifierSpec(shape="gaussian", eps=eps)
+    spec = riesz.MollifierSpec(eps=eps)
     v = riesz.mollified_reduction(1, 3.0, 1.0, spec)
     vals.append(v)
     print(f"  eps={eps:<5} value {v:.12e}  deficit {3.0 / 16.0 - v:+.6e}")
@@ -31,7 +31,7 @@ print("critical ladder (m=3, s=5/2, lambda=1)")
 exact = riesz.momentum_integral(3, 2.5, 1.0)
 vals = []
 for eps in widths:
-    spec = riesz.MollifierSpec(shape="gaussian", eps=eps)
+    spec = riesz.MollifierSpec(eps=eps)
     v = riesz.mollified_reduction(3, 2.5, 1.0, spec)
     vals.append(v)
     print(f"  eps={eps:<5} value {v:.12e}  deficit {exact - v:+.6e}")

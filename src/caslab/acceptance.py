@@ -4,14 +4,15 @@ Each criterion function runs its checks and returns a CriterionResult; the
 test suite and the command-line verify-all report share this module so a
 claim can never pass in one and fail in the other.  Checks measure actual
 deviations and compare them to the declared thresholds; nothing is asserted
-that is not measured.
+that is not measured.  Every criterion builder takes the run's seed; the
+deterministic ones ignore it.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -28,13 +29,15 @@ class CheckReport:
     measured: float
     threshold: float
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "measured": self.measured,
-            "threshold": self.threshold,
-        }
+    @classmethod
+    def measure(cls, name: str, measured: float, threshold: float) -> CheckReport:
+        """A check that passes when measured <= threshold."""
+        return cls(
+            name=name,
+            passed=bool(measured <= threshold),
+            measured=float(measured),
+            threshold=float(threshold),
+        )
 
 
 @dataclass
@@ -49,20 +52,11 @@ class CriterionResult:
         return self.error is None and all(c.passed for c in self.checks)
 
     def add(self, name: str, measured: float, threshold: float) -> None:
-        self.checks.append(
-            CheckReport(
-                name=name,
-                passed=bool(measured <= threshold),
-                measured=float(measured),
-                threshold=float(threshold),
-            )
-        )
+        self.checks.append(CheckReport.measure(name, measured, threshold))
 
     def add_flag(self, name: str, ok: bool) -> None:
         # boolean check: measured 0 when ok, 1 when not
-        self.checks.append(
-            CheckReport(name=name, passed=bool(ok), measured=0.0 if ok else 1.0, threshold=0.0)
-        )
+        self.add(name, 0.0 if ok else 1.0, 0.0)
 
     def summary_line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -77,13 +71,20 @@ class CriterionResult:
         return f"[{tag}] criterion {self.number}: {self.title} ({detail})"
 
     def to_dict(self) -> dict:
-        return {
-            "number": self.number,
-            "title": self.title,
-            "passed": self.passed,
-            "error": self.error,
-            "checks": [c.to_dict() for c in self.checks],
-        }
+        return {**asdict(self), "passed": self.passed}
+
+
+_CRITERIA: dict[int, tuple[str, Callable[[CriterionResult, int], None]]] = {}
+
+
+def _criterion(number: int, title: str):
+    """Register a builder that adds criterion number's checks to a result."""
+
+    def register(build):
+        _CRITERIA[number] = (title, build)
+        return build
+
+    return register
 
 
 def _rel(value: float, target: float) -> float:
@@ -95,8 +96,8 @@ def _cube_stream(cutoff: float) -> spectrum.EigenStream:
     return spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), cutoff)
 
 
-def criterion_1() -> CriterionResult:
-    res = CriterionResult(1, "reduction constants and the combined chain")
+@_criterion(1, "reduction constants and the combined chain")
+def criterion_1(res: CriterionResult, seed: int) -> None:
     target_3 = 1.0 / (6.0 * math.pi**2)
     for lam in (0.5, 1.0, 4.0):
         got = riesz.momentum_integral(3, 2.5, lam)
@@ -110,21 +111,19 @@ def criterion_1() -> CriterionResult:
     combined = 1.0 / (32.0 * math.pi**2)
     res.add("stage constants product vs 1/(32 pi^2)", _rel(c1 * c3, combined), 1e-14)
     res.add("nested 4D quadrature vs 1/(32 pi^2)", _rel(nested, combined), 1e-7)
-    return res
 
 
-def criterion_2() -> CriterionResult:
-    res = CriterionResult(2, "critical exponent gives a pure 1/lambda law")
+@_criterion(2, "critical exponent gives a pure 1/lambda law")
+def criterion_2(res: CriterionResult, seed: int) -> None:
     for m in (1, 2, 3, 4):
         s = riesz.critical_exponent(m)
         vals = [lam * riesz.momentum_integral(m, s, lam) for lam in (0.5, 1.0, 5.0)]
         spread = (max(vals) - min(vals)) / abs(vals[1])
         res.add(f"lambda-independence at m={m}", spread, 1e-8)
-    return res
 
 
-def criterion_3() -> CriterionResult:
-    res = CriterionResult(3, "mollified restriction: extrapolation and rate")
+@_criterion(3, "mollified restriction: extrapolation and rate")
+def criterion_3(res: CriterionResult, seed: int) -> None:
     eps = (0.2, 0.1, 0.05)
     target = riesz.momentum_integral(3, 2.5, 1.0)
     vals = [
@@ -136,11 +135,10 @@ def criterion_3() -> CriterionResult:
     for i in range(2):
         ratio = errors[i] / errors[i + 1]
         res.add(f"error ratio {eps[i]}/{eps[i + 1]} within 4 +- 0.5", abs(ratio - 4.0), 0.5)
-    return res
 
 
-def criterion_4(seed: int = 42) -> CriterionResult:
-    res = CriterionResult(4, "stochastic trace identity: mean and variance")
+@_criterion(4, "stochastic trace identity: mean and variance")
+def criterion_4(res: CriterionResult, seed: int) -> None:
     stream = _cube_stream(CUBE_CUTOFF)
     tau = 0.5
     trace = heattrace.regulated_trace(stream, tau).value
@@ -158,11 +156,10 @@ def criterion_4(seed: int = 42) -> CriterionResult:
     )
     exact_var = 0.5 * float(np.sum(lam * np.exp(-2.0 * tau * lam)))
     res.add("sample variance vs fourth-moment value", _rel(sample_var, exact_var), 0.05)
-    return res
 
 
-def criterion_5(seed: int = 42) -> CriterionResult:
-    res = CriterionResult(5, "exact cancellation of the normalization g")
+@_criterion(5, "exact cancellation of the normalization g")
+def criterion_5(res: CriterionResult, seed: int) -> None:
     stream = _cube_stream(CUBE_CUTOFF)
     worst = 0.0
     for k in range(10):
@@ -176,11 +173,10 @@ def criterion_5(seed: int = 42) -> CriterionResult:
         )
         worst = max(worst, abs(u_a - u_b) / math.ulp(max(u_a, u_b)))
     res.add("max |U(g) - U(10g)| in ulps of U", worst, 4.0)
-    return res
 
 
-def criterion_6(seed: int = 42) -> CriterionResult:
-    res = CriterionResult(6, "mixed-cell heat trace factorizes")
+@_criterion(6, "mixed-cell heat trace factorizes")
+def criterion_6(res: CriterionResult, seed: int) -> None:
     rng = np.random.default_rng(seed)
     cells = rng.uniform(0.5, 2.0, size=(5, 3))
     nn = spectrum.Bc.NEUMANN
@@ -200,11 +196,10 @@ def criterion_6(seed: int = 42) -> CriterionResult:
             fact = heattrace.mixed_cell_heat_trace(float(l1), float(l2), float(a), t)
             worst = max(worst, abs(fact - direct))
     res.add("max |factorized - spectral sum|", worst, 1e-10)
-    return res
 
 
-def criterion_7() -> CriterionResult:
-    res = CriterionResult(7, "short-time expansion coefficients of the cell trace")
+@_criterion(7, "short-time expansion coefficients of the cell trace")
+def criterion_7(res: CriterionResult, seed: int) -> None:
     a = 1.0
     for alpha in (1.0, 2.0):
         l1, l2 = alpha * a, a / alpha
@@ -222,11 +217,10 @@ def criterion_7() -> CriterionResult:
         _rel(heattrace.b_coefficient(1.0, 1.0, 1.0), 1.0 / (8.0 * math.pi)),
         1e-14,
     )
-    return res
 
 
-def criterion_8() -> CriterionResult:
-    res = CriterionResult(8, "plate finite part: fit vs zeta route")
+@_criterion(8, "plate finite part: fit vs zeta route")
+def criterion_8(res: CriterionResult, seed: int) -> None:
     target = -math.pi**2 / 1440.0
     fit = plates.casimir_per_area(1.0, plates.CasimirMethod.HEAT_FIT)
     res.add("HeatFit c0 vs -pi^2/1440", _rel(fit, target), 5e-3)
@@ -234,11 +228,10 @@ def criterion_8() -> CriterionResult:
     res.add("ZetaRoute vs -pi^2/1440", _rel(zeta, target), 1e-12)
     double = plates.casimir_per_area(1.0, plates.CasimirMethod.ZETA_ROUTE, 2)
     res.add_flag("two channels double the value exactly", double == 2.0 * zeta)
-    return res
 
 
-def criterion_9(seed: int = 42) -> CriterionResult:
-    res = CriterionResult(9, "box integral by three methods, symmetry, monotonicity")
+@_criterion(9, "box integral by three methods, symmetry, monotonicity")
+def criterion_9(res: CriterionResult, seed: int) -> None:
     closed = boxint.delta_cube_closed_form()
     ti = boxint.delta_alpha(1.0, boxint.DeltaMethod.T_INTEGRAL)
     res.add("TIntegral vs closed form", abs(ti - closed), 1e-6)
@@ -260,11 +253,10 @@ def criterion_9(seed: int = 42) -> CriterionResult:
     ]
     margins = [deltas[i] - deltas[i + 1] for i in range(len(deltas) - 1)]
     res.add_flag("Delta(e^beta) strictly decreasing", all(m > 1e-7 for m in margins))
-    return res
 
 
-def criterion_10() -> CriterionResult:
-    res = CriterionResult(10, "log-concavity scan and positivity chain")
+@_criterion(10, "log-concavity scan and positivity chain")
+def criterion_10(res: CriterionResult, seed: int) -> None:
     scan = boxint.log_concavity_scan()
     res.add("max second difference (must be < 0)", scan.max_second_difference, -1e-12)
     res.add_flag("product strictly decreasing in beta", scan.product_monotone)
@@ -273,11 +265,10 @@ def criterion_10() -> CriterionResult:
     res.add_flag("h > 0 on (0, 10]", chain.h_min > 0.0)
     res.add_flag("h(0) = 0", chain.h_at_zero == 0.0)
     res.add("h' vs 2 E k relative error", chain.max_derivative_rel_err, 1e-6)
-    return res
 
 
-def criterion_11() -> CriterionResult:
-    res = CriterionResult(11, "calibration coefficient: closed form and pipeline")
+@_criterion(11, "calibration coefficient: closed form and pipeline")
+def criterion_11(res: CriterionResult, seed: int) -> None:
     closed_delta = boxint.delta_cube_closed_form()
     cal = plates.theta_bar(1.0, 2, plates.ThetaSource.CLOSED_FORM)
     res.add(
@@ -297,11 +288,10 @@ def criterion_11() -> CriterionResult:
         plates.theta_bar(al, 2, plates.ThetaSource.CLOSED_FORM).theta_bar for al in grid
     ]
     res.add_flag("alpha-grid minimum at alpha=1", grid[int(np.argmin(thetas))] == 1.0)
-    return res
 
 
-def criterion_12() -> CriterionResult:
-    res = CriterionResult(12, "lateral gap ratio is exactly min(a^2, a^-2)")
+@_criterion(12, "lateral gap ratio is exactly min(a^2, a^-2)")
+def criterion_12(res: CriterionResult, seed: int) -> None:
     from fractions import Fraction
 
     grid = [
@@ -324,46 +314,18 @@ def criterion_12() -> CriterionResult:
         saturation_ok = saturation_ok and (check.saturated == (fr == 1))
     res.add_flag("ratio bit-exact on the rational grid", exact)
     res.add_flag("saturation exactly at alpha = 1", saturation_ok)
-    return res
-
-
-_CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
-    11: criterion_11,
-    12: criterion_12,
-}
 
 
 def run_criterion(number: int, seed: int = 42) -> CriterionResult:
-    builder = _CRITERIA[number]
+    title, build = _CRITERIA[number]
+    res = CriterionResult(number, title)
     try:
-        if number in (4, 5, 6, 9):
-            return builder(seed=seed)
-        return builder()
+        build(res, seed)
     except Exception as exc:  # surface module errors as a failed criterion
-        res = CriterionResult(number, builder.__doc__ or builder.__name__)
         res.error = f"{type(exc).__name__}: {exc}"
-        return res
+    return res
 
 
 def run_all(seed: int = 42) -> list[CriterionResult]:
     return [run_criterion(n, seed=seed) for n in sorted(_CRITERIA)]
 
-
-def report_json(results: list[CriterionResult]) -> str:
-    return json.dumps(
-        {
-            "passed": all(r.passed for r in results),
-            "criteria": [r.to_dict() for r in results],
-        },
-        indent=2,
-    )

@@ -11,7 +11,6 @@ log-concavity and positivity checks behind the monotonicity argument.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 
@@ -20,8 +19,8 @@ import numpy as np
 import scipy.integrate as integrate
 
 from . import specfun
-from .errors import ParameterError, QuadratureError
-from .stochastic import MCEstimate
+from .errors import ParameterError, QuadratureError, check_count
+from .stochastic import MCEstimate, monte_carlo
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -49,20 +48,6 @@ def _aspect_lengths(alpha: float) -> tuple[float, float, float]:
     if not alpha > 0.0:
         raise ParameterError("aspect ratio must be > 0")
     return (alpha, 1.0 / alpha, 1.0)
-
-
-@dataclass(frozen=True)
-class AspectCell:
-    """Unit-volume cell [0, alpha] x [0, 1/alpha] x [0, 1]."""
-
-    alpha: float
-
-    def __post_init__(self):
-        _aspect_lengths(self.alpha)
-
-    @property
-    def lengths(self) -> tuple[float, float, float]:
-        return _aspect_lengths(self.alpha)
 
 
 def cell_overlap_energy(lengths: tuple[float, float, float]) -> float:
@@ -171,46 +156,24 @@ def _delta_quadrature(alpha: float) -> float:
 def _delta_monte_carlo(
     alpha: float, budget: int, seed: int, worker_count: int
 ) -> MCEstimate:
-    if not isinstance(budget, int) or budget < 2:
-        raise ParameterError("Monte Carlo budget must be an integer >= 2")
-    if not isinstance(worker_count, int) or worker_count < 1:
-        raise ParameterError("worker_count must be a positive integer")
     lengths = np.array(_aspect_lengths(alpha))
-    children = np.random.SeedSequence(entropy=seed).spawn(worker_count)
-    base, extra = divmod(budget, worker_count)
-    total = 0.0
-    total_sq = 0.0
-    for i, child in enumerate(children):
-        quota = base + (1 if i < extra else 0)
-        rng = np.random.Generator(np.random.Philox(child))
-        done = 0
-        while done < quota:
-            batch = min(1 << 16, quota - done)
-            x = rng.random((batch, 3)) * lengths
-            y = rng.random((batch, 3)) * lengths
-            dist = np.linalg.norm(x - y, axis=1)
-            # coincident pairs are a measure-zero hazard; redraw them
-            while True:
-                close = dist < 1e-12
-                if not np.any(close):
-                    break
-                k = int(close.sum())
-                x[close] = rng.random((k, 3)) * lengths
-                y[close] = rng.random((k, 3)) * lengths
-                dist[close] = np.linalg.norm(x[close] - y[close], axis=1)
-            vals = 1.0 / dist
-            total += float(np.sum(vals))
-            total_sq += float(np.sum(vals * vals))
-            done += batch
-    mean = total / budget
-    var = max(total_sq - budget * mean * mean, 0.0) / (budget - 1)
-    return MCEstimate(
-        mean=mean,
-        stderr=math.sqrt(var / budget),
-        n=budget,
-        seed=seed,
-        worker_count=worker_count,
-    )
+
+    def inverse_distances(rng: np.random.Generator, rows: int) -> np.ndarray:
+        x = rng.random((rows, 3)) * lengths
+        y = rng.random((rows, 3)) * lengths
+        dist = np.linalg.norm(x - y, axis=1)
+        # coincident pairs are a measure-zero hazard; redraw them
+        while True:
+            close = dist < 1e-12
+            if not np.any(close):
+                break
+            k = int(close.sum())
+            x[close] = rng.random((k, 3)) * lengths
+            y[close] = rng.random((k, 3)) * lengths
+            dist[close] = np.linalg.norm(x[close] - y[close], axis=1)
+        return 1.0 / dist
+
+    return monte_carlo(inverse_distances, budget, seed, worker_count, row_bytes=48)
 
 
 def delta_alpha(
@@ -264,18 +227,6 @@ class AspectResult:
             return math.inf
         return abs(self.delta_mc.mean - self.delta_t_integral) / self.delta_mc.stderr
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "alpha": self.alpha,
-                "delta_t_integral": self.delta_t_integral,
-                "delta_quadrature": self.delta_quadrature,
-                "delta_mc": json.loads(self.delta_mc.to_json()),
-                "method_spread": self.method_spread,
-                "mc_zscore": self.mc_zscore,
-            }
-        )
-
 
 def aspect_result(
     alpha: float, budget: int = 200_000, seed: int = 1234, worker_count: int = 1
@@ -300,23 +251,11 @@ class ConcavityReport:
     h_step: float
     max_second_difference: float
     min_second_difference: float
+    max_by_t: tuple[tuple[float, float], ...]  # (t, max over u of second diff)
     violations: tuple[tuple[float, float, float], ...]  # (t, u, second diff)
     product_monotone: bool
     symmetry_deviation: float
     passed: bool
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "h_step": self.h_step,
-                "max_second_difference": self.max_second_difference,
-                "min_second_difference": self.min_second_difference,
-                "violations": [list(v) for v in self.violations],
-                "product_monotone": self.product_monotone,
-                "symmetry_deviation": self.symmetry_deviation,
-                "passed": self.passed,
-            }
-        )
 
 
 def second_difference_margin(t: float, u: float, h: float) -> float:
@@ -359,16 +298,18 @@ def log_concavity_scan(
     )
     if t_vals.ndim != 1 or u_vals.ndim != 1 or not t_vals.size or not u_vals.size:
         raise ParameterError("grids must be nonempty one-dimensional arrays")
-    worst = -math.inf
     best = math.inf
+    max_by_t = []
     violations = []
     for t in t_vals:
+        worst_t = -math.inf
         for u in u_vals:
             d2 = second_difference_margin(float(t), float(u), h_step)
-            worst = max(worst, d2)
+            worst_t = max(worst_t, d2)
             best = min(best, d2)
             if d2 >= 0.0:
                 violations.append((float(t), float(u), d2))
+        max_by_t.append((float(t), worst_t))
     # mirrored scan of the symmetrized field: evenness must hold to roundoff
     sym_dev = 0.0
     for t in t_vals[:: max(1, t_vals.size // 5)]:
@@ -384,8 +325,9 @@ def log_concavity_scan(
     monotone = all(prods[i + 1] < prods[i] for i in range(len(prods) - 1))
     return ConcavityReport(
         h_step=h_step,
-        max_second_difference=worst,
+        max_second_difference=max(d2 for _, d2 in max_by_t),
         min_second_difference=best,
+        max_by_t=tuple(max_by_t),
         violations=tuple(violations),
         product_monotone=monotone,
         symmetry_deviation=sym_dev,
@@ -397,26 +339,14 @@ def log_concavity_scan(
 class PositivityReport:
     """Grid evaluation of the overlap-derivative helper functions."""
 
-    r_grid: tuple[float, ...]
+    r_grid_size: int
+    r_min: float
+    r_max: float
     k_min: float
     h_min: float
     h_at_zero: float
     max_derivative_rel_err: float
     passed: bool
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "r_grid_size": len(self.r_grid),
-                "r_min": self.r_grid[0],
-                "r_max": self.r_grid[-1],
-                "k_min": self.k_min,
-                "h_min": self.h_min,
-                "h_at_zero": self.h_at_zero,
-                "max_derivative_rel_err": self.max_derivative_rel_err,
-                "passed": self.passed,
-            }
-        )
 
 
 def chain_a(r: float) -> float:
@@ -487,7 +417,9 @@ def positivity_chain(r_grid=None, derivative_stride: int = 10) -> PositivityRepo
         and deriv_err <= 1e-6
     )
     return PositivityReport(
-        r_grid=tuple(float(r) for r in grid),
+        r_grid_size=int(grid.size),
+        r_min=float(grid[0]),
+        r_max=float(grid[-1]),
         k_min=float(k_vals.min()),
         h_min=float(h_vals.min()),
         h_at_zero=h_zero,
@@ -504,6 +436,5 @@ def reference_energy(q_strength: float, n: int, a: float, delta: float) -> float
     """
     if not (q_strength > 0.0 and a > 0.0 and delta > 0.0):
         raise ParameterError("q_strength, a, delta must all be > 0")
-    if not isinstance(n, int) or n < 1:
-        raise ParameterError("n must be a positive integer")
+    check_count(n, "cell count n")
     return -(n * n / a) * q_strength * delta

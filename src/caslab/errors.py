@@ -2,7 +2,8 @@
 
 Every error raised by library code derives from CaslabError so callers can
 catch one base type at module boundaries.  Subclasses carry enough state to
-report what went wrong without re-running the computation.
+report what went wrong without re-running the computation.  check_count is
+the one validator for integer counts (sample sizes, channels, cells, workers).
 """
 
 from __future__ import annotations
@@ -76,3 +77,11 @@ class EmptySpectrumError(CaslabError):
 
 class ConfigError(CaslabError):
     """Invalid run configuration supplied to the command-line harness."""
+
+
+def check_count(value, what: str, minimum: int = 1) -> int:
+    """Return value if it is an int (bool excluded) of at least minimum;
+    raise ParameterError otherwise."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ParameterError(f"{what} must be an integer >= {minimum}")
+    return value

@@ -10,6 +10,7 @@ module computation failed, and 2 for configuration errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -17,14 +18,16 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, acceptance, boxint, heattrace, plates, riesz, spectrum, stochastic
+from .acceptance import CheckReport
 from .errors import CaslabError, ConfigError
 
 OUT_ENV_VAR = "CASLAB_OUT"
 _FORMATS = ("json", "csv", "both")
 
+# which command takes which parameter, stated once: each key becomes a flag
+# typed like its default, and (with seed, out and format) a key a config file
+# may set
 _COMMAND_DEFAULTS: dict[str, dict] = {
     "reduce": {"lam": 1.0},
     "spectrum": {"a": 1.0, "alpha": 1.0, "cutoff": 100.0},
@@ -35,6 +38,28 @@ _COMMAND_DEFAULTS: dict[str, dict] = {
     "plates": {"a": 1.0},
     "calibrate": {"alpha": 1.0, "n_channels": 2},
     "verify-all": {},
+}
+
+_COMMAND_HELP = {
+    "reduce": "reduction constants, Schwinger route, two-step chain",
+    "spectrum": "enumerate a mixed cell and report the lateral gap",
+    "heat-trace": "mixed-cell trace table and short-time coefficients",
+    "finite-part": "per-area plate trace fit and finite part",
+    "stochastic": "Monte Carlo check of the stochastic trace identity",
+    "boxint": "Delta(alpha) table, concavity scan, positivity chain",
+    "plates": "plate pipeline: HeatFit vs ZetaRoute",
+    "calibrate": "calibration coefficient, closed form and pipeline",
+    "verify-all": "run the full acceptance suite",
+}
+
+_PARAM_HELP = {
+    "lam": "spectral value lambda",
+    "a": "transverse width a",
+    "alpha": "aspect ratio alpha",
+    "tau": "heat regulator tau",
+    "cutoff": "eigenvalue cutoff",
+    "n_samples": "Monte Carlo sample count",
+    "n_channels": "scalar channel count N",
 }
 
 
@@ -67,7 +92,9 @@ def _write_report(config: RunConfig, report: dict, tables: dict[str, list]) -> N
     config.out_dir.mkdir(parents=True, exist_ok=True)
     body = {"manifest": config.manifest(), **report}
     path = config.out_dir / f"{config.command}.json"
-    path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
+    # result dataclasses (checks, estimates, fits) serialize as their fields
+    text = json.dumps(body, indent=2, sort_keys=True, default=dataclasses.asdict)
+    path.write_text(text + "\n")
     if config.fmt in ("csv", "both"):
         for name, rows in tables.items():
             header, data = rows[0], rows[1:]
@@ -76,19 +103,6 @@ def _write_report(config: RunConfig, report: dict, tables: dict[str, list]) -> N
             (config.out_dir / f"{config.command}_{name}.csv").write_text(
                 "\n".join(lines) + "\n"
             )
-
-
-def _checks_pass(checks: list[dict]) -> bool:
-    return all(c["passed"] for c in checks)
-
-
-def _check(name: str, measured: float, threshold: float) -> dict:
-    return {
-        "name": name,
-        "measured": measured,
-        "threshold": threshold,
-        "passed": bool(measured <= threshold),
-    }
 
 
 def _run_reduce(config: RunConfig):
@@ -101,20 +115,28 @@ def _run_reduce(config: RunConfig):
         sch = riesz.schwinger_integral(m, s, lam)
         rows.append((float(m), s, closed, mom, sch))
         checks.append(
-            _check(f"momentum vs closed (m={m}, s={s})", abs(mom - closed) / closed, 1e-7)
+            CheckReport.measure(
+                f"momentum vs closed (m={m}, s={s})", abs(mom - closed) / closed, 1e-7
+            )
         )
         checks.append(
-            _check(f"schwinger vs closed (m={m}, s={s})", abs(sch - closed) / closed, 1e-7)
+            CheckReport.measure(
+                f"schwinger vs closed (m={m}, s={s})", abs(sch - closed) / closed, 1e-7
+            )
         )
     c1, c3, nested = riesz.two_step_chain(lam)
     target = c1 * c3 / lam
-    checks.append(_check("two-step chain nested vs stagewise", abs(nested - target) / target, 1e-7))
+    checks.append(
+        CheckReport.measure(
+            "two-step chain nested vs stagewise", abs(nested - target) / target, 1e-7
+        )
+    )
     report = {
         "lam": lam,
         "two_step_chain": {"c_1d": c1, "c_3d": c3, "nested": nested},
         "checks": checks,
     }
-    return report, {"constants": rows}, _checks_pass(checks)
+    return report, {"constants": rows}
 
 
 def _run_spectrum(config: RunConfig):
@@ -133,9 +155,10 @@ def _run_spectrum(config: RunConfig):
     )
     stream = spectrum.enumerate_modes(box, cutoff)
     sat = spectrum.saturation_check(l1, l2, a)
+    modes = [{"value": v, "multiplicity": m} for v, m in stream.values]
     report = {
         "cell": {"l1": l1, "l2": l2, "a": a},
-        "stream": json.loads(stream.to_json()),
+        "stream": {"cutoff": stream.cutoff, "modes": modes},
         "mode_count": stream.mode_count,
         "lateral_gap": spectrum.lateral_gap(l1, l2),
         "saturation": {"saturated": sat.saturated, "ratio": sat.ratio},
@@ -143,7 +166,7 @@ def _run_spectrum(config: RunConfig):
     }
     rows = [("value", "multiplicity")]
     rows += [(v, float(m)) for v, m in stream.values]
-    return report, {"modes": rows}, True
+    return report, {"modes": rows}
 
 
 def _run_heat_trace(config: RunConfig):
@@ -156,8 +179,12 @@ def _run_heat_trace(config: RunConfig):
     b_closed = heattrace.b_coefficient(l1, l2, a)  # raises if the fit disagrees
     vol = l1 * l2 * a / (8.0 * math.pi**1.5)
     checks = [
-        _check("fitted volume coefficient", abs(coeffs["t^-3/2"] - vol) / vol, 1e-3),
-        _check("fitted area coefficient vs B", abs(coeffs["t^-1"] - b_closed) / b_closed, 1e-2),
+        CheckReport.measure(
+            "fitted volume coefficient", abs(coeffs["t^-3/2"] - vol) / vol, 1e-3
+        ),
+        CheckReport.measure(
+            "fitted area coefficient vs B", abs(coeffs["t^-1"] - b_closed) / b_closed, 1e-2
+        ),
     ]
     report = {
         "cell": {"l1": l1, "l2": l2, "a": a},
@@ -165,7 +192,7 @@ def _run_heat_trace(config: RunConfig):
         "b_closed_form": b_closed,
         "checks": checks,
     }
-    return report, {"trace": rows}, _checks_pass(checks)
+    return report, {"trace": rows}
 
 
 def _run_finite_part(config: RunConfig):
@@ -175,12 +202,14 @@ def _run_finite_part(config: RunConfig):
     model = heattrace.finite_part(samples, plates.PLATE_EXPONENTS)
     target = -math.pi**2 / (1440.0 * a**3)
     checks = [
-        _check("finite part vs -pi^2/(1440 a^3)", abs(model.c0 - target) / abs(target), 5e-3)
+        CheckReport.measure(
+            "finite part vs -pi^2/(1440 a^3)", abs(model.c0 - target) / abs(target), 5e-3
+        )
     ]
     rows = [("tau", "value")]
     rows += [(s.tau, s.value) for s in samples]
-    report = {"a": a, "model": json.loads(model.to_json()), "checks": checks}
-    return report, {"samples": rows}, _checks_pass(checks)
+    report = {"a": a, "model": model, "checks": checks}
+    return report, {"samples": rows}
 
 
 def _run_stochastic(config: RunConfig):
@@ -194,16 +223,15 @@ def _run_stochastic(config: RunConfig):
         stochastic.SourceSpec(stream=stream, tau=tau), n=n, seed=config.seed
     )
     z = abs(est.mean - trace.value) / est.stderr
-    checks = [_check("MC mean vs trace (z-score)", z, 3.0)]
     report = {
         "tau": tau,
         "cutoff": cutoff,
-        "trace": json.loads(trace.to_json()),
-        "estimate": json.loads(est.to_json()),
+        "trace": trace,
+        "estimate": est,
         "z_score": z,
-        "checks": checks,
+        "checks": [CheckReport.measure("MC mean vs trace (z-score)", z, 3.0)],
     }
-    return report, {}, _checks_pass(checks)
+    return report, {}
 
 
 def _run_boxint(config: RunConfig):
@@ -215,28 +243,30 @@ def _run_boxint(config: RunConfig):
         delta_rows.append((al, deltas[al]))
     scan = boxint.log_concavity_scan()
     chain = boxint.positivity_chain()
-    margin_rows = [("t", "max_second_difference")]
-    for t in np.geomspace(1e-2, 1e2, 25):
-        worst = max(
-            boxint.second_difference_margin(float(t), float(u), scan.h_step)
-            for u in np.linspace(-3.0, 3.0, 61)
-        )
-        margin_rows.append((float(t), worst))
+    margin_rows = [("t", "max_second_difference"), *scan.max_by_t]
     checks = [
-        _check("closed form vs TIntegral", abs(deltas[1.0] - boxint.delta_cube_closed_form()), 1e-6),
-        _check("concavity margin (max second difference)", scan.max_second_difference, -1e-12),
-        _check("positivity chain derivative identity", chain.max_derivative_rel_err, 1e-6),
+        CheckReport.measure(
+            "closed form vs TIntegral",
+            abs(deltas[1.0] - boxint.delta_cube_closed_form()),
+            1e-6,
+        ),
+        CheckReport.measure(
+            "concavity margin (max second difference)", scan.max_second_difference, -1e-12
+        ),
+        CheckReport.measure(
+            "positivity chain derivative identity", chain.max_derivative_rel_err, 1e-6
+        ),
     ]
-    flags = {"concavity_passed": scan.passed, "positivity_passed": chain.passed}
     report = {
         "deltas": {f"{al:.6f}": d for al, d in deltas.items()},
-        "concavity": json.loads(scan.to_json()),
-        "positivity": json.loads(chain.to_json()),
+        "concavity": scan,
+        "positivity": chain,
         "checks": checks,
-        **flags,
+        "concavity_passed": scan.passed,
+        "positivity_passed": chain.passed,
+        "passed": all(c.passed for c in checks) and scan.passed and chain.passed,
     }
-    ok = _checks_pass(checks) and scan.passed and chain.passed
-    return report, {"delta": delta_rows, "concavity": margin_rows}, ok
+    return report, {"delta": delta_rows, "concavity": margin_rows}
 
 
 def _run_plates(config: RunConfig):
@@ -245,16 +275,17 @@ def _run_plates(config: RunConfig):
     samples = [plates.per_area_trace(a, float(t)) for t in grid]
     fit = plates.casimir_per_area(a, plates.CasimirMethod.HEAT_FIT)
     zeta = plates.casimir_per_area(a, plates.CasimirMethod.ZETA_ROUTE)
-    checks = [_check("HeatFit vs ZetaRoute", abs(fit - zeta) / abs(zeta), 5e-3)]
     rows = [("tau", "trace")]
     rows += [(s.tau, s.value) for s in samples]
     report = {
         "a": a,
         "casimir_heat_fit": fit,
         "casimir_zeta_route": zeta,
-        "checks": checks,
+        "checks": [
+            CheckReport.measure("HeatFit vs ZetaRoute", abs(fit - zeta) / abs(zeta), 5e-3)
+        ],
     }
-    return report, {"trace": rows}, _checks_pass(checks)
+    return report, {"trace": rows}
 
 
 def _run_calibrate(config: RunConfig):
@@ -262,32 +293,34 @@ def _run_calibrate(config: RunConfig):
     n_channels = config.params["n_channels"]
     closed = plates.theta_bar(alpha, n_channels, plates.ThetaSource.CLOSED_FORM)
     pipe = plates.theta_bar(alpha, n_channels, plates.ThetaSource.PIPELINE)
-    checks = [
-        _check(
-            "pipeline vs closed form",
-            abs(pipe.pipeline_value - closed.theta_bar) / closed.theta_bar,
-            plates.PIPELINE_TOLERANCE,
-        )
-    ]
     rows = [("alpha", "theta_bar")]
     for al in (0.5, 0.75, 1.0, 1.5, 2.0):
         rows.append(
             (al, plates.theta_bar(al, n_channels, plates.ThetaSource.CLOSED_FORM).theta_bar)
         )
     report = {
-        "theta_bar": json.loads(pipe.to_json()),
-        "closed_form": json.loads(closed.to_json()),
-        "checks": checks,
+        "theta_bar": pipe,
+        "closed_form": closed,
+        "checks": [
+            CheckReport.measure(
+                "pipeline vs closed form",
+                abs(pipe.pipeline_value - closed.theta_bar) / closed.theta_bar,
+                plates.PIPELINE_TOLERANCE,
+            )
+        ],
     }
-    return report, {"theta": rows}, _checks_pass(checks)
+    return report, {"theta": rows}
 
 
 def _run_verify_all(config: RunConfig):
     results = acceptance.run_all(seed=config.seed)
     for r in results:
         print(r.summary_line())
-    report = json.loads(acceptance.report_json(results))
-    return report, {}, report["passed"]
+    report = {
+        "passed": all(r.passed for r in results),
+        "criteria": [r.to_dict() for r in results],
+    }
+    return report, {}
 
 
 _RUNNERS = {
@@ -304,11 +337,15 @@ _RUNNERS = {
 
 
 def run(config: RunConfig) -> int:
-    """Execute one resolved run; returns the process exit status."""
+    """Execute one resolved run; returns the process exit status.
+
+    A run passes when every check in its report passes, unless the runner
+    states "passed" itself.
+    """
     if config.command not in _RUNNERS:
         raise ConfigError(f"unknown command {config.command!r}")
     try:
-        report, tables, passed = _RUNNERS[config.command](config)
+        report, tables = _RUNNERS[config.command](config)
     except CaslabError as exc:
         failure = {
             "passed": False,
@@ -317,7 +354,7 @@ def run(config: RunConfig) -> int:
         _write_report(config, failure, {})
         print(f"{config.command}: FAIL ({type(exc).__name__}: {exc})", file=sys.stderr)
         return 1
-    report.setdefault("passed", passed)
+    passed = report.setdefault("passed", all(c.passed for c in report.get("checks", ())))
     _write_report(config, report, tables)
     print(f"{config.command}: {'PASS' if passed else 'FAIL'} "
           f"(report in {config.out_dir})")
@@ -334,28 +371,19 @@ def _load_config_file(path: str) -> dict:
     return raw
 
 
-_FLAG_KEYS = ("tau", "alpha", "a", "L", "n_samples", "cutoff", "lam", "n_channels")
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
     command = args.command
+    defaults = _COMMAND_DEFAULTS[command]
     file_cfg = _load_config_file(args.config) if args.config else {}
-    allowed = set(_FLAG_KEYS) | {"seed", "out", "format"}
-    unknown = set(file_cfg) - allowed
+    unknown = set(file_cfg) - set(defaults) - {"seed", "out", "format"}
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    params = dict(_COMMAND_DEFAULTS[command])
-    for key in _FLAG_KEYS:
-        if key in file_cfg and key in params:
-            params[key] = file_cfg[key]
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            if key not in params:
-                raise ConfigError(f"flag --{key.replace('_', '-')} does not apply to {command}")
-            params[key] = cli_val
-    for key, value in params.items():
-        if not isinstance(value, (int, float)):
-            raise ConfigError(f"parameter {key} must be numeric, got {value!r}")
+        raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
+    params = {}
+    for key, default in defaults.items():
+        flag = getattr(args, key)
+        params[key] = flag if flag is not None else file_cfg.get(key, default)
+        if not isinstance(params[key], (int, float)):
+            raise ConfigError(f"parameter {key} must be numeric, got {params[key]!r}")
     seed = args.seed if args.seed is not None else file_cfg.get("seed", 42)
     if not isinstance(seed, int):
         raise ConfigError("seed must be an integer")
@@ -380,42 +408,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spectral heat-kernel laboratory: verified runs with JSON/CSV reports",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, flags: tuple[str, ...]):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        if "lam" in flags:
-            p.add_argument("--lam", type=float, help="spectral value lambda")
-        if "a" in flags:
-            p.add_argument("--a", type=float, help="transverse width a")
-        if "alpha" in flags:
-            p.add_argument("--alpha", type=float, help="aspect ratio alpha")
-        if "L" in flags:
-            p.add_argument("--L", type=float, help="lateral period L")
-        if "tau" in flags:
-            p.add_argument("--tau", type=float, help="heat regulator tau")
-        if "cutoff" in flags:
-            p.add_argument("--cutoff", type=float, help="eigenvalue cutoff")
-        if "n_samples" in flags:
-            p.add_argument("--n-samples", dest="n_samples", type=int,
-                           help="Monte Carlo sample count")
-        if "n_channels" in flags:
-            p.add_argument("--n-channels", dest="n_channels", type=int,
-                           help="scalar channel count N")
-        return p
-
-    add("reduce", "reduction constants, Schwinger route, two-step chain", ("lam",))
-    add("spectrum", "enumerate a mixed cell and report the lateral gap",
-        ("a", "alpha", "cutoff"))
-    add("heat-trace", "mixed-cell trace table and short-time coefficients",
-        ("a", "alpha"))
-    add("finite-part", "per-area plate trace fit and finite part", ("a",))
-    add("stochastic", "Monte Carlo check of the stochastic trace identity",
-        ("tau", "cutoff", "n_samples"))
-    add("boxint", "Delta(alpha) table, concavity scan, positivity chain", ())
-    add("plates", "plate pipeline: HeatFit vs ZetaRoute", ("a",))
-    add("calibrate", "calibration coefficient, closed form and pipeline",
-        ("alpha", "n_channels"))
-    add("verify-all", "run the full acceptance suite", ())
+    for command, defaults in _COMMAND_DEFAULTS.items():
+        p = sub.add_parser(command, parents=[common], help=_COMMAND_HELP[command])
+        for key, default in defaults.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
+                           help=_PARAM_HELP[key])
     return parser
 
 

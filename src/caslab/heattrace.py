@@ -10,7 +10,6 @@ explicit window-stability guard.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -37,11 +36,6 @@ class HeatTraceSample:
     tau: float
     value: float
     tail_bound: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"tau": self.tau, "value": self.value, "tail_bound": self.tail_bound}
-        )
 
 
 def regulated_trace(stream: EigenStream, tau: float) -> HeatTraceSample:
@@ -161,25 +155,6 @@ class FinitePartModel:
     nested_c0: float
     stability_drift: float
     stability_tol: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "exponents": list(self.exponents),
-                "include_log": self.include_log,
-                "mu": self.mu,
-                "coefficients": self.coefficients,
-                "log_coefficient": self.log_coefficient,
-                "c0": self.c0,
-                "counterterm": self.counterterm,
-                "residual": self.residual,
-                "window": list(self.window),
-                "condition_number": self.condition_number,
-                "nested_c0": self.nested_c0,
-                "stability_drift": self.stability_drift,
-                "stability_tol": self.stability_tol,
-            }
-        )
 
 
 def _finite_part_solve(

@@ -12,7 +12,6 @@ coefficient used in the aspect-ratio comparison.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import boxint, specfun
-from .errors import ConvergenceError, ParameterError
+from .errors import ConvergenceError, ParameterError, check_count
 from .heattrace import (
     FinitePartModel,
     HeatTraceSample,
@@ -35,32 +34,16 @@ PIPELINE_TOLERANCE = 7.5e-3  # fit bias bound (0.5%) plus margin for Delta
 
 @dataclass(frozen=True)
 class PlateConfig:
-    """Plate geometry: separation a, and either a lateral period L (finite
-    box) or a cell count n (normalization mode with area A = n^2 a^2)."""
+    """Finite plate box: separation a and lateral period L."""
 
     a: float
-    L: float | None = None
-    n: int | None = None
-    n_channels: int = 1
-    tau_grid: tuple[float, ...] | None = None
+    L: float
 
     def __post_init__(self):
         if not self.a > 0.0:
             raise ParameterError("plate separation a must be > 0")
-        if (self.L is None) == (self.n is None):
-            raise ParameterError("set exactly one of L (finite box) or n (cells)")
-        if self.L is not None and not self.L > 0.0:
+        if not self.L > 0.0:
             raise ParameterError("lateral period L must be > 0")
-        if self.n is not None and (not isinstance(self.n, int) or self.n < 1):
-            raise ParameterError("cell count n must be a positive integer")
-        if not isinstance(self.n_channels, int) or self.n_channels < 1:
-            raise ParameterError("channel count must be a positive integer")
-
-    @property
-    def area(self) -> float:
-        if self.L is not None:
-            return self.L * self.L
-        return (self.n * self.a) ** 2
 
 
 def plate_box(L: float, a: float) -> BoxSpec:
@@ -87,8 +70,6 @@ def finite_box_trace(
     config: PlateConfig, tau: float, cutoff: float | None = None
 ) -> HeatTraceSample:
     """Regulated half trace of the finite plate box at regulator tau."""
-    if config.L is None:
-        raise ParameterError("finite_box_trace needs a finite-box config (L set)")
     stream = plate_stream(config.L, config.a, tau, cutoff)
     return regulated_trace(stream, tau)
 
@@ -121,11 +102,13 @@ def default_tau_grid(a: float) -> np.ndarray:
 
     The window sits low enough that the first power correction beyond the
     modeled divergences (linear in tau) stays well under the 0.5% accuracy
-    target for the constant term.
+    target for the constant term.  Both ends are placed exactly, so the grid
+    spans one full decade for every a, as finite_part requires.
     """
     if not a > 0.0:
         raise ParameterError("a must be > 0")
-    return np.geomspace(1e-4, 1e-3, 12) * a * a
+    lo = 1e-4 * a * a
+    return np.geomspace(lo, 10.0 * lo, 12)
 
 
 class CasimirMethod(str, enum.Enum):
@@ -157,8 +140,7 @@ def casimir_per_area(
     """
     if not a > 0.0:
         raise ParameterError("a must be > 0")
-    if not isinstance(n_channels, int) or n_channels < 1:
-        raise ParameterError("channel count must be a positive integer")
+    check_count(n_channels, "channel count")
     if not isinstance(method, CasimirMethod):
         method = CasimirMethod(method)
     if method is CasimirMethod.HEAT_FIT:
@@ -170,12 +152,10 @@ def casimir_per_area(
 
 def normalized_energy(n: int, a: float, n_channels: int = 1) -> float:
     """Plate energy of the normalization area A = n^2 a^2: -(n^2/a) N pi^2/1440."""
-    if not isinstance(n, int) or n < 1:
-        raise ParameterError("n must be a positive integer")
+    check_count(n, "cell count n")
     if not a > 0.0:
         raise ParameterError("a must be > 0")
-    if not isinstance(n_channels, int) or n_channels < 1:
-        raise ParameterError("channel count must be a positive integer")
+    check_count(n_channels, "channel count")
     return casimir_per_area(a, CasimirMethod.ZETA_ROUTE, n_channels) * (n * a) ** 2
 
 
@@ -196,19 +176,6 @@ class CalibrationResult:
     pipeline_value: float | None
     tolerance: float
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "alpha": self.alpha,
-                "n_channels": self.n_channels,
-                "theta_bar": self.theta_bar,
-                "delta_used": self.delta_used,
-                "closed_value": self.closed_value,
-                "pipeline_value": self.pipeline_value,
-                "tolerance": self.tolerance,
-            }
-        )
-
 
 def theta_bar(
     alpha: float, n_channels: int = 1, source: ThetaSource = ThetaSource.CLOSED_FORM
@@ -221,8 +188,7 @@ def theta_bar(
     deviation from the closed form is exactly the finite-part fit error,
     which must stay within the declared tolerance.
     """
-    if not isinstance(n_channels, int) or n_channels < 1:
-        raise ParameterError("channel count must be a positive integer")
+    check_count(n_channels, "channel count")
     if not isinstance(source, ThetaSource):
         source = ThetaSource(source)
     delta = boxint.delta_alpha(alpha, boxint.DeltaMethod.T_INTEGRAL)

@@ -13,7 +13,6 @@ explicit width) and exposes the two-stage chain whose combined constant is
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -21,15 +20,13 @@ from typing import Callable, Sequence
 import scipy.integrate as integrate
 
 from . import specfun
-from .errors import ConvergenceError, ParameterError, QuadratureError
+from .errors import ConvergenceError, ParameterError, QuadratureError, check_count
 
 _TAIL_FRACTION = 1e-12  # radial truncation tail relative to the head integral
 
 
 def _check_m(m: int) -> int:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ParameterError("transverse dimension m must be a positive integer")
-    return m
+    return check_count(m, "transverse dimension m")
 
 
 def reduction_constant(m: int, s: float) -> float:
@@ -59,22 +56,14 @@ def sphere_area(m: int) -> float:
     return 2.0 * math.pi ** (0.5 * m) / specfun.gamma(0.5 * m)
 
 
-class MollifierShape(str, enum.Enum):
-    """Supported smearing profiles (unit mass, so the Fourier image is 1 at 0)."""
-
-    GAUSSIAN = "gaussian"
-
-
 @dataclass(frozen=True)
 class MollifierSpec:
-    """Smearing profile plus width for mollified restriction integrals."""
+    """Width of the Gaussian smearing profile (unit mass, so its Fourier
+    image is 1 at 0) for mollified restriction integrals."""
 
-    shape: MollifierShape = MollifierShape.GAUSSIAN
     eps: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.shape, MollifierShape):
-            object.__setattr__(self, "shape", MollifierShape(self.shape))
         if not self.eps >= 0.0:
             raise ParameterError("mollifier width must be >= 0")
 

@@ -63,25 +63,12 @@ def gamma(x: float) -> float:
         return math.copysign(mag, s)
 
 
-def log_gamma(x: float) -> float:
-    """log |Gamma(x)|, poles excluded."""
-    x = float(x)
-    if x <= 0.0 and x == math.floor(x):
-        raise PoleError(f"log_gamma: pole at {x}")
-    return math.lgamma(x)
-
-
 def erf(x: float) -> float:
     """Error function, odd by construction: erf(-x) == -erf(x) exactly."""
     x = float(x)
     if x == 0.0:
         return 0.0
     return math.copysign(math.erf(abs(x)), x)
-
-
-def erfc(x: float) -> float:
-    """Complementary error function 1 - erf(x), accurate for large x."""
-    return math.erfc(x)
 
 
 def upper_gamma_three_halves(y: float) -> float:

@@ -10,7 +10,6 @@ rigorous remainders.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -150,15 +149,6 @@ class EigenStream:
             product *= ax.heat_sum(half)
         return envelope * product
 
-    def to_json(self) -> str:
-        payload = {
-            "cutoff": self.cutoff,
-            "modes": [
-                {"value": v, "multiplicity": m} for v, m in self.values
-            ],
-        }
-        return json.dumps(payload)
-
 
 def enumerate_modes(
     spec: BoxSpec, cutoff: float, max_modes: int = DEFAULT_MODE_CAP
@@ -207,10 +197,6 @@ def enumerate_modes(
         else:
             merged.append((value, mult))
     return EigenStream(cutoff=cutoff, values=tuple(merged), box=spec)
-
-
-# the op is named after what it does; keep the bare name available too
-enumerate = enumerate_modes  # noqa: A001
 
 
 def lateral_gap(l1: float, l2: float) -> float:

@@ -12,16 +12,17 @@ bit-reproducible for a fixed (seed, worker_count).
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_count
 from .spectrum import EigenStream
 
-_BATCH = 1 << 16
+_BATCH_ROWS = 1 << 16
+_BATCH_BYTES = 64 << 20  # memory budget of one batch of draws
 
 
 class Channel(str, enum.Enum):
@@ -62,17 +63,6 @@ class MCEstimate:
     seed: int
     worker_count: int
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mean": self.mean,
-                "stderr": self.stderr,
-                "n": self.n,
-                "seed": self.seed,
-                "worker_count": self.worker_count,
-            }
-        )
-
 
 def _mode_values(stream: EigenStream) -> np.ndarray:
     # one independent noise component per basis vector: degenerate modes
@@ -86,12 +76,15 @@ def _mode_values(stream: EigenStream) -> np.ndarray:
 def _draw_xi_sq(spec: SourceSpec, rng: np.random.Generator, shape) -> np.ndarray:
     """|xi|^2 draws: chi^2_1 for the real channel, unit-mean exponential-like
     (|x+iy|^2/2) for the complex one."""
-    if spec.channel is Channel.REAL:
-        x = rng.standard_normal(shape)
-        return x * x
+    # squared in place: a batch holds at most two draw arrays at once
     x = rng.standard_normal(shape)
-    y = rng.standard_normal(shape)
-    return 0.5 * (x * x + y * y)
+    x *= x
+    if spec.channel is Channel.COMPLEX:
+        y = rng.standard_normal(shape)
+        y *= y
+        x += y
+        x *= 0.5
+    return x
 
 
 def sample_sigma_components(spec: SourceSpec, rng: np.random.Generator) -> list:
@@ -123,42 +116,38 @@ def sample_U(spec: SourceSpec, rng: np.random.Generator) -> float:
     return float(0.5 * spec.g * np.sum(np.abs(sigma) ** 2 / lam))
 
 
-def _worker_counts(n: int, workers: int) -> list[int]:
-    base, extra = divmod(n, workers)
-    return [base + (1 if i < extra else 0) for i in range(workers)]
-
-
-def mc_estimate(
-    spec: SourceSpec, n: int, seed: int, worker_count: int = 1
+def monte_carlo(
+    sample: Callable[[np.random.Generator, int], np.ndarray],
+    n: int,
+    seed: int,
+    worker_count: int,
+    row_bytes: int,
 ) -> MCEstimate:
-    """Mean and standard error of U over n independent draws.
+    """Mean and standard error of n draws of sample(rng, rows) values.
 
-    Each worker owns a counter-based substream spawned from the seed, draws
-    its share in fixed-size batches, and reports (sum, sum of squares, count);
-    the reduction runs in worker order, so the estimate is bit-identical for
-    fixed (seed, worker_count) regardless of timing.
+    Each worker owns a counter-based Philox substream spawned from the seed
+    and draws its share in batches of at most 65536 rows and 64 MiB
+    (row_bytes per row); the (sum, sum of squares) reduction runs in worker
+    order, so the estimate is bit-identical for fixed (seed, worker_count)
+    regardless of timing.
     """
-    if not isinstance(n, int) or n < 2:
-        raise ParameterError("need an integer sample count n >= 2")
-    if not isinstance(worker_count, int) or worker_count < 1:
-        raise ParameterError("worker_count must be a positive integer")
-    lam = _mode_values(spec.stream)
-    weight = 0.5 * spec.hbar_c * np.sqrt(lam) * np.exp(-spec.tau * lam)
-    # |sigma_j|^2/lambda_j carries (hbar_c/g) lambda^{1/2} e^{-tau lambda};
-    # the g/2 prefactor restores the weight above exactly as in sample_U
+    check_count(n, "Monte Carlo sample count", minimum=2)
+    check_count(worker_count, "worker_count")
+    batch_rows = max(1, min(_BATCH_ROWS, _BATCH_BYTES // row_bytes))
     children = np.random.SeedSequence(entropy=seed).spawn(worker_count)
+    base, extra = divmod(n, worker_count)
     total = 0.0
     total_sq = 0.0
-    for worker, quota in zip(children, _worker_counts(n, worker_count)):
-        rng = np.random.Generator(np.random.Philox(worker))
+    for i, child in enumerate(children):
+        quota = base + (1 if i < extra else 0)
+        rng = np.random.Generator(np.random.Philox(child))
         done = 0
         while done < quota:
-            batch = min(_BATCH, quota - done)
-            xi_sq = _draw_xi_sq(spec, rng, (batch, lam.size))
-            u = xi_sq @ weight
-            total += float(np.sum(u))
-            total_sq += float(np.sum(u * u))
-            done += batch
+            rows = min(batch_rows, quota - done)
+            vals = sample(rng, rows)
+            total += float(np.sum(vals))
+            total_sq += float(np.sum(vals * vals))
+            done += rows
     mean = total / n
     var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
     return MCEstimate(
@@ -168,3 +157,18 @@ def mc_estimate(
         seed=seed,
         worker_count=worker_count,
     )
+
+
+def mc_estimate(
+    spec: SourceSpec, n: int, seed: int, worker_count: int = 1
+) -> MCEstimate:
+    """Mean and standard error of U over n independent draws (see monte_carlo)."""
+    lam = _mode_values(spec.stream)
+    weight = 0.5 * spec.hbar_c * np.sqrt(lam) * np.exp(-spec.tau * lam)
+    # |sigma_j|^2/lambda_j carries (hbar_c/g) lambda^{1/2} e^{-tau lambda};
+    # the g/2 prefactor restores the weight above exactly as in sample_U
+
+    def sample(rng: np.random.Generator, rows: int) -> np.ndarray:
+        return _draw_xi_sq(spec, rng, (rows, lam.size)) @ weight
+
+    return monte_carlo(sample, n, seed, worker_count, row_bytes=8 * lam.size)

@@ -7,7 +7,7 @@ the verify-all command's JSON report.
 
 import pytest
 
-from caslab import acceptance
+from caslab import acceptance, riesz
 
 
 def _run(number):
@@ -18,6 +18,18 @@ def _run(number):
         for c in result.checks
     )
     assert result.passed, f"{result.summary_line()}\n{detail}"
+
+
+def test_raising_criterion_keeps_its_title(monkeypatch):
+    def boom(*args):
+        raise RuntimeError("quadrature exploded")
+
+    monkeypatch.setattr(riesz, "momentum_integral", boom)
+    result = acceptance.run_criterion(1)
+    assert result.title == "reduction constants and the combined chain"
+    assert result.error == "RuntimeError: quadrature exploded"
+    assert result.passed is False
+    assert "error: RuntimeError" in result.summary_line()
 
 
 def test_criterion_01_reduction_constants_and_chain():

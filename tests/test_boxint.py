@@ -1,6 +1,6 @@
 """Cell overlap energies, the aspect-ratio grid, concavity and positivity."""
 
-import json
+import dataclasses
 import math
 
 import numpy as np
@@ -120,16 +120,21 @@ def test_delta_global_bound():
 
 
 def test_aspect_cell_validation():
+    for method in boxint.DeltaMethod:
+        with pytest.raises(ParameterError):
+            boxint.delta_alpha(0.0, method)
     with pytest.raises(ParameterError):
-        boxint.AspectCell(0.0)
-    assert boxint.AspectCell(2.0).lengths == (2.0, 0.5, 1.0)
+        boxint.delta_alpha(1.0, boxint.DeltaMethod.MONTE_CARLO, budget=1)
+    with pytest.raises(ParameterError):
+        boxint.delta_alpha(1.0, boxint.DeltaMethod.MONTE_CARLO, worker_count=True)
+    assert boxint.delta_alpha(2.0) == boxint.cell_overlap_energy((2.0, 0.5, 1.0))
 
 
 def test_aspect_result_bundle():
     res = boxint.aspect_result(1.5, budget=100_000, seed=5)
     assert res.method_spread < 1e-8
     assert res.mc_zscore < 5.0
-    payload = json.loads(res.to_json())
+    payload = dataclasses.asdict(res)
     assert payload["alpha"] == 1.5
     assert payload["delta_mc"]["n"] == 100_000
 
@@ -151,6 +156,12 @@ def test_concavity_scan_frozen_margin():
     scan = boxint.log_concavity_scan()
     assert scan.max_second_difference == pytest.approx(
         -1.652544767694053e-05, rel=1e-6
+    )
+    assert len(scan.max_by_t) == 25
+    assert max(d2 for _, d2 in scan.max_by_t) == scan.max_second_difference
+    t, u = scan.max_by_t[12][0], np.linspace(-3.0, 3.0, 61)
+    assert scan.max_by_t[12][1] == max(
+        boxint.second_difference_margin(t, float(x), scan.h_step) for x in u
     )
     assert scan.min_second_difference < -0.5
     assert scan.violations == ()
@@ -199,9 +210,10 @@ def test_positivity_chain_report():
     assert report.k_min > 0.0
     assert report.h_min > 0.0
     assert report.max_derivative_rel_err <= 1e-6
-    assert report.r_grid[0] == pytest.approx(0.05)
-    payload = json.loads(report.to_json())
-    assert payload["passed"] is True
+    assert report.r_grid_size == 200
+    assert report.r_min == pytest.approx(0.05)
+    assert report.r_max == pytest.approx(10.0)
+    assert dataclasses.asdict(report)["passed"] is True
 
 
 @settings(max_examples=40, deadline=None)

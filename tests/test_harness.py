@@ -55,14 +55,33 @@ def test_spectrum_report_content(tmp_path):
     assert len(rows) == len(report["stream"]["modes"]) + 1
 
 
-def test_byte_identical_reruns(tmp_path):
+COMPUTING_COMMANDS = (
+    "reduce", "spectrum", "heat-trace", "finite-part",
+    "stochastic", "boxint", "plates", "calibrate",
+)
+
+
+@pytest.mark.parametrize("command", COMPUTING_COMMANDS)
+def test_byte_identical_reruns(tmp_path, command):
     out = tmp_path / "a"
-    assert harness.main(["reduce", "--out", str(out), "--format", "both"]) == 0
-    first_json = (out / "reduce.json").read_bytes()
-    first_csv = (out / "reduce_constants.csv").read_bytes()
-    assert harness.main(["reduce", "--out", str(out), "--format", "both"]) == 0
-    assert (out / "reduce.json").read_bytes() == first_json
-    assert (out / "reduce_constants.csv").read_bytes() == first_csv
+    argv = [command, "--out", str(out), "--format", "both"]
+    assert harness.main(argv) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert f"{command}.json" in first
+    assert harness.main(argv) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+
+def test_flags_come_from_the_defaults_table():
+    parser = harness._build_parser()
+    for command, defaults in harness._COMMAND_DEFAULTS.items():
+        argv = [command]
+        for key, default in defaults.items():
+            argv += ["--" + key.replace("_", "-"), str(default)]
+        args = parser.parse_args(argv)
+        for key, default in defaults.items():
+            assert getattr(args, key) == default
+            assert type(getattr(args, key)) is type(default)
 
 
 def test_env_var_output_dir(tmp_path, monkeypatch):
@@ -83,10 +102,14 @@ def test_config_file_with_flag_override(tmp_path):
     assert manifest["seed"] == 5
 
 
-def test_unknown_config_key_is_a_config_error(tmp_path):
+@pytest.mark.parametrize(
+    "payload", [{"bogus": 1}, {"tau": 0.3}, {"L": 2.0}], ids=["bogus", "tau", "L"]
+)
+def test_unknown_config_key_is_a_config_error(tmp_path, payload):
+    # reduce takes only lam: keys of other commands are rejected as well
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"bogus": 1}))
-    assert harness.main(["reduce", "--config", str(cfg)]) == 2
+    cfg.write_text(json.dumps(payload))
+    assert harness.main(["reduce", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
 def test_malformed_config_is_a_config_error(tmp_path):
@@ -136,6 +159,12 @@ def test_calibrate_report_has_both_routes(tmp_path):
     rows = (tmp_path / "calibrate_theta.csv").read_text().splitlines()
     assert rows[0] == "alpha,theta_bar"
     assert len(rows) == 6
+
+
+@pytest.mark.parametrize("command", ["finite-part", "plates"])
+def test_separation_off_powers_of_two(tmp_path, command):
+    assert run_cli([command, "--a", "1.1"], tmp_path) == 0
+    assert read_report(tmp_path, command)["passed"] is True
 
 
 def test_finite_part_command(tmp_path):

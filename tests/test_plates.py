@@ -1,9 +1,10 @@
 """Plate geometry: per-area traces, finite parts, both energy routes."""
 
-import json
+import dataclasses
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from caslab import heattrace, plates, spectrum, stochastic
@@ -58,10 +59,9 @@ def test_tau_squared_trace_sequence():
 
 def test_finite_box_matches_per_area_at_large_width():
     for L, tau, tol in ((16.0, 0.1, 2e-3), (8.0, 0.05, 1e-2)):
-        config = plates.PlateConfig(a=1.0, L=L)
-        box = plates.finite_box_trace(config, tau)
+        box = plates.finite_box_trace(plates.PlateConfig(a=1.0, L=L), tau)
         per = plates.per_area_trace(1.0, tau)
-        assert box.value / config.area == pytest.approx(per.value, rel=tol)
+        assert box.value / (L * L) == pytest.approx(per.value, rel=tol)
 
 
 def test_plate_box_layout():
@@ -82,6 +82,15 @@ def test_default_tau_grid():
     assert grid[0] == pytest.approx(1e-4 * 4.0)
     assert grid[-1] == pytest.approx(1e-3 * 4.0)
     assert len(grid) == 12
+    assert np.array_equal(plates.default_tau_grid(1.0), np.geomspace(1e-4, 1e-3, 12))
+
+
+def test_default_tau_grid_spans_a_decade():
+    # finite_part refuses windows narrower than one decade; rounding of a
+    # scaled grid must never leave the top end short of it
+    for a in np.linspace(0.5, 2.0, 301):
+        tau = plates.default_tau_grid(float(a))
+        assert tau[-1] >= 10.0 * tau[0]
 
 
 def test_heat_fit_model_extracts_negative_constant():
@@ -129,14 +138,21 @@ def test_normalized_energy():
 
 def test_plate_config_validation():
     with pytest.raises(ParameterError):
-        plates.PlateConfig(a=1.0)  # needs exactly one lateral description
-    with pytest.raises(ParameterError):
-        plates.PlateConfig(a=1.0, L=4.0, n=3)
-    with pytest.raises(ParameterError):
         plates.PlateConfig(a=0.0, L=4.0)
     with pytest.raises(ParameterError):
-        plates.PlateConfig(a=1.0, L=4.0, n_channels=0)
-    assert plates.PlateConfig(a=1.0, L=4.0).area == pytest.approx(16.0)
+        plates.PlateConfig(a=1.0, L=-4.0)
+    config = plates.PlateConfig(a=1.0, L=4.0)
+    assert (config.a, config.L) == (1.0, 4.0)
+
+
+def test_counts_are_validated():
+    for bad in (0, -2, 1.0, True):
+        with pytest.raises(ParameterError):
+            plates.normalized_energy(bad, 1.0)
+        with pytest.raises(ParameterError):
+            plates.casimir_per_area(1.0, n_channels=bad)
+        with pytest.raises(ParameterError):
+            plates.theta_bar(1.0, bad)
 
 
 def test_stochastic_closure_on_plate_stream():
@@ -174,6 +190,6 @@ def test_theta_bar_pipeline_within_tolerance():
     assert res.pipeline_value is not None
     rel = abs(res.pipeline_value - res.closed_value) / res.closed_value
     assert rel <= plates.PIPELINE_TOLERANCE
-    payload = json.loads(res.to_json())
+    payload = dataclasses.asdict(res)
     assert payload["pipeline_value"] == res.pipeline_value
     assert payload["tolerance"] == plates.PIPELINE_TOLERANCE

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caslab import spectrum
+from caslab import harness, spectrum
 from caslab.errors import (
     ConstraintError,
     EmptySpectrumError,
@@ -120,10 +120,6 @@ def test_resource_guard_trips_before_walking():
         spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), 7e5)
 
 
-def test_enumerate_alias():
-    assert spectrum.enumerate is spectrum.enumerate_modes
-
-
 def test_box_requires_dirichlet_axis():
     n = spectrum.AxisSpec(1.0, N)
     p = spectrum.AxisSpec(1.0, P)
@@ -170,13 +166,14 @@ def test_tail_bound_nonincreasing_in_t():
     assert bounds == sorted(bounds, reverse=True)
 
 
-def test_stream_json_shape():
-    axis = spectrum.AxisSpec(1.0, D)
-    stream = spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), 100.0)
-    payload = json.loads(stream.to_json())
+def test_stream_json_shape(tmp_path):
+    # the spectrum report carries the stream as {"cutoff", "modes": [...]}
+    assert harness.main(["spectrum", "--cutoff", "100", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "spectrum.json").read_text())
+    payload = report["stream"]
     assert payload["cutoff"] == 100.0
-    assert payload["modes"][0] == {"value": pytest.approx(3 * math.pi**2), "multiplicity": 1}
-    assert sum(m["multiplicity"] for m in payload["modes"]) == stream.mode_count
+    assert payload["modes"][0] == {"value": pytest.approx(math.pi**2), "multiplicity": 1}
+    assert sum(m["multiplicity"] for m in payload["modes"]) == report["mode_count"]
 
 
 def test_lateral_gap():

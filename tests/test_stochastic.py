@@ -1,6 +1,9 @@
 """Gaussian source draws and the Monte Carlo trace estimator."""
 
+import dataclasses
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +130,36 @@ def test_merged_multiplicity_equals_expanded(cube_stream):
     assert sa.mean == sb.mean and sa.stderr == sb.stderr
 
 
+def test_mc_frozen_across_batches_and_workers(cube_stream):
+    # 70001 draws per worker span two 65536-row batches; these values pin the
+    # stream split, the batch order and the reduction order
+    real = stochastic.SourceSpec(stream=cube_stream, tau=0.5)
+    cplx = stochastic.SourceSpec(
+        stream=cube_stream, tau=0.5, channel=stochastic.Channel.COMPLEX
+    )
+    er = stochastic.mc_estimate(real, n=140_001, seed=42, worker_count=2)
+    ec = stochastic.mc_estimate(cplx, n=140_001, seed=42, worker_count=2)
+    assert (er.mean, er.stderr) == (1.010075901672101e-06, 3.8201944380087535e-09)
+    assert (ec.mean, ec.stderr) == (1.010544300023977e-06, 2.699852538709848e-09)
+
+
+def test_mc_batch_memory_is_bounded():
+    # 1277 modes: one 65536-row batch would take 670 MB; the batch budget
+    # holds it to 64 MiB per draw array
+    axis = spectrum.AxisSpec(1.0, D)
+    stream = spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), 2000.0)
+    assert stream.mode_count == 1277
+    spec = stochastic.SourceSpec(stream=stream, tau=0.05)
+    tracemalloc.start()
+    try:
+        est = stochastic.mc_estimate(spec, n=32_768, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (64 << 20)
+    assert est.n == 32_768 and est.stderr > 0.0
+
+
 def test_source_spec_validation(cube_stream):
     with pytest.raises(ParameterError):
         stochastic.SourceSpec(stream=cube_stream, tau=0.0)
@@ -145,11 +178,9 @@ def test_mc_estimate_validation(cube_stream):
 
 
 def test_estimate_json(cube_stream):
-    import json
-
     spec = stochastic.SourceSpec(stream=cube_stream, tau=0.5)
     est = stochastic.mc_estimate(spec, n=1000, seed=1)
-    payload = json.loads(est.to_json())
+    payload = json.loads(json.dumps(dataclasses.asdict(est)))
     assert payload == {
         "mean": est.mean,
         "stderr": est.stderr,
