@@ -155,7 +155,8 @@ def _run_spectrum(config: RunConfig):
     )
     stream = spectrum.enumerate_modes(box, cutoff)
     sat = spectrum.saturation_check(l1, l2, a)
-    modes = [{"value": v, "multiplicity": m} for v, m in stream.values]
+    pairs = list(zip(stream.values.tolist(), stream.multiplicities.tolist()))
+    modes = [{"value": v, "multiplicity": m} for v, m in pairs]
     report = {
         "cell": {"l1": l1, "l2": l2, "a": a},
         "stream": {"cutoff": stream.cutoff, "modes": modes},
@@ -165,7 +166,7 @@ def _run_spectrum(config: RunConfig):
         "checks": [],
     }
     rows = [("value", "multiplicity")]
-    rows += [(v, float(m)) for v, m in stream.values]
+    rows += [(v, float(m)) for v, m in pairs]
     return report, {"modes": rows}
 
 

@@ -39,7 +39,7 @@ class HeatTraceSample:
 
 
 def regulated_trace(stream: EigenStream, tau: float) -> HeatTraceSample:
-    """(1/2) sum_j mult_j lambda_j^{1/2} exp(-tau lambda_j) over the stream.
+    """(1/2) sum_j mult_j lambda_j^{1/2} exp(-tau lambda_j), one array sum.
 
     The stream's heat-tail envelope at tau (halved like the sum) is attached
     as the sample's tail bound; if that bound exceeds 1e-6 of the value the
@@ -47,10 +47,8 @@ def regulated_trace(stream: EigenStream, tau: float) -> HeatTraceSample:
     """
     if not tau > 0.0:
         raise ParameterError("regulated trace needs tau > 0")
-    total = 0.0
-    for value, mult in stream.values:
-        total += mult * math.sqrt(value) * math.exp(-tau * value)
-    total *= 0.5
+    lam = stream.values
+    total = 0.5 * float(np.sum(stream.multiplicities * np.sqrt(lam) * np.exp(-tau * lam)))
     tail = 0.5 * stream.tail_bound(tau)
     if tail > _TAIL_TARGET * total:
         raise CutoffError(

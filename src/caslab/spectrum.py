@@ -2,9 +2,9 @@
 
 Eigenvalues of the product operators on rectangular cells and torus-interval
 products are sums of per-axis one-dimensional modes.  Enumeration below a
-cutoff is a bounded lattice walk; the discarded part of heat-weighted sums is
-controlled by an explicit per-axis envelope so downstream traces can report
-rigorous remainders.
+cutoff broadcasts the per-axis modes one axis-1 mode at a time; the discarded
+part of heat-weighted sums is controlled by an explicit per-axis envelope so
+downstream traces can report rigorous remainders.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from . import specfun
 from .errors import (
@@ -57,24 +59,15 @@ class AxisSpec:
             return (math.pi / self.length) ** 2
         return 0.0
 
-    def modes_below(self, cutoff: float) -> list[tuple[float, int]]:
-        """Sorted (value, multiplicity) pairs with value <= cutoff."""
-        out: list[tuple[float, int]] = []
-        if self.bc is Bc.PERIODIC:
-            base = (2.0 * math.pi / self.length) ** 2
-            out.append((0.0, 1))
-            k = 1
-            while base * k * k <= cutoff:
-                out.append((base * k * k, 2))
-                k += 1
-        else:
-            base = (math.pi / self.length) ** 2
-            start = 0 if self.bc is Bc.NEUMANN else 1
-            n = start
-            while base * n * n <= cutoff:
-                out.append((base * n * n, 1))
-                n += 1
-        return out
+    def modes_below(self, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending values <= cutoff (float64) and their multiplicities (int64)."""
+        scale = 2.0 if self.bc is Bc.PERIODIC else 1.0
+        base = (scale * math.pi / self.length) ** 2
+        start = 1 if self.bc is Bc.DIRICHLET else 0
+        n = np.arange(start, int(math.sqrt(max(cutoff, 0.0) / base)) + 2)
+        n = n[base * n * n <= cutoff]
+        mults = np.where(n > 0, 2, 1) if self.bc is Bc.PERIODIC else np.ones_like(n)
+        return base * n * n, mults
 
     def heat_sum(self, t: float) -> float:
         """Full heat sum over every axis mode, sum_j mult_j exp(-t value_j)."""
@@ -116,17 +109,34 @@ class BoxSpec:
         return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenStream:
-    """Complete sorted spectrum below a cutoff, with a heat-tail envelope."""
+    """Complete spectrum below a cutoff, with a heat-tail envelope.
+
+    values: the distinct eigenvalues, ascending (float64); multiplicities: the
+    number of modes at each (int64).  Both are read-only 1-D arrays of one length.
+    """
 
     cutoff: float
-    values: tuple[tuple[float, int], ...]
+    values: np.ndarray
+    multiplicities: np.ndarray
     box: BoxSpec
+
+    def __post_init__(self):
+        for name, dtype in (("values", np.float64), ("multiplicities", np.int64)):
+            array = np.array(getattr(self, name), dtype=dtype)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        if self.values.ndim != 1 or self.values.shape != self.multiplicities.shape:
+            raise ParameterError("values and multiplicities must be 1-D, of one length")
 
     @property
     def mode_count(self) -> int:
-        return sum(mult for _, mult in self.values)
+        return int(self.multiplicities.sum())
+
+    def modes(self) -> np.ndarray:
+        """Every eigenvalue repeated by its multiplicity, one entry per mode."""
+        return np.repeat(self.values, self.multiplicities)
 
     def tail_bound(self, t: float) -> float:
         """Upper bound on sum_{lambda > cutoff} mult * lambda^{1/2} e^{-t lambda}.
@@ -155,9 +165,10 @@ def enumerate_modes(
 ) -> EigenStream:
     """Complete sorted enumeration of box eigenvalues below the cutoff.
 
-    Bounded lattice walk over per-axis indices with early termination; equal
-    values are merged within 1e-12 relative so lattice-symmetry degeneracies
-    report a single multiplicity.
+    Each axis-1 mode v1 broadcasts one slice v1 + v2 + v3, kept where
+    v3 <= (cutoff - v1) - v2, and the mode cap is checked after every slice.
+    After one stable sort each value joins the group of the first value within
+    1e-12 relative below it, so degeneracies report a single multiplicity.
     """
     cutoff = float(cutoff)
     lam_min = spec.lambda_min
@@ -171,32 +182,36 @@ def enumerate_modes(
             f"estimated {weyl:.3e} modes below cutoff exceeds cap {max_modes}"
         )
     a1, a2, a3 = spec.axes
-    m2min, m3min = a2.min_value, a3.min_value
-    modes1 = a1.modes_below(cutoff - m2min - m3min)
-    found: list[tuple[float, int]] = []
+    m1, m2, m3 = (ax.min_value for ax in spec.axes)
+    v1s, k1s = a1.modes_below(cutoff - m2 - m3)
+    v2s, k2s = a2.modes_below(cutoff - m1 - m3)
+    v3s, k3s = a3.modes_below(cutoff - m1 - m2)
+    values, mults = [], []
     count = 0
-    for v1, k1 in modes1:
-        modes2 = a2.modes_below(cutoff - v1 - m3min)
-        for v2, k2 in modes2:
-            modes3 = a3.modes_below(cutoff - v1 - v2)
-            for v3, k3 in modes3:
-                found.append((v1 + v2 + v3, k1 * k2 * k3))
-                count += k1 * k2 * k3
-                if count > max_modes:
-                    raise ResourceError(
-                        f"mode count exceeded cap {max_modes} during walk"
-                    )
-    if not found:
+    for v1, k1 in zip(v1s.tolist(), k1s.tolist()):
+        rest = cutoff - v1
+        n2 = np.searchsorted(v2s, rest - m3, side="right")
+        v2 = v2s[:n2, None]
+        keep = v3s <= rest - v2
+        values.append((v1 + v2 + v3s)[keep])
+        mults.append((k1 * k2s[:n2, None] * k3s)[keep])
+        count += int(mults[-1].sum())
+        if count > max_modes:
+            raise ResourceError(f"mode count exceeded cap {max_modes} during walk")
+    if count == 0:
         raise EmptySpectrumError(f"no modes at or below cutoff {cutoff}")
-    found.sort(key=lambda pair: pair[0])
-    merged: list[tuple[float, int]] = [found[0]]
-    for value, mult in found[1:]:
-        prev, pmult = merged[-1]
-        if value - prev <= _MERGE_RTOL * value:
-            merged[-1] = (prev, pmult + mult)
-        else:
-            merged.append((value, mult))
-    return EigenStream(cutoff=cutoff, values=tuple(merged), box=spec)
+    found = np.concatenate(values)
+    order = np.argsort(found, kind="stable")
+    found, grouped = found[order], np.concatenate(mults)[order]
+    # a group can only start where the sorted value changes
+    steps = np.flatnonzero(found[1:] != found[:-1]) + 1
+    heads = [0]
+    head = float(found[0])
+    for i, value in zip(steps.tolist(), found[steps].tolist()):
+        if value - head > _MERGE_RTOL * value:
+            heads.append(i)
+            head = value
+    return EigenStream(cutoff, found[heads], np.add.reduceat(grouped, heads), spec)
 
 
 def lateral_gap(l1: float, l2: float) -> float:

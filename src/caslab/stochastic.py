@@ -64,15 +64,6 @@ class MCEstimate:
     worker_count: int
 
 
-def _mode_values(stream: EigenStream) -> np.ndarray:
-    # one independent noise component per basis vector: degenerate modes
-    # contribute multiplicity-many entries
-    return np.repeat(
-        [value for value, _ in stream.values],
-        [mult for _, mult in stream.values],
-    ).astype(float)
-
-
 def _draw_xi_sq(spec: SourceSpec, rng: np.random.Generator, shape) -> np.ndarray:
     """|xi|^2 draws: chi^2_1 for the real channel, unit-mean exponential-like
     (|x+iy|^2/2) for the complex one."""
@@ -87,21 +78,18 @@ def _draw_xi_sq(spec: SourceSpec, rng: np.random.Generator, shape) -> np.ndarray
     return x
 
 
-def sample_sigma_components(spec: SourceSpec, rng: np.random.Generator) -> list:
-    """One draw of every mode component sigma_j.
+def sample_sigma_components(spec: SourceSpec, rng: np.random.Generator) -> np.ndarray:
+    """One draw of every mode component sigma_j, one entry per basis vector.
 
-    Real channel returns floats; the complex channel returns complex values
-    with E|sigma_j|^2 unchanged.
+    A float64 array for the real channel; a complex128 array for the complex
+    channel, with E|sigma_j|^2 unchanged.
     """
-    lam = _mode_values(spec.stream)
+    lam = spec.stream.modes()
     amp = np.sqrt(spec.hbar_c / spec.g) * lam**0.75 * np.exp(-0.5 * spec.tau * lam)
-    if spec.channel is Channel.REAL:
-        xi = rng.standard_normal(lam.size)
-        return list(amp * xi)
-    xi = (
-        rng.standard_normal(lam.size) + 1j * rng.standard_normal(lam.size)
-    ) / math.sqrt(2.0)
-    return list(amp * xi)
+    xi = rng.standard_normal(lam.size)
+    if spec.channel is Channel.COMPLEX:
+        xi = (xi + 1j * rng.standard_normal(lam.size)) / math.sqrt(2.0)
+    return amp * xi
 
 
 def sample_U(spec: SourceSpec, rng: np.random.Generator) -> float:
@@ -111,8 +99,8 @@ def sample_U(spec: SourceSpec, rng: np.random.Generator) -> float:
     g is a property of the arithmetic, not of an algebraic shortcut.  Always
     nonnegative.
     """
-    lam = _mode_values(spec.stream)
-    sigma = np.asarray(sample_sigma_components(spec, rng))
+    lam = spec.stream.modes()
+    sigma = sample_sigma_components(spec, rng)
     return float(0.5 * spec.g * np.sum(np.abs(sigma) ** 2 / lam))
 
 
@@ -163,7 +151,7 @@ def mc_estimate(
     spec: SourceSpec, n: int, seed: int, worker_count: int = 1
 ) -> MCEstimate:
     """Mean and standard error of U over n independent draws (see monte_carlo)."""
-    lam = _mode_values(spec.stream)
+    lam = spec.stream.modes()
     weight = 0.5 * spec.hbar_c * np.sqrt(lam) * np.exp(-spec.tau * lam)
     # |sigma_j|^2/lambda_j carries (hbar_c/g) lambda^{1/2} e^{-tau lambda};
     # the g/2 prefactor restores the weight above exactly as in sample_U

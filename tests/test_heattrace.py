@@ -35,7 +35,7 @@ def nnd_cell(l1, l2, a):
 def test_single_mode_trace():
     # one mode at pi^2: the regulated trace is (1/2) pi e^{-pi^2}
     stream = spectrum.EigenStream(
-        cutoff=60.0, values=((math.pi**2, 1),), box=nnd_cell(1.0, 1.0, 1.0)
+        cutoff=60.0, values=[math.pi**2], multiplicities=[1], box=nnd_cell(1.0, 1.0, 1.0)
     )
     sample = heattrace.regulated_trace(stream, 1.0)
     assert sample.value == pytest.approx(0.5 * math.pi * math.exp(-math.pi**2), rel=1e-15)
@@ -47,7 +47,10 @@ def test_regulated_trace_equals_direct_sum():
     axis = spectrum.AxisSpec(1.0, D)
     stream = spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), 200.0)
     tau = 0.5
-    direct = sum(0.5 * k * math.sqrt(v) * math.exp(-tau * v) for v, k in stream.values)
+    direct = sum(
+        0.5 * k * math.sqrt(v) * math.exp(-tau * v)
+        for v, k in zip(stream.values.tolist(), stream.multiplicities.tolist())
+    )
     assert heattrace.regulated_trace(stream, tau).value == pytest.approx(direct, rel=1e-14)
 
 
@@ -65,7 +68,10 @@ def test_mixed_cell_factorization():
     l1, l2, a, t = 2.0, 0.5, 1.0, 0.4
     box = nnd_cell(l1, l2, a)
     stream = spectrum.enumerate_modes(box, 300.0)
-    spectral = sum(k * math.exp(-t * v) for v, k in stream.values)
+    spectral = sum(
+        k * math.exp(-t * v)
+        for v, k in zip(stream.values.tolist(), stream.multiplicities.tolist())
+    )
     tail = sum(
         ax.heat_sum(t) for ax in box.axes
     )  # crude domination scale only, the real check is below

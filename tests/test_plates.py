@@ -73,7 +73,7 @@ def test_plate_box_layout():
 
 def test_plate_stream_modes():
     stream = plates.plate_stream(4.0, 1.0, tau=0.5)
-    assert stream.values[0][0] == pytest.approx(math.pi**2, rel=1e-13)
+    assert stream.values[0] == pytest.approx(math.pi**2, rel=1e-13)
     assert stream.mode_count > 10
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,7 +77,8 @@ def test_enumeration_matches_brute_force(axes, cutoff):
     stream = spectrum.enumerate_modes(box, cutoff)
     want = brute_enumerate(box, cutoff)
     assert len(stream.values) == len(want)
-    for (gv, gk), (wv, wk) in zip(stream.values, want):
+    got = zip(stream.values.tolist(), stream.multiplicities.tolist())
+    for (gv, gk), (wv, wk) in zip(got, want):
         assert gv == pytest.approx(wv, rel=1e-12)
         assert gk == wk
 
@@ -85,7 +87,7 @@ def test_unit_cube_low_modes():
     axis = spectrum.AxisSpec(1.0, D)
     stream = spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), 200.0)
     pi2 = math.pi**2
-    lead = stream.values[:5]
+    lead = zip(stream.values[:5].tolist(), stream.multiplicities[:5].tolist())
     want = [(3 * pi2, 1), (6 * pi2, 3), (9 * pi2, 3), (11 * pi2, 3), (12 * pi2, 1)]
     for (gv, gk), (wv, wk) in zip(lead, want):
         assert gv == pytest.approx(wv, rel=1e-13)
@@ -95,10 +97,37 @@ def test_unit_cube_low_modes():
 def test_sorted_and_merged():
     axis = spectrum.AxisSpec(1.0, D)
     stream = spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), 500.0)
-    vals = [v for v, _ in stream.values]
+    vals = stream.values.tolist()
     assert vals == sorted(vals)
     for a, b in zip(vals, vals[1:]):
         assert b - a > 1e-12 * b  # no unmerged near-duplicates
+
+
+def test_merge_compares_with_group_head():
+    # the three modes of index type (2,1,1) lie 6e-13 relative apart: the
+    # middle one joins the lowest, and the highest, 1.2e-12 above the group's
+    # first value, starts its own group.  Comparing each value with its
+    # predecessor instead would merge all three into [1, 3].
+    sides = (1.0, 1.0 + 6e-13, 1.0 + 1.2e-12)
+    box = spectrum.BoxSpec(tuple(spectrum.AxisSpec(s, D) for s in sides))
+    stream = spectrum.enumerate_modes(box, 6.5 * math.pi**2)
+    assert stream.multiplicities.tolist() == [1, 2, 1]
+
+
+def test_stream_arrays_are_read_only():
+    axis = spectrum.AxisSpec(1.0, D)
+    stream = spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), 200.0)
+    assert stream.values.dtype == np.float64
+    assert stream.multiplicities.dtype == np.int64
+    with pytest.raises(ValueError):
+        stream.values[0] = 0.0
+    with pytest.raises(ValueError):
+        stream.multiplicities[0] = 2
+    assert stream.modes().size == stream.mode_count == 26
+    with pytest.raises(ParameterError):
+        spectrum.EigenStream(
+            cutoff=80.0, values=[30.0, 60.0], multiplicities=[1], box=stream.box
+        )
 
 
 def test_weyl_count():
@@ -118,6 +147,16 @@ def test_resource_guard_trips_before_walking():
     axis = spectrum.AxisSpec(1.0, D)
     with pytest.raises(ResourceError):
         spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), 7e5)
+
+
+def test_resource_guard_trips_during_walk():
+    # the Weyl estimate (1510 modes) passes the pre-check; the 1277 modes the
+    # walk finds exceed the cap
+    axis = spectrum.AxisSpec(1.0, D)
+    with pytest.raises(ResourceError, match="during walk"):
+        spectrum.enumerate_modes(
+            spectrum.BoxSpec((axis, axis, axis)), 2000.0, max_modes=1000
+        )
 
 
 def test_box_requires_dirichlet_axis():
@@ -150,7 +189,7 @@ def test_tail_bound_dominates_actual_tail():
     for t in (0.2, 0.5, 1.0):
         actual = sum(
             k * math.sqrt(v) * math.exp(-t * v)
-            for v, k in big.values
+            for v, k in zip(big.values.tolist(), big.multiplicities.tolist())
             if v > small.cutoff
         )
         assert small.tail_bound(t) >= actual

@@ -49,7 +49,7 @@ def test_sigma_components_shape_and_scale(cube_stream):
     spec = stochastic.SourceSpec(stream=cube_stream, tau=0.5, g=4.0, hbar_c=9.0)
     sigma = stochastic.sample_sigma_components(spec, OnesRng())
     assert len(sigma) == cube_stream.mode_count
-    lam0 = cube_stream.values[0][0]
+    lam0 = float(cube_stream.values[0])
     want0 = math.sqrt(9.0 / 4.0) * lam0**0.75 * math.exp(-0.25 * lam0)
     assert sigma[0] == pytest.approx(want0, rel=1e-14)
 
@@ -79,9 +79,7 @@ def test_mc_variance_identity(cube_stream):
     tau = 0.5
     spec = stochastic.SourceSpec(stream=cube_stream, tau=tau)
     est = stochastic.mc_estimate(spec, n=200_000, seed=3)
-    lam = np.repeat(
-        [v for v, _ in cube_stream.values], [k for _, k in cube_stream.values]
-    )
+    lam = cube_stream.modes()
     var_exact = 0.5 * float(np.sum(lam * np.exp(-2.0 * tau * lam)))
     var_mc = est.stderr**2 * est.n
     assert abs(var_mc / var_exact - 1.0) < 0.1
@@ -119,8 +117,12 @@ def test_mc_worker_split_is_deterministic_per_count(cube_stream):
 def test_merged_multiplicity_equals_expanded(cube_stream):
     lam = 6.0 * math.pi**2
     box = cube_stream.box
-    merged = spectrum.EigenStream(cutoff=80.0, values=((lam, 2),), box=box)
-    expanded = spectrum.EigenStream(cutoff=80.0, values=((lam, 1), (lam, 1)), box=box)
+    merged = spectrum.EigenStream(
+        cutoff=80.0, values=[lam], multiplicities=[2], box=box
+    )
+    expanded = spectrum.EigenStream(
+        cutoff=80.0, values=[lam, lam], multiplicities=[1, 1], box=box
+    )
     sa = stochastic.mc_estimate(
         stochastic.SourceSpec(stream=merged, tau=0.4), n=10_000, seed=2
     )
