@@ -10,13 +10,12 @@ log-concavity and positivity checks behind the monotonicity argument.
 
 from __future__ import annotations
 
+# Module scope stays numpy-only: scipy.integrate and mpmath are imported where they run.
 import enum
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
-import scipy.integrate as integrate
 
 from . import specfun
 from .errors import ParameterError, QuadratureError, check_count
@@ -58,6 +57,8 @@ def cell_overlap_energy(lengths: tuple[float, float, float]) -> float:
     is 1 within e^{-40}) is summed by the exact power tail of
     prod_i (L_i sqrt(pi/t) - 1/t).
     """
+    import scipy.integrate as integrate
+
     ls = tuple(float(x) for x in lengths)
     if len(ls) != 3 or any(x <= 0.0 for x in ls):
         raise ParameterError("need three positive side lengths")
@@ -132,6 +133,8 @@ def _radial_profile(lengths, u1: float, u2: float, u3: float) -> float:
 
 
 def _delta_quadrature(alpha: float) -> float:
+    import scipy.integrate as integrate
+
     lengths = _aspect_lengths(alpha)
 
     def integrand(theta: float, phi: float) -> float:
@@ -368,6 +371,8 @@ def chain_h(r: float) -> float:
 
 
 def _chain_h_mp(r):
+    import mpmath
+
     e = mpmath.exp(-r * r)
     a = mpmath.sqrt(mpmath.pi) / 2 * mpmath.erf(r)
     return (1 - e) * (a + r * e) - 2 * r * r * a * e
@@ -380,6 +385,8 @@ def _derivative_rel_err(r: float) -> float:
     difference is formed in high-precision arithmetic; the working precision
     grows with r^2 to keep the cancellation harmless.
     """
+    import mpmath
+
     dps = 40 + int(0.5 * r * r) + 10
     with mpmath.workdps(dps):
         rr = mpmath.mpf(r)

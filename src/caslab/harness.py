@@ -372,6 +372,19 @@ def _load_config_file(path: str) -> dict:
     return raw
 
 
+def _typed_like(key: str, value, default):
+    """A config-file value converted to the type of its default, as a flag is.
+
+    bool is never accepted; an int key takes only an int, and a float key
+    takes an int or a float.
+    """
+    kind = type(default)
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     command = args.command
     defaults = _COMMAND_DEFAULTS[command]
@@ -379,17 +392,19 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     unknown = set(file_cfg) - set(defaults) - {"seed", "out", "format"}
     if unknown:
         raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
-    params = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key)
-        params[key] = flag if flag is not None else file_cfg.get(key, default)
-        if not isinstance(params[key], (int, float)):
-            raise ConfigError(f"parameter {key} must be numeric, got {params[key]!r}")
-    seed = args.seed if args.seed is not None else file_cfg.get("seed", 42)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
-    out = args.out or file_cfg.get("out") or os.environ.get(OUT_ENV_VAR) or "caslab-report"
-    fmt = args.format or file_cfg.get("format") or "json"
+
+    def resolve(key: str, default):
+        # flag, else config-file value, else default
+        if getattr(args, key) is not None:
+            return getattr(args, key)
+        if key in file_cfg:
+            return _typed_like(key, file_cfg[key], default)
+        return default
+
+    params = {key: resolve(key, default) for key, default in defaults.items()}
+    seed = resolve("seed", 42)
+    out = resolve("out", "") or os.environ.get(OUT_ENV_VAR) or "caslab-report"
+    fmt = resolve("format", "json")
     if fmt not in _FORMATS:
         raise ConfigError(f"format must be one of {_FORMATS}")
     return RunConfig(

@@ -13,11 +13,10 @@ explicit width) and exposes the two-stage chain whose combined constant is
 
 from __future__ import annotations
 
+# Module scope imports no scipy: scipy.integrate is imported where quadrature runs.
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
-
-import scipy.integrate as integrate
 
 from . import specfun
 from .errors import ConvergenceError, ParameterError, QuadratureError, check_count
@@ -67,11 +66,6 @@ class MollifierSpec:
         if not self.eps >= 0.0:
             raise ParameterError("mollifier width must be >= 0")
 
-    def fourier_sq(self, q: float) -> float:
-        """|eta_hat(eps q)|^2; equals exp(-(eps q)^2) for the Gaussian."""
-        x = self.eps * q
-        return math.exp(-x * x)
-
 
 @dataclass(frozen=True)
 class ReductionParams:
@@ -114,6 +108,8 @@ def _quad_checked(
     epsrel: float = 1e-11,
     limit: int = 400,
 ) -> float:
+    import scipy.integrate as integrate
+
     out = integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, full_output=1)
     value, abserr = out[0], out[1]
     if len(out) > 3:
@@ -131,6 +127,7 @@ def _radial_integral(m: int, s: float, lam: float, damp_eps: float = 0.0) -> flo
     Truncates at Q fixed by the bound integral_Q^inf q^{m-1-2s} dq
     = Q^{m-2s}/(2s-m), kept below _TAIL_FRACTION of the head.
     """
+    import scipy.integrate as integrate
 
     def f(q: float) -> float:
         base = q ** (m - 1) * (lam + q * q) ** (-s)
@@ -180,6 +177,8 @@ def schwinger_integral(m: int, s: float, lam: float) -> float:
     handled with an algebraic-weight rule so the contract matches
     momentum_integral to relative 1e-8.
     """
+    import scipy.integrate as integrate
+
     _check_m(m)
     s = float(s)
     lam = float(lam)
@@ -285,6 +284,8 @@ def two_step_chain(lam: float) -> tuple[float, float, float]:
     The product of the stage constants is 1/(32 pi^2); the nested value is
     checked against (product)/lam to relative 1e-7 before returning.
     """
+    import scipy.integrate as integrate
+
     lam = float(lam)
     if not lam > 0.0:
         raise ParameterError("lam must be > 0")

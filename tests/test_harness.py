@@ -1,8 +1,11 @@
 """Command-line driver: config resolution, reports, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +127,34 @@ def test_bad_seed_type_is_a_config_error(tmp_path):
     assert harness.main(["reduce", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("finite-part", {"a": True}),
+        ("finite-part", {"seed": True}),
+        ("stochastic", {"n_samples": 1000.0}),
+        ("reduce", {"out": True}),
+    ],
+    ids=["bool-float-key", "bool-seed", "float-int-key", "bool-out"],
+)
+def test_config_value_must_have_its_default_type(tmp_path, command, payload):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(payload))
+    argv = [command, "--config", str(cfg)]
+    if "out" not in payload:
+        argv += ["--out", str(tmp_path)]
+    assert harness.main(argv) == 2
+    assert not (tmp_path / f"{command}.json").exists()
+
+
+def test_int_config_value_of_a_float_key_is_a_float(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"a": 1}))
+    assert harness.main(["finite-part", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    a = read_report(tmp_path, "finite-part")["manifest"]["params"]["a"]
+    assert type(a) is float and a == 1.0
+
+
 def test_inapplicable_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         harness.main(["reduce", "--alpha", "2.0"])
@@ -198,3 +229,38 @@ def test_console_script_installed(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "reduce: PASS" in proc.stdout
+
+
+_QUADRATURE_MODULES = ("scipy.integrate", "mpmath")
+
+
+def test_cold_commands_skip_quadrature_imports(tmp_path):
+    # a fresh interpreter, so modules other tests imported do not count
+    child = textwrap.dedent(
+        f"""
+        import json, sys
+        from caslab import harness
+
+        mods = {_QUADRATURE_MODULES!r}
+        loaded = {{"import": [m for m in mods if m in sys.modules]}}
+        for argv in (["spectrum"], ["heat-trace"], ["finite-part"],
+                     ["stochastic", "--n-samples", "20000"], ["plates"]):
+            code = harness.main(argv + ["--out", {str(tmp_path)!r}])
+            loaded[argv[0]] = [code] + [m for m in mods if m in sys.modules]
+        code = harness.main(["reduce", "--out", {str(tmp_path)!r}])
+        loaded["reduce"] = [code] + [m for m in mods if m in sys.modules]
+        print(json.dumps(loaded))
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded.pop("import") == []
+    assert loaded.pop("reduce")[:2] == [0, "scipy.integrate"]
+    for command, (code, *modules) in loaded.items():
+        assert code == 0, command
+        assert modules == [], command
