@@ -231,9 +231,6 @@ def test_console_script_installed(tmp_path):
     assert "reduce: PASS" in proc.stdout
 
 
-_QUADRATURE_MODULES = ("scipy.integrate", "mpmath")
-
-
 def test_cold_commands_skip_quadrature_imports(tmp_path):
     # a fresh interpreter, so modules other tests imported do not count
     child = textwrap.dedent(
@@ -241,14 +238,13 @@ def test_cold_commands_skip_quadrature_imports(tmp_path):
         import json, sys
         from caslab import harness
 
-        mods = {_QUADRATURE_MODULES!r}
+        mods = ("scipy.integrate", "mpmath")
         loaded = {{"import": [m for m in mods if m in sys.modules]}}
+        # reduce runs last: it integrates, and loads scipy.integrate
         for argv in (["spectrum"], ["heat-trace"], ["finite-part"],
-                     ["stochastic", "--n-samples", "20000"], ["plates"]):
+                     ["stochastic", "--n-samples", "20000"], ["plates"], ["reduce"]):
             code = harness.main(argv + ["--out", {str(tmp_path)!r}])
             loaded[argv[0]] = [code] + [m for m in mods if m in sys.modules]
-        code = harness.main(["reduce", "--out", {str(tmp_path)!r}])
-        loaded["reduce"] = [code] + [m for m in mods if m in sys.modules]
         print(json.dumps(loaded))
         """
     )
