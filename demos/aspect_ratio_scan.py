@@ -11,11 +11,10 @@ from caslab import boxint
 print("Delta(alpha) by three methods")
 print(f"{'alpha':>6} {'t-integral':>18} {'3D quadrature':>18} {'MC (5e5 pairs)':>18}")
 for alpha in (0.5, 0.75, 1.0, 1.5, 2.0):
-    res = boxint.aspect_result(alpha, budget=500_000, seed=99)
-    print(
-        f"{alpha:>6} {res.delta_t_integral:>18.12f} {res.delta_quadrature:>18.12f}"
-        f" {res.delta_mc.mean:>18.12f}"
-    )
+    ti = boxint.delta_alpha(alpha, boxint.DeltaMethod.T_INTEGRAL)
+    q3 = boxint.delta_alpha(alpha, boxint.DeltaMethod.QUADRATURE_3D)
+    mc = boxint.delta_alpha(alpha, boxint.DeltaMethod.MONTE_CARLO, budget=500_000, seed=99)
+    print(f"{alpha:>6} {ti:>18.12f} {q3:>18.12f} {mc.mean:>18.12f}")
 
 # the cube value has a classical closed form
 cube = boxint.delta_alpha(1.0)

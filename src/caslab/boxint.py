@@ -19,6 +19,7 @@ import numpy as np
 
 from . import specfun
 from .errors import ParameterError, QuadratureError, check_count
+from .riesz import quad_checked
 from .stochastic import MCEstimate, monte_carlo
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -57,8 +58,6 @@ def cell_overlap_energy(lengths: tuple[float, float, float]) -> float:
     is 1 within e^{-40}) is summed by the exact power tail of
     prod_i (L_i sqrt(pi/t) - 1/t).
     """
-    import scipy.integrate as integrate
-
     ls = tuple(float(x) for x in lengths)
     if len(ls) != 3 or any(x <= 0.0 for x in ls):
         raise ParameterError("need three positive side lengths")
@@ -70,29 +69,11 @@ def cell_overlap_energy(lengths: tuple[float, float, float]) -> float:
             * interval_overlap(ls[2], t)
         )
 
-    head_out = integrate.quad(
-        lambda u: 2.0 * product(u * u),
-        0.0,
-        1.0,
-        epsabs=1e-13,
-        epsrel=1e-12,
-        limit=300,
-        full_output=1,
-    )
-    if len(head_out) > 3:
-        raise QuadratureError(f"overlap head quadrature failed: {head_out[3]}")
+    head = quad_checked(lambda u: 2.0 * product(u * u), 0.0, 1.0,
+                        epsabs=1e-13, epsrel=1e-12, limit=300)
     t_top = max(40.0, 40.0 / min(ls) ** 2)
-    mid_out = integrate.quad(
-        lambda t: product(t) / math.sqrt(t),
-        1.0,
-        t_top,
-        epsabs=1e-13,
-        epsrel=1e-12,
-        limit=300,
-        full_output=1,
-    )
-    if len(mid_out) > 3:
-        raise QuadratureError(f"overlap mid quadrature failed: {mid_out[3]}")
+    mid = quad_checked(lambda t: product(t) / math.sqrt(t), 1.0, t_top,
+                       epsabs=1e-13, epsrel=1e-12, limit=300)
     e1 = ls[0] + ls[1] + ls[2]
     e2 = ls[0] * ls[1] + ls[0] * ls[2] + ls[1] * ls[2]
     e3 = ls[0] * ls[1] * ls[2]
@@ -105,7 +86,7 @@ def cell_overlap_energy(lengths: tuple[float, float, float]) -> float:
         + 0.5 * e1 * t_top**-2.0
         - 0.4 / _SQRT_PI * t_top**-2.5
     )
-    return (head_out[0] + mid_out[0]) / _SQRT_PI + tail
+    return (head + mid) / _SQRT_PI + tail
 
 
 def _delta_t_integral(alpha: float) -> float:
@@ -211,39 +192,6 @@ def delta_cube_closed_form() -> float:
         + 2.0 * math.log(1.0 + s2)
         + 12.0 * math.log(1.0 + s3)
         - 4.0 * math.log(2.0 + s3)
-    )
-
-
-@dataclass(frozen=True)
-class AspectResult:
-    """Delta(alpha) by all three methods plus their spread."""
-
-    alpha: float
-    delta_t_integral: float
-    delta_quadrature: float
-    delta_mc: MCEstimate
-    method_spread: float
-
-    @property
-    def mc_zscore(self) -> float:
-        if self.delta_mc.stderr == 0.0:
-            return math.inf
-        return abs(self.delta_mc.mean - self.delta_t_integral) / self.delta_mc.stderr
-
-
-def aspect_result(
-    alpha: float, budget: int = 200_000, seed: int = 1234, worker_count: int = 1
-) -> AspectResult:
-    """Run every method on one cell and record the cross-method spread."""
-    ti = _delta_t_integral(alpha)
-    q3 = _delta_quadrature(alpha)
-    mc = _delta_monte_carlo(alpha, budget, seed, worker_count)
-    return AspectResult(
-        alpha=alpha,
-        delta_t_integral=ti,
-        delta_quadrature=q3,
-        delta_mc=mc,
-        method_spread=abs(ti - q3),
     )
 
 

@@ -402,6 +402,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         return default
 
     params = {key: resolve(key, default) for key, default in defaults.items()}
+    for key, value in params.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
     seed = resolve("seed", 42)
     out = resolve("out", "") or os.environ.get(OUT_ENV_VAR) or "caslab-report"
     fmt = resolve("format", "json")

@@ -82,8 +82,8 @@ def per_area_trace(a: float, tau: float) -> HeatTraceSample:
     is truncated once the certified exponential tail drops below 1e-16 of the
     running value.
     """
-    if not (a > 0.0 and tau > 0.0):
-        raise ParameterError("per_area_trace needs a > 0 and tau > 0")
+    if not (0.0 < a < math.inf and 0.0 < tau < math.inf):
+        raise ParameterError("per_area_trace needs finite a > 0 and tau > 0")
     c = tau * (math.pi / a) ** 2
     pref = tau**-1.5 / (8.0 * math.pi)
     total = 0.0

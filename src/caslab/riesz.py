@@ -13,9 +13,9 @@ explicit width) and exposes the two-stage chain whose combined constant is
 
 from __future__ import annotations
 
-# Module scope imports no scipy: scipy.integrate is imported where quadrature runs.
+# Module scope imports no scipy: quad_checked imports scipy.integrate when it runs.
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import specfun
@@ -67,39 +67,7 @@ class MollifierSpec:
             raise ParameterError("mollifier width must be >= 0")
 
 
-@dataclass(frozen=True)
-class ReductionParams:
-    """Parameter bundle for a single reduction: dimension, exponent, spectrum.
-
-    kappa is the free ambient normalization; the induced normalization g is
-    tied to it by g = kappa/(6 pi^2) at the canonical point (m, s) = (3, 5/2)
-    and left unset elsewhere.
-    """
-
-    m: int
-    s: float
-    lam: float
-    kappa: float = 1.0
-    g: float | None = field(default=None)
-
-    def __post_init__(self):
-        _check_m(self.m)
-        if not self.lam > 0.0:
-            raise ParameterError("spectral value lam must be > 0")
-        if not self.kappa > 0.0:
-            raise ParameterError("kappa must be > 0")
-        canonical = self.m == 3 and self.s == 2.5
-        if self.g is None and canonical:
-            object.__setattr__(self, "g", self.kappa / (6.0 * math.pi**2))
-        if self.g is not None and canonical:
-            expect = self.kappa / (6.0 * math.pi**2)
-            if abs(self.g - expect) > 1e-12 * expect:
-                raise ParameterError(
-                    "inconsistent normalizations: g must equal kappa/(6 pi^2)"
-                )
-
-
-def _quad_checked(
+def quad_checked(
     f: Callable[[float], float],
     a: float,
     b: float,
@@ -107,18 +75,40 @@ def _quad_checked(
     epsabs: float,
     epsrel: float = 1e-11,
     limit: int = 400,
+    weight: str | None = None,
+    wvar=None,
 ) -> float:
+    """The package's one QUADPACK call: int_a^b f (times weight, if given).
+
+    Raises QuadratureError when QUADPACK returns a warning flag, when the
+    value is not finite (QUADPACK flags nan but returns inf unflagged), or
+    when its error estimate exceeds max(epsabs, 10 epsrel |value|).
+    """
     import scipy.integrate as integrate
 
-    out = integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, full_output=1)
+    out = integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit,
+                         weight=weight, wvar=wvar, full_output=1)
     value, abserr = out[0], out[1]
     if len(out) > 3:
         raise QuadratureError(f"quadrature on [{a}, {b}] failed: {out[3]}")
-    if abserr > max(epsabs, 10.0 * epsrel * abs(value)):
+    wanted = max(epsabs, 10.0 * epsrel * abs(value))
+    if not math.isfinite(value) or abserr > wanted:
         raise QuadratureError(
-            f"quadrature on [{a}, {b}] reached {abserr:.3e}, wanted {epsabs:.3e}"
+            f"quadrature on [{a}, {b}] gave {value:.6g} with error estimate"
+            f" {abserr:.3e}, wanted a finite value within {wanted:.3e}"
         )
     return value
+
+
+def _check_domain(m: int, s: float, lam: float, what: str) -> tuple[float, float]:
+    """(s, lam) as floats, once m is a count, s > m/2 and lam > 0."""
+    _check_m(m)
+    s, lam = float(s), float(lam)
+    if not s > 0.5 * m:
+        raise ConvergenceError(f"{what} diverges: need s > m/2, got {s}")
+    if not lam > 0.0:
+        raise ParameterError("lam must be > 0")
+    return s, lam
 
 
 def _radial_integral(m: int, s: float, lam: float, damp_eps: float = 0.0) -> float:
@@ -127,7 +117,6 @@ def _radial_integral(m: int, s: float, lam: float, damp_eps: float = 0.0) -> flo
     Truncates at Q fixed by the bound integral_Q^inf q^{m-1-2s} dq
     = Q^{m-2s}/(2s-m), kept below _TAIL_FRACTION of the head.
     """
-    import scipy.integrate as integrate
 
     def f(q: float) -> float:
         base = q ** (m - 1) * (lam + q * q) ** (-s)
@@ -137,7 +126,8 @@ def _radial_integral(m: int, s: float, lam: float, damp_eps: float = 0.0) -> flo
         return base
 
     q_head = 10.0 * math.sqrt(lam) + 1.0
-    head = integrate.quad(f, 0.0, q_head, epsabs=0.0, epsrel=1e-9, limit=200)[0]
+    # the head integral sizes the tail and is the first term of the total
+    head = quad_checked(f, 0.0, q_head, epsabs=0.0)
     if head <= 0.0:
         raise QuadratureError("radial head integral vanished")
     tail_target = _TAIL_FRACTION * head * (2.0 * s - m)
@@ -145,11 +135,11 @@ def _radial_integral(m: int, s: float, lam: float, damp_eps: float = 0.0) -> flo
     q_cut = max(q_cut, q_head)
     # piecewise over geometric windows: a single panel spanning the decades
     # up to q_cut defeats the adaptive subdivision
-    total = _quad_checked(f, 0.0, q_head, epsabs=1e-13 * head)
+    total = head
     lo = q_head
     while lo < q_cut:
         hi = min(lo * 100.0, q_cut)
-        total += _quad_checked(f, lo, hi, epsabs=1e-13 * head)
+        total += quad_checked(f, lo, hi, epsabs=1e-13 * head)
         lo = hi
     return total
 
@@ -159,13 +149,7 @@ def momentum_integral(m: int, s: float, lam: float) -> float:
 
     Agrees with reduction_constant(m, s) * lam^{m/2 - s} to relative 1e-8.
     """
-    _check_m(m)
-    s = float(s)
-    lam = float(lam)
-    if not s > 0.5 * m:
-        raise ConvergenceError(f"momentum integral diverges: need s > m/2, got {s}")
-    if not lam > 0.0:
-        raise ParameterError("lam must be > 0")
+    s, lam = _check_domain(m, s, lam, "momentum integral")
     pref = sphere_area(m) / (2.0 * math.pi) ** m
     return pref * _radial_integral(m, s, lam)
 
@@ -177,48 +161,19 @@ def schwinger_integral(m: int, s: float, lam: float) -> float:
     handled with an algebraic-weight rule so the contract matches
     momentum_integral to relative 1e-8.
     """
-    import scipy.integrate as integrate
-
-    _check_m(m)
-    s = float(s)
-    lam = float(lam)
-    if not s > 0.5 * m:
-        raise ConvergenceError(f"schwinger integral diverges: need s > m/2, got {s}")
-    if not lam > 0.0:
-        raise ParameterError("lam must be > 0")
+    s, lam = _check_domain(m, s, lam, "schwinger integral")
     a = s - 1.0 - 0.5 * m
     if a < 0.0:
-        out = integrate.quad(
-            lambda t: math.exp(-lam * t),
-            0.0,
-            1.0,
-            weight="alg",
-            wvar=(a, 0.0),
-            epsabs=0.0,
-            epsrel=1e-12,
-            limit=200,
-            full_output=1,
-        )
-        if len(out) > 3:
-            raise QuadratureError(f"endpoint-weighted quadrature failed: {out[3]}")
-        head = out[0]
+        head = quad_checked(lambda t: math.exp(-lam * t), 0.0, 1.0, epsabs=0.0,
+                            epsrel=1e-12, limit=200, weight="alg", wvar=(a, 0.0))
     else:
-        head = _quad_checked(
+        head = quad_checked(
             lambda t: t**a * math.exp(-lam * t), 0.0, 1.0, epsabs=1e-14
         )
-    tail_out = integrate.quad(
-        lambda t: t**a * math.exp(-lam * t),
-        1.0,
-        math.inf,
-        epsabs=1e-14,
-        epsrel=1e-12,
-        limit=200,
-        full_output=1,
-    )
-    if len(tail_out) > 3:
-        raise QuadratureError(f"proper-time tail quadrature failed: {tail_out[3]}")
+    tail = quad_checked(lambda t: t**a * math.exp(-lam * t), 1.0, math.inf,
+                        epsabs=1e-14, epsrel=1e-12, limit=200)
     pref = (4.0 * math.pi) ** (-0.5 * m) / specfun.gamma(s)
-    return pref * (head + tail_out[0])
+    return pref * (head + tail)
 
 
 def mollified_reduction(
@@ -235,12 +190,7 @@ def mollified_reduction(
         raise ParameterError("mollifier must be a MollifierSpec")
     if mollifier.eps == 0.0:
         return momentum_integral(m, s, lam)
-    s = float(s)
-    lam = float(lam)
-    if not s > 0.5 * m:
-        raise ConvergenceError(f"mollified integral diverges: need s > m/2, got {s}")
-    if not lam > 0.0:
-        raise ParameterError("lam must be > 0")
+    s, lam = _check_domain(m, s, lam, "mollified integral")
     pref = sphere_area(m) / (2.0 * math.pi) ** m
     return pref * _radial_integral(m, s, lam, damp_eps=mollifier.eps)
 
@@ -284,8 +234,6 @@ def two_step_chain(lam: float) -> tuple[float, float, float]:
     The product of the stage constants is 1/(32 pi^2); the nested value is
     checked against (product)/lam to relative 1e-7 before returning.
     """
-    import scipy.integrate as integrate
-
     lam = float(lam)
     if not lam > 0.0:
         raise ParameterError("lam must be > 0")
@@ -295,21 +243,15 @@ def two_step_chain(lam: float) -> tuple[float, float, float]:
 
     def inner(mu: float) -> float:
         # (1/(2 pi)) int_R (mu + p^2)^{-3} dp, evaluated numerically
-        out = integrate.quad(
-            lambda p: (mu + p * p) ** (-3),
-            0.0,
-            math.inf,
-            epsabs=0.0,
-            epsrel=1e-11,
-            limit=200,
-        )
-        return out[0] / math.pi
+        out = quad_checked(lambda p: (mu + p * p) ** (-3), 0.0, math.inf,
+                           epsabs=0.0, epsrel=1e-11, limit=200)
+        return out / math.pi
 
     def outer(q: float) -> float:
         return q * q * inner(lam + q * q)
 
     q_cut = 200.0 * math.sqrt(lam)
-    main = _quad_checked(outer, 0.0, q_cut, epsabs=1e-11 * expect, epsrel=1e-10)
+    main = quad_checked(outer, 0.0, q_cut, epsabs=1e-11 * expect, epsrel=1e-10)
     # beyond q_cut the inner integral is C_{1,3} (lam+q^2)^{-5/2} to O(q^-2),
     # and int_Q^inf q^2 (lam+q^2)^{-5/2} dq has the closed form below
     tail = (c1 / (3.0 * lam)) * (1.0 - q_cut**3 * (lam + q_cut * q_cut) ** (-1.5))

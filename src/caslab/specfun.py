@@ -175,7 +175,7 @@ def theta_eval(
         DIRICHLET sums exp(-pi^2 r^2 t / L^2) over r >= 1, NEUMANN over
         m >= 0.
     length, t : float
-        Interval length L > 0 and diffusion time t > 0.
+        Finite interval length L > 0 and diffusion time t > 0.
     mode : ThetaMode
         AUTO switches to the defining series once pi*t/L^2 >= 1 and to the
         modular dual below that, so either route needs only a handful of
@@ -183,8 +183,8 @@ def theta_eval(
     """
     length = float(length)
     t = float(t)
-    if not (length > 0.0) or not (t > 0.0):
-        raise ParameterError("theta: need length > 0 and t > 0")
+    if not (0.0 < length < math.inf and 0.0 < t < math.inf):
+        raise ParameterError("theta: need finite length > 0 and t > 0")
     if mode is ThetaMode.AUTO:
         mode = (
             ThetaMode.DIRECT_SERIES

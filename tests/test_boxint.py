@@ -74,14 +74,23 @@ def test_delta_t_integral_hits_closed_form():
 def test_delta_quadrature_hits_closed_form():
     got = boxint.delta_alpha(1.0, boxint.DeltaMethod.QUADRATURE_3D)
     assert abs(got - boxint.delta_cube_closed_form()) < 1e-9
+    # off the cube, the t-integral is the reference
+    got = boxint.delta_alpha(1.5, boxint.DeltaMethod.QUADRATURE_3D)
+    assert abs(got - boxint.delta_alpha(1.5, boxint.DeltaMethod.T_INTEGRAL)) < 1e-8
 
 
 def test_delta_monte_carlo_consistent():
-    est = boxint.delta_alpha(
-        1.0, boxint.DeltaMethod.MONTE_CARLO, budget=500_000, seed=77
-    )
-    closed = boxint.delta_cube_closed_form()
-    assert abs(est.mean - closed) <= 5.0 * est.stderr
+    # the cube against its closed form, an off-cube cell against the t-integral
+    for alpha, budget, seed, want in (
+        (1.5, 100_000, 5, boxint.delta_alpha(1.5)),
+        (1.0, 500_000, 77, boxint.delta_cube_closed_form()),
+    ):
+        est = boxint.delta_alpha(
+            alpha, boxint.DeltaMethod.MONTE_CARLO, budget=budget, seed=seed
+        )
+        assert est.n == budget
+        assert abs(est.mean - want) <= 5.0 * est.stderr
+    # rerunning the last draw reproduces it bit for bit
     repeat = boxint.delta_alpha(
         1.0, boxint.DeltaMethod.MONTE_CARLO, budget=500_000, seed=77
     )
@@ -128,15 +137,6 @@ def test_aspect_cell_validation():
     with pytest.raises(ParameterError):
         boxint.delta_alpha(1.0, boxint.DeltaMethod.MONTE_CARLO, worker_count=True)
     assert boxint.delta_alpha(2.0) == boxint.cell_overlap_energy((2.0, 0.5, 1.0))
-
-
-def test_aspect_result_bundle():
-    res = boxint.aspect_result(1.5, budget=100_000, seed=5)
-    assert res.method_spread < 1e-8
-    assert res.mc_zscore < 5.0
-    payload = dataclasses.asdict(res)
-    assert payload["alpha"] == 1.5
-    assert payload["delta_mc"]["n"] == 100_000
 
 
 def test_reference_energy_formula():

@@ -155,6 +155,38 @@ def test_int_config_value_of_a_float_key_is_a_float(tmp_path):
     assert type(a) is float and a == 1.0
 
 
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["heat-trace", "--a", "inf"], None),
+        (["finite-part", "--a", "inf"], None),
+        (["spectrum", "--cutoff", "nan"], None),
+        (["stochastic", "--cutoff", "nan"], None),
+        (["stochastic", "--tau", "inf"], None),
+        (["plates"], {"a": float("inf")}),
+    ],
+    ids=["heat-trace-a", "finite-part-a", "spectrum-cutoff", "stochastic-cutoff",
+         "stochastic-tau", "config-file"],
+)
+def test_non_finite_parameter_is_a_config_error(tmp_path, argv, payload):
+    # a fresh process with a timeout, since a non-finite value can stall a series loop
+    if payload is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(payload))  # written as Infinity
+        argv = argv + ["--config", str(cfg)]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "caslab.harness", *argv, "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("configuration error:")
+    assert not (tmp_path / f"{argv[0]}.json").exists()
+
+
 def test_inapplicable_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         harness.main(["reduce", "--alpha", "2.0"])

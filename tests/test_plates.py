@@ -136,6 +136,15 @@ def test_normalized_energy():
         assert got == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "a, tau",
+    [(0.0, 1e-3), (1.0, -1e-3), (math.inf, 1e-3), (1.0, math.inf), (1.0, math.nan)],
+)
+def test_per_area_trace_rejects_bad_arguments(a, tau):
+    with pytest.raises(ParameterError):
+        plates.per_area_trace(a, tau)
+
+
 def test_plate_config_validation():
     with pytest.raises(ParameterError):
         plates.PlateConfig(a=0.0, L=4.0)

@@ -1,12 +1,14 @@
 """Reduction constants, quadrature routes, mollified widths, extrapolation."""
 
 import math
+import re
+from pathlib import Path
 
 import mpmath
 import pytest
 
 from caslab import riesz
-from caslab.errors import ConvergenceError, ParameterError
+from caslab.errors import ConvergenceError, ParameterError, QuadratureError
 
 
 def mp_reduction_constant(m, s):
@@ -91,13 +93,25 @@ def test_momentum_integral_rejects_bad_input():
         riesz.momentum_integral(0, 2.5, 1.0)
 
 
-def test_reduction_params_normalization():
-    p = riesz.ReductionParams(3, 2.5, 1.0, kappa=2.0)
-    assert p.g == pytest.approx(2.0 / (6.0 * math.pi**2), rel=1e-14)
-    with pytest.raises(ParameterError):
-        riesz.ReductionParams(3, 2.5, 1.0, kappa=1.0, g=0.123)
-    q = riesz.ReductionParams(2, 2.0, 1.0)
-    assert q.g is None
+@pytest.mark.parametrize(
+    "f",
+    [lambda x: 1.0 / x, lambda x: 1.0 / x**2, lambda x: math.inf],
+    ids=["1/x", "1/x^2", "inf"],
+)
+def test_quad_checked_rejects_divergent_integrals(f):
+    with pytest.raises(QuadratureError):
+        riesz.quad_checked(f, 0.0, 1.0, epsabs=1e-10)
+
+
+def test_quadpack_is_called_only_by_quad_checked():
+    # every QUADPACK call goes through the one checked helper
+    sites = []
+    for path in sorted(Path(riesz.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        for call in re.finditer(r"integrate\.quad\(", text):
+            enclosing = re.findall(r"^def (\w+)", text[: call.start()], re.M)
+            sites.append((path.name, enclosing[-1] if enclosing else None))
+    assert sites == [("riesz.py", "quad_checked")]
 
 
 def test_mollified_zero_width_short_circuit():

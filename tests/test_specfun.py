@@ -138,9 +138,13 @@ def test_theta_tail_bound_reported():
 
 
 def test_theta_rejects_bad_arguments():
-    for length, t in ((1.0, 0.0), (0.0, 1.0), (-1.0, 1.0), (1.0, -0.5)):
-        with pytest.raises(ParameterError):
-            specfun.theta_eval(specfun.ThetaKind.DIRICHLET, length, t)
+    # a non-finite argument turns the stopping test into 0 * inf = nan
+    bad = ((1.0, 0.0), (0.0, 1.0), (-1.0, 1.0), (1.0, -0.5))
+    bad += ((math.inf, 1e-4), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan))
+    for kind in specfun.ThetaKind:
+        for length, t in bad:
+            with pytest.raises(ParameterError):
+                specfun.theta_eval(kind, length, t)
 
 
 @settings(max_examples=60, deadline=None)
