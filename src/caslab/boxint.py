@@ -12,6 +12,7 @@ from __future__ import annotations
 
 # Module scope stays numpy-only: scipy.integrate and mpmath are imported where they run.
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -137,27 +138,34 @@ def _delta_quadrature(alpha: float) -> float:
     return 8.0 * value
 
 
+def _inverse_distances(
+    lengths: np.ndarray, rng: np.random.Generator, rows: int
+) -> np.ndarray:
+    """1/|x - y| for rows independent uniform point pairs in the box.
+
+    Along each axis |x_i - y_i| has the triangular density 2(L - d)/L^2, which
+    L(1 - sqrt(U)) samples exactly from one uniform U in [0, 1); since
+    sqrt(U) <= 1 - 2^-53, every distance is at least 2^-53 L_i > 0.
+    """
+    d = rng.random((rows, 3))
+    np.sqrt(d, out=d)
+    np.subtract(1.0, d, out=d)
+    d *= lengths
+    d *= d
+    return 1.0 / np.sqrt(d.sum(axis=1))
+
+
 def _delta_monte_carlo(
     alpha: float, budget: int, seed: int, worker_count: int
 ) -> MCEstimate:
     lengths = np.array(_aspect_lengths(alpha))
-
-    def inverse_distances(rng: np.random.Generator, rows: int) -> np.ndarray:
-        x = rng.random((rows, 3)) * lengths
-        y = rng.random((rows, 3)) * lengths
-        dist = np.linalg.norm(x - y, axis=1)
-        # coincident pairs are a measure-zero hazard; redraw them
-        while True:
-            close = dist < 1e-12
-            if not np.any(close):
-                break
-            k = int(close.sum())
-            x[close] = rng.random((k, 3)) * lengths
-            y[close] = rng.random((k, 3)) * lengths
-            dist[close] = np.linalg.norm(x[close] - y[close], axis=1)
-        return 1.0 / dist
-
-    return monte_carlo(inverse_distances, budget, seed, worker_count, row_bytes=48)
+    return monte_carlo(
+        functools.partial(_inverse_distances, lengths),
+        budget,
+        seed,
+        worker_count,
+        row_bytes=24,
+    )
 
 
 def delta_alpha(

@@ -3,10 +3,13 @@
 Every error raised by library code derives from CaslabError so callers can
 catch one base type at module boundaries.  Subclasses carry enough state to
 report what went wrong without re-running the computation.  check_count is
-the one validator for integer counts (sample sizes, channels, cells, workers).
+the one validator for integer counts (sample sizes, channels, cells, workers)
+and check_positive the one for lengths and spectral values.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class CaslabError(Exception):
@@ -85,3 +88,15 @@ def check_count(value, what: str, minimum: int = 1) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ParameterError(f"{what} must be an integer >= {minimum}")
     return value
+
+
+def check_positive(value, what: str) -> float:
+    """Return value as a float if it is a finite real > 0 (bool excluded);
+    raise ParameterError otherwise."""
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value) and value > 0.0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ParameterError(f"{what} must be finite and > 0, got {value!r}")
+    return float(value)

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import boxint, specfun
-from .errors import ConvergenceError, ParameterError, check_count
+from .errors import ConvergenceError, ParameterError, check_count, check_positive
 from .heattrace import (
     FinitePartModel,
     HeatTraceSample,
@@ -138,8 +138,7 @@ def casimir_per_area(
     (1/(8 pi)) (Gamma(-3/2)/Gamma(-1/2)) (pi/a)^3 zeta(-3), which reduces to
     -pi^2/(1440 a^3) per channel.
     """
-    if not a > 0.0:
-        raise ParameterError("a must be > 0")
+    check_positive(a, "a")
     check_count(n_channels, "channel count")
     if not isinstance(method, CasimirMethod):
         method = CasimirMethod(method)

@@ -19,7 +19,13 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import specfun
-from .errors import ConvergenceError, ParameterError, QuadratureError, check_count
+from .errors import (
+    ConvergenceError,
+    ParameterError,
+    QuadratureError,
+    check_count,
+    check_positive,
+)
 
 _TAIL_FRACTION = 1e-12  # radial truncation tail relative to the head integral
 
@@ -103,12 +109,10 @@ def quad_checked(
 def _check_domain(m: int, s: float, lam: float, what: str) -> tuple[float, float]:
     """(s, lam) as floats, once m is a count, s > m/2 and lam > 0."""
     _check_m(m)
-    s, lam = float(s), float(lam)
+    s = float(s)
     if not s > 0.5 * m:
         raise ConvergenceError(f"{what} diverges: need s > m/2, got {s}")
-    if not lam > 0.0:
-        raise ParameterError("lam must be > 0")
-    return s, lam
+    return s, check_positive(lam, "lam")
 
 
 def _radial_integral(m: int, s: float, lam: float, damp_eps: float = 0.0) -> float:
@@ -234,9 +238,7 @@ def two_step_chain(lam: float) -> tuple[float, float, float]:
     The product of the stage constants is 1/(32 pi^2); the nested value is
     checked against (product)/lam to relative 1e-7 before returning.
     """
-    lam = float(lam)
-    if not lam > 0.0:
-        raise ParameterError("lam must be > 0")
+    lam = check_positive(lam, "lam")
     c1 = reduction_constant(1, 3.0)
     c3 = reduction_constant(3, 2.5)
     expect = c1 * c3 / lam
@@ -256,7 +258,7 @@ def two_step_chain(lam: float) -> tuple[float, float, float]:
     # and int_Q^inf q^2 (lam+q^2)^{-5/2} dq has the closed form below
     tail = (c1 / (3.0 * lam)) * (1.0 - q_cut**3 * (lam + q_cut * q_cut) ** (-1.5))
     nested = (main + tail) / (2.0 * math.pi**2)
-    if abs(nested - expect) > 1e-7 * expect:
+    if not abs(nested - expect) <= 1e-7 * expect:
         raise ConvergenceError(
             f"combined reduction mismatch: nested={nested!r}, stagewise={expect!r}"
         )

@@ -22,6 +22,7 @@ from .errors import (
     EmptySpectrumError,
     ParameterError,
     ResourceError,
+    check_positive,
 )
 
 _MERGE_RTOL = 1e-12
@@ -50,8 +51,7 @@ class AxisSpec:
     def __post_init__(self):
         if not isinstance(self.bc, Bc):
             object.__setattr__(self, "bc", Bc(self.bc))
-        if not self.length > 0.0:
-            raise ParameterError("axis length must be > 0")
+        check_positive(self.length, "axis length")
 
     @property
     def min_value(self) -> float:

@@ -64,20 +64,6 @@ class MCEstimate:
     worker_count: int
 
 
-def _draw_xi_sq(spec: SourceSpec, rng: np.random.Generator, shape) -> np.ndarray:
-    """|xi|^2 draws: chi^2_1 for the real channel, unit-mean exponential-like
-    (|x+iy|^2/2) for the complex one."""
-    # squared in place: a batch holds at most two draw arrays at once
-    x = rng.standard_normal(shape)
-    x *= x
-    if spec.channel is Channel.COMPLEX:
-        y = rng.standard_normal(shape)
-        y *= y
-        x += y
-        x *= 0.5
-    return x
-
-
 def sample_sigma_components(spec: SourceSpec, rng: np.random.Generator) -> np.ndarray:
     """One draw of every mode component sigma_j, one entry per basis vector.
 
@@ -115,17 +101,20 @@ def monte_carlo(
 
     Each worker owns a counter-based Philox substream spawned from the seed
     and draws its share in batches of at most 65536 rows and 64 MiB
-    (row_bytes per row); the (sum, sum of squares) reduction runs in worker
-    order, so the estimate is bit-identical for fixed (seed, worker_count)
-    regardless of timing.
+    (row_bytes per row).  Each batch contributes its own (mean, M2), the sum
+    of squared deviations from its mean, and these are merged in worker and
+    batch order by the pairwise update of Chan, Golub and LeVeque (1979), so
+    the variance keeps its digits when the mean is large and the estimate is
+    bit-identical for fixed (seed, worker_count) regardless of timing.
     """
     check_count(n, "Monte Carlo sample count", minimum=2)
     check_count(worker_count, "worker_count")
     batch_rows = max(1, min(_BATCH_ROWS, _BATCH_BYTES // row_bytes))
     children = np.random.SeedSequence(entropy=seed).spawn(worker_count)
     base, extra = divmod(n, worker_count)
-    total = 0.0
-    total_sq = 0.0
+    count = 0
+    mean = 0.0
+    m2 = 0.0
     for i, child in enumerate(children):
         quota = base + (1 if i < extra else 0)
         rng = np.random.Generator(np.random.Philox(child))
@@ -133,14 +122,17 @@ def monte_carlo(
         while done < quota:
             rows = min(batch_rows, quota - done)
             vals = sample(rng, rows)
-            total += float(np.sum(vals))
-            total_sq += float(np.sum(vals * vals))
+            batch_mean = float(np.mean(vals))
+            dev = vals - batch_mean
+            delta = batch_mean - mean
+            merged = count + rows
+            mean += delta * (rows / merged)
+            m2 += float(dev @ dev) + delta * delta * (count * rows / merged)
+            count = merged
             done += rows
-    mean = total / n
-    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
     return MCEstimate(
         mean=mean,
-        stderr=math.sqrt(var / n),
+        stderr=math.sqrt(m2 / (n - 1) / n),
         n=n,
         seed=seed,
         worker_count=worker_count,
@@ -150,13 +142,29 @@ def monte_carlo(
 def mc_estimate(
     spec: SourceSpec, n: int, seed: int, worker_count: int = 1
 ) -> MCEstimate:
-    """Mean and standard error of U over n independent draws (see monte_carlo)."""
-    lam = spec.stream.modes()
+    """Mean and standard error of U over n independent draws (see monte_carlo).
+
+    U depends on the modes only through the sum of |xi|^2 over each group of
+    k equal eigenvalues, so one variable per distinct eigenvalue is drawn from
+    its exact law: chi^2_k = 2 Gamma(k/2) for the real channel and Gamma(k)
+    for the complex one.  A real group of one draws a squared normal instead,
+    which numpy samples about four times faster than Gamma(1/2).
+    """
+    lam, inv = np.unique(spec.stream.values, return_inverse=True)
+    mult = np.bincount(inv, spec.stream.multiplicities)
     weight = 0.5 * spec.hbar_c * np.sqrt(lam) * np.exp(-spec.tau * lam)
     # |sigma_j|^2/lambda_j carries (hbar_c/g) lambda^{1/2} e^{-tau lambda};
     # the g/2 prefactor restores the weight above exactly as in sample_U
+    real = spec.channel is Channel.REAL
+    single = (mult == 1) & real
+    w_single = weight[single]
+    shape = mult[~single] * (0.5 if real else 1.0)
+    w_group = weight[~single] * (2.0 if real else 1.0)
 
     def sample(rng: np.random.Generator, rows: int) -> np.ndarray:
-        return _draw_xi_sq(spec, rng, (rows, lam.size)) @ weight
+        xi2 = rng.standard_normal((rows, w_single.size))
+        xi2 *= xi2
+        gamma = rng.standard_gamma(shape, (rows, shape.size))
+        return xi2 @ w_single + gamma @ w_group
 
     return monte_carlo(sample, n, seed, worker_count, row_bytes=8 * lam.size)

@@ -97,6 +97,30 @@ def test_delta_monte_carlo_consistent():
     assert est.mean == repeat.mean
 
 
+class TopUniformRng:
+    """Stand-in generator whose uniforms are all the largest double below 1."""
+
+    def random(self, size=None):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+def test_pair_distances_are_strictly_positive():
+    lengths = np.array([2.0, 0.5, 1.0])
+    # the largest uniform gives the shortest distance, 2^-53 L_i per axis
+    closest = boxint._inverse_distances(lengths, TopUniformRng(), 4)
+    assert closest == pytest.approx(2.0**53 / np.linalg.norm(lengths), rel=1e-15)
+    rng = np.random.Generator(np.random.Philox(3))
+    inv = boxint._inverse_distances(lengths, rng, 1_000_000)
+    assert np.all(np.isfinite(inv)) and np.all(inv > 0.0)
+
+
+def test_pair_sampler_mean_matches_t_integral():
+    est = boxint.delta_alpha(
+        2.0, boxint.DeltaMethod.MONTE_CARLO, budget=1_000_000, seed=8
+    )
+    assert abs(est.mean - boxint.delta_alpha(2.0)) <= 4.0 * est.stderr
+
+
 def test_delta_frozen_aspect_values():
     frozen = {
         1.5: 1.803220166012,

@@ -7,7 +7,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from caslab import riesz
+from caslab import plates, riesz, spectrum
 from caslab.errors import ConvergenceError, ParameterError, QuadratureError
 
 
@@ -192,3 +192,20 @@ def test_two_step_chain_triple():
         assert nested == pytest.approx(c1 * c3 / lam, rel=1e-7)
     with pytest.raises(ParameterError):
         riesz.two_step_chain(0.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, True], ids=["inf", "nan", "bool"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        riesz.two_step_chain,
+        lambda x: riesz.schwinger_integral(3, 2.5, x),
+        lambda x: riesz.momentum_integral(3, 2.5, x),
+        plates.casimir_per_area,
+        lambda x: spectrum.AxisSpec(x, spectrum.Bc.DIRICHLET),
+    ],
+    ids=["two_step_chain", "schwinger", "momentum", "casimir_per_area", "AxisSpec"],
+)
+def test_non_finite_and_bool_inputs_are_rejected(call, bad):
+    with pytest.raises(ParameterError):
+        call(bad)

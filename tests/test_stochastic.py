@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from caslab import heattrace, spectrum, stochastic
+from caslab import heattrace, plates, spectrum, stochastic
 from caslab.errors import ParameterError
 
 D = spectrum.Bc.DIRICHLET
@@ -141,8 +141,82 @@ def test_mc_frozen_across_batches_and_workers(cube_stream):
     )
     er = stochastic.mc_estimate(real, n=140_001, seed=42, worker_count=2)
     ec = stochastic.mc_estimate(cplx, n=140_001, seed=42, worker_count=2)
-    assert (er.mean, er.stderr) == (1.010075901672101e-06, 3.8201944380087535e-09)
-    assert (ec.mean, ec.stderr) == (1.010544300023977e-06, 2.699852538709848e-09)
+    assert (er.mean, er.stderr) == (1.0089106887144945e-06, 3.824699971041414e-09)
+    assert (ec.mean, ec.stderr) == (1.0130675237275426e-06, 2.71178950424428e-09)
+
+
+def test_variance_merge_keeps_digits_under_a_large_mean():
+    # a spread of 1e-3 on a mean of 1e6: sum-of-squares minus n mean^2 loses
+    # all of it to cancellation, the per-batch (mean, M2) merge keeps it
+    def offset_normal(rng, rows):
+        vals = rng.standard_normal(rows)
+        vals *= 1e-3
+        vals += 1e6
+        return vals
+
+    n = 200_000
+    est = stochastic.monte_carlo(offset_normal, n, seed=7, worker_count=2, row_bytes=8)
+    assert est.stderr == pytest.approx(1e-3 / math.sqrt(n), rel=0.01)
+    assert abs(est.mean - 1e6) <= 4.0 * est.stderr
+
+
+def _exact_moments(stream, tau, channel):
+    """Mean, variance and fourth cumulant of U over the stream's modes.
+
+    U = sum_j w_j |xi_j|^2 with w = lambda^{1/2} e^{-tau lambda} / 2; |xi|^2
+    has cumulants 2^{r-1}(r-1)! (chi^2_1) on the real channel and (r-1)!
+    (unit exponential) on the complex one.
+    """
+    lam, mult = stream.values, stream.multiplicities
+    w = 0.5 * np.sqrt(lam) * np.exp(-tau * lam)
+    c2, c4 = (2.0, 48.0) if channel is stochastic.Channel.REAL else (1.0, 6.0)
+    return (
+        float(np.sum(mult * w)),
+        c2 * float(np.sum(mult * w**2)),
+        c4 * float(np.sum(mult * w**4)),
+    )
+
+
+def _z_scores(mean, var, n, exact):
+    # the sample variance has variance (kappa_4 + 2 kappa_2^2) / n to leading order
+    mu, kappa2, kappa4 = exact
+    z_mean = (mean - mu) / math.sqrt(kappa2 / n)
+    z_var = (var - kappa2) / math.sqrt((kappa4 + 2.0 * kappa2**2) / n)
+    return z_mean, z_var
+
+
+_AXIS = spectrum.AxisSpec
+_MOMENT_BOXES = {
+    # multiplicities 1, 3 and 6
+    "cube": (spectrum.BoxSpec((_AXIS(1.0, D),) * 3), 200.0, 0.02),
+    # periodic lateral axes: multiplicities 1, 4, 8, 12 and 16
+    "plate": (plates.plate_box(4.0, 1.0), 60.0, 0.05),
+    # incommensurate sides: every multiplicity is 1
+    "generic": (
+        spectrum.BoxSpec(
+            (_AXIS(1.0, D), _AXIS(1.3, D), _AXIS(0.77, spectrum.Bc.NEUMANN))
+        ),
+        200.0,
+        0.02,
+    ),
+}
+
+
+@pytest.mark.parametrize("channel", list(stochastic.Channel), ids=lambda c: c.value)
+@pytest.mark.parametrize("box", sorted(_MOMENT_BOXES))
+def test_samplers_match_exact_mean_and_variance(box, channel):
+    spec_box, cutoff, tau = _MOMENT_BOXES[box]
+    stream = spectrum.enumerate_modes(spec_box, cutoff)
+    spec = stochastic.SourceSpec(stream=stream, tau=tau, channel=channel)
+    exact = _exact_moments(stream, tau, channel)
+    # grouped draws in mc_estimate
+    est = stochastic.mc_estimate(spec, n=200_000, seed=13)
+    z_est = _z_scores(est.mean, est.stderr**2 * est.n, est.n, exact)
+    # the literal per-mode quadratic form in sample_U
+    rng = np.random.Generator(np.random.Philox(13))
+    u = np.array([stochastic.sample_U(spec, rng) for _ in range(10_000)])
+    z_u = _z_scores(float(u.mean()), float(u.var(ddof=1)), u.size, exact)
+    assert max(abs(z) for z in z_est + z_u) <= 4.0
 
 
 def test_mc_batch_memory_is_bounded():
