@@ -148,7 +148,7 @@ def mc_estimate(
     k equal eigenvalues, so one variable per distinct eigenvalue is drawn from
     its exact law: chi^2_k = 2 Gamma(k/2) for the real channel and Gamma(k)
     for the complex one.  A real group of one draws a squared normal instead,
-    which numpy samples about four times faster than Gamma(1/2).
+    which numpy samples about three times faster than Gamma(1/2).
     """
     lam, inv = np.unique(spec.stream.values, return_inverse=True)
     mult = np.bincount(inv, spec.stream.multiplicities)

@@ -185,16 +185,18 @@ def _z_scores(mean, var, n, exact):
     return z_mean, z_var
 
 
-_AXIS = spectrum.AxisSpec
 _MOMENT_BOXES = {
     # multiplicities 1, 3 and 6
-    "cube": (spectrum.BoxSpec((_AXIS(1.0, D),) * 3), 200.0, 0.02),
+    "cube": (spectrum.BoxSpec((spectrum.AxisSpec(1.0, D),) * 3), 200.0, 0.02),
     # periodic lateral axes: multiplicities 1, 4, 8, 12 and 16
     "plate": (plates.plate_box(4.0, 1.0), 60.0, 0.05),
     # incommensurate sides: every multiplicity is 1
     "generic": (
         spectrum.BoxSpec(
-            (_AXIS(1.0, D), _AXIS(1.3, D), _AXIS(0.77, spectrum.Bc.NEUMANN))
+            tuple(
+                spectrum.AxisSpec(length, bc)
+                for length, bc in ((1.0, D), (1.3, D), (0.77, spectrum.Bc.NEUMANN))
+            )
         ),
         200.0,
         0.02,
