@@ -8,9 +8,9 @@ from caslab import heattrace, specfun
 # the trace factorizes over axes; each theta factor picks its own route
 # (direct series vs dual series) and the two must agree at the crossover
 ell, t = 1.0, 1.0 / math.pi  # pi t / ell^2 = 1, both routes take 4 terms
-td = specfun.ThetaKind.DIRICHLET
-direct = specfun.theta(td, ell, t, mode=specfun.ThetaMode.DIRECT_SERIES)
-dual = specfun.theta(td, ell, t, mode=specfun.ThetaMode.JACOBI_DUAL)
+td = specfun.Bc.DIRICHLET
+direct = specfun.theta_eval(td, ell, t, mode=specfun.ThetaMode.DIRECT_SERIES).value
+dual = specfun.theta_eval(td, ell, t, mode=specfun.ThetaMode.JACOBI_DUAL).value
 print("Dirichlet theta at the route crossover (pi t / ell^2 = 1)")
 print(f"  direct series {direct:.15e}")
 print(f"  dual series   {dual:.15e}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import ParameterError, QuadratureError, check_count
+from .errors import ParameterError, QuadratureError, check_choice, check_count, check_positive
 from .riesz import quad_checked
 from .stochastic import MCEstimate, monte_carlo
 
@@ -33,8 +33,8 @@ def interval_overlap(L: float, t: float) -> float:
     The reduction is certified against direct 2D quadrature in the test
     suite; expm1 keeps the t -> 0 limit (I -> L^2) fully accurate.
     """
-    if not (L > 0.0 and t > 0.0):
-        raise ParameterError("interval_overlap needs L > 0 and t > 0")
+    L = check_positive(L, "interval length L")
+    t = check_positive(t, "interval_overlap t")
     r = L * math.sqrt(t)
     return L * math.sqrt(math.pi / t) * specfun.erf(r) + math.expm1(-r * r) / t
 
@@ -46,8 +46,7 @@ class DeltaMethod(str, enum.Enum):
 
 
 def _aspect_lengths(alpha: float) -> tuple[float, float, float]:
-    if not alpha > 0.0:
-        raise ParameterError("aspect ratio must be > 0")
+    alpha = check_positive(alpha, "aspect ratio")
     return (alpha, 1.0 / alpha, 1.0)
 
 
@@ -59,9 +58,9 @@ def cell_overlap_energy(lengths: tuple[float, float, float]) -> float:
     is 1 within e^{-40}) is summed by the exact power tail of
     prod_i (L_i sqrt(pi/t) - 1/t).
     """
-    ls = tuple(float(x) for x in lengths)
-    if len(ls) != 3 or any(x <= 0.0 for x in ls):
-        raise ParameterError("need three positive side lengths")
+    ls = tuple(check_positive(x, "side length") for x in lengths)
+    if len(ls) != 3:
+        raise ParameterError("need three side lengths")
 
     def product(t: float) -> float:
         return (
@@ -180,8 +179,7 @@ def delta_alpha(
     Deterministic methods return a float; MONTE_CARLO returns an MCEstimate
     whose budget is the number of point pairs.
     """
-    if not isinstance(method, DeltaMethod):
-        method = DeltaMethod(method)
+    method = check_choice(method, DeltaMethod, "Delta method")
     if method is DeltaMethod.T_INTEGRAL:
         return _delta_t_integral(alpha)
     if method is DeltaMethod.QUADRATURE_3D:
@@ -247,8 +245,7 @@ def log_concavity_scan(
     second differences mirror within 1e-9), and the product
     I_{e^beta}(1) I_{e^-beta}(1) strictly decreases in beta >= 0.
     """
-    if not h_step > 0.0:
-        raise ParameterError("h_step must be > 0")
+    h_step = check_positive(h_step, "h_step")
     t_vals = np.asarray(
         t_grid if t_grid is not None else np.geomspace(1e-2, 1e2, 25), dtype=float
     )
@@ -365,8 +362,8 @@ def positivity_chain(r_grid=None, derivative_stride: int = 10) -> PositivityRepo
     grid = np.asarray(
         r_grid if r_grid is not None else np.linspace(0.05, 10.0, 200), dtype=float
     )
-    if grid.ndim != 1 or not grid.size or np.any(grid <= 0.0):
-        raise ParameterError("r_grid must be a nonempty positive 1D array")
+    if grid.ndim != 1 or not grid.size or not np.all((grid > 0.0) & (grid < math.inf)):
+        raise ParameterError("r_grid must be a nonempty finite positive 1D array")
     k_vals = np.array([chain_k(float(r)) for r in grid])
     h_vals = np.array([chain_h(float(r)) for r in grid])
     deriv_err = 0.0
@@ -397,7 +394,8 @@ def reference_energy(q_strength: float, n: int, a: float, delta: float) -> float
     Q is the quadratic source strength in the inverse-distance normalization;
     with an operator normalization lam the same energy uses Q = lam q^2/(4 pi).
     """
-    if not (q_strength > 0.0 and a > 0.0 and delta > 0.0):
-        raise ParameterError("q_strength, a, delta must all be > 0")
+    q_strength = check_positive(q_strength, "q_strength")
+    a = check_positive(a, "a")
+    delta = check_positive(delta, "delta")
     check_count(n, "cell count n")
     return -(n * n / a) * q_strength * delta

@@ -3,8 +3,9 @@
 Every error raised by library code derives from CaslabError so callers can
 catch one base type at module boundaries.  Subclasses carry enough state to
 report what went wrong without re-running the computation.  check_count is
-the one validator for integer counts (sample sizes, channels, cells, workers)
-and check_positive the one for lengths and spectral values.
+the one validator for integer counts (sample sizes, channels, cells, workers),
+check_choice the one for method and boundary-condition names, and
+check_positive the one for lengths, times and spectral values.
 """
 
 from __future__ import annotations
@@ -88,6 +89,18 @@ def check_count(value, what: str, minimum: int = 1) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ParameterError(f"{what} must be an integer >= {minimum}")
     return value
+
+
+def check_choice(value, kind, what: str):
+    """Return value as a member of the enum kind, accepting its value string;
+    raise ParameterError for anything else."""
+    if isinstance(value, kind):
+        return value
+    try:
+        return kind(value)
+    except ValueError:
+        names = ", ".join(member.value for member in kind)
+        raise ParameterError(f"unknown {what} {value!r}; expected one of {names}") from None
 
 
 def check_positive(value, what: str) -> float:

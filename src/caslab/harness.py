@@ -146,14 +146,7 @@ def _run_spectrum(config: RunConfig):
         config.params["cutoff"],
     )
     l1, l2 = alpha * a, a / alpha
-    box = spectrum.BoxSpec(
-        (
-            spectrum.AxisSpec(l1, spectrum.Bc.NEUMANN),
-            spectrum.AxisSpec(l2, spectrum.Bc.NEUMANN),
-            spectrum.AxisSpec(a, spectrum.Bc.DIRICHLET),
-        )
-    )
-    stream = spectrum.enumerate_modes(box, cutoff)
+    stream = spectrum.enumerate_modes(spectrum.mixed_cell(l1, l2, a), cutoff)
     sat = spectrum.saturation_check(l1, l2, a)
     pairs = list(zip(stream.values.tolist(), stream.multiplicities.tolist()))
     modes = [{"value": v, "multiplicity": m} for v, m in pairs]

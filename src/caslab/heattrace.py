@@ -3,9 +3,10 @@
 The regulated trace (1/2) sum lambda^{1/2} e^{-tau lambda} carries a certified
 truncation remainder from its eigenvalue stream.  Mixed rectangular cells
 factorize into one-dimensional theta sums, whose short-time expansion has
-computable volume, area, edge, and corner coefficients.  The finite part of a
-divergent small-tau expansion is extracted by a weighted linear fit with an
-explicit window-stability guard.
+computable volume, area, edge, and corner coefficients.  One weighted,
+column-equilibrated power-law fit with a condition-number guard serves both
+those coefficients and the finite part of a divergent small-tau expansion;
+the finite part adds an explicit window-stability guard.
 """
 
 from __future__ import annotations
@@ -16,15 +17,15 @@ from typing import Sequence
 
 import numpy as np
 
-from . import specfun
 from .errors import (
     ConvergenceError,
     CutoffError,
     FitConditionError,
     FitInstabilityError,
     ParameterError,
+    check_positive,
 )
-from .spectrum import EigenStream, saturation_check
+from .spectrum import EigenStream, mixed_cell, saturation_check
 
 _TAIL_TARGET = 1e-6  # tail bound must stay below this fraction of the value
 
@@ -45,8 +46,7 @@ def regulated_trace(stream: EigenStream, tau: float) -> HeatTraceSample:
     as the sample's tail bound; if that bound exceeds 1e-6 of the value the
     cutoff was too low for this tau and a CutoffError is raised.
     """
-    if not tau > 0.0:
-        raise ParameterError("regulated trace needs tau > 0")
+    tau = check_positive(tau, "regulated trace tau")
     lam = stream.values
     total = 0.5 * float(np.sum(stream.multiplicities * np.sqrt(lam) * np.exp(-tau * lam)))
     tail = 0.5 * stream.tail_bound(tau)
@@ -66,13 +66,7 @@ def mixed_cell_heat_trace(l1: float, l2: float, a: float, t: float) -> float:
     Separability factorizes the trace into Theta_N(l1; t) Theta_N(l2; t)
     Theta_D(a; t), each evaluated on its automatically chosen route.
     """
-    tn = specfun.ThetaKind.NEUMANN
-    td = specfun.ThetaKind.DIRICHLET
-    return (
-        specfun.theta(tn, l1, t)
-        * specfun.theta(tn, l2, t)
-        * specfun.theta(td, a, t)
-    )
+    return mixed_cell(l1, l2, a).heat_trace(t)
 
 
 def short_time_grid(lo: float = 1e-4, hi: float = 1e-3, n: int = 16) -> np.ndarray:
@@ -86,22 +80,16 @@ def short_time_coefficients(
     """Fit the four-term small-t law of the mixed-cell heat trace.
 
     Model: K(t) = c32 t^{-3/2} + c1 t^{-1} + c12 t^{-1/2} + c0, fitted by
-    least squares with weights t^{3/2} so every basis column is O(1).
-    Returns the fitted coefficients keyed by the exponent they multiply.
+    the power-law fit behind finite_part, weights t^{3/2}.  Returns the
+    fitted coefficients keyed by the exponent they multiply.
     """
     t = np.asarray(t_grid if t_grid is not None else short_time_grid(), dtype=float)
     if t.ndim != 1 or t.size < 6:
         raise ParameterError("need a one-dimensional grid with >= 6 points")
-    k = np.array([mixed_cell_heat_trace(l1, l2, a, ti) for ti in t])
-    w = t**1.5
-    cols = np.column_stack([t**-1.5, t**-1.0, t**-0.5, np.ones_like(t)])
-    coef, *_ = np.linalg.lstsq(cols * w[:, None], k * w, rcond=None)
-    return {
-        "t^-3/2": float(coef[0]),
-        "t^-1": float(coef[1]),
-        "t^-1/2": float(coef[2]),
-        "1": float(coef[3]),
-    }
+    cell = mixed_cell(l1, l2, a)
+    k = np.array([cell.heat_trace(ti) for ti in t])
+    coef, _, _ = _power_law_fit(t, k, (1.5, 1.0, 0.5))
+    return dict(zip(("t^-3/2", "t^-1", "t^-1/2", "1"), map(float, coef)))
 
 
 def b_coefficient(l1: float, l2: float, a: float) -> float:
@@ -118,12 +106,9 @@ def b_coefficient(l1: float, l2: float, a: float) -> float:
     closed = (a * (l1 + l2) - a * a) / (8.0 * math.pi)
     t = short_time_grid()
     vol = l1 * l2 * a / (8.0 * math.pi**1.5)
-    resid = np.array(
-        [mixed_cell_heat_trace(l1, l2, a, ti) - vol * ti**-1.5 for ti in t]
-    )
-    w = t**1.0
-    cols = np.column_stack([t**-1.0, t**-0.5, np.ones_like(t)])
-    coef, *_ = np.linalg.lstsq(cols * w[:, None], resid * w, rcond=None)
+    cell = mixed_cell(l1, l2, a)
+    resid = np.array([cell.heat_trace(ti) - vol * ti**-1.5 for ti in t])
+    coef, _, _ = _power_law_fit(t, resid, (1.0, 0.5))
     fitted = float(coef[0])
     if abs(fitted - closed) > 0.01 * abs(closed):
         raise ConvergenceError(
@@ -155,15 +140,22 @@ class FinitePartModel:
     stability_tol: float
 
 
-def _finite_part_solve(
+def _power_law_fit(
     tau: np.ndarray,
     values: np.ndarray,
     exponents: tuple[float, ...],
-    include_log: bool,
-    mu: float,
-    cond_limit: float,
+    *,
+    include_log: bool = False,
+    mu: float = 1.0,
+    cond_limit: float = 1e10,
 ) -> tuple[np.ndarray, float, float]:
-    """Weighted, column-equilibrated least squares; returns (coef, resid, cond)."""
+    """Fit values = sum_b c_b tau^{-b} [+ c_log log(mu^2 tau)] + c0.
+
+    Least squares with weights tau^{max b} and equilibrated columns; returns
+    (coef, weighted rms residual, condition number), coef ordered as the
+    exponents, then the log term, then c0.  A FitConditionError is raised when
+    the condition number exceeds cond_limit.
+    """
     cols = [tau ** (-b) for b in exponents]
     if include_log:
         cols.append(np.log(mu * mu * tau))
@@ -207,11 +199,14 @@ def finite_part(
     optional counterterm is added to c0, matching a renormalization scheme
     that shifts the finite part by a fixed local constant.
     """
-    exps = tuple(sorted({float(b) for b in exponents}, reverse=True))
-    if not exps or any(b <= 0.0 for b in exps):
-        raise ParameterError("divergent exponents must be positive reals")
-    if not mu > 0.0:
-        raise ParameterError("reference scale mu must be > 0")
+    exps = {check_positive(b, "divergent exponent") for b in exponents}
+    exps = tuple(sorted(exps, reverse=True))
+    if not exps:
+        raise ParameterError("need at least one divergent exponent")
+    mu = check_positive(mu, "reference scale mu")
+    # a nan tolerance or limit would silently switch its guard off
+    stability_tol = check_positive(stability_tol, "stability_tol")
+    cond_limit = check_positive(cond_limit, "cond_limit")
     if len(samples) < len(exps) + 2:
         raise ParameterError(
             f"need at least {len(exps) + 2} samples for exponents {exps}"
@@ -219,8 +214,8 @@ def finite_part(
     ordered = sorted(samples, key=lambda s: s.tau)
     tau = np.array([s.tau for s in ordered], dtype=float)
     values = np.array([s.value for s in ordered], dtype=float)
-    if np.any(tau <= 0.0):
-        raise ParameterError("sample tau values must be > 0")
+    if not (np.all((tau > 0.0) & (tau < math.inf)) and np.all(np.isfinite(values))):
+        raise ParameterError("sample tau values must be finite and > 0, sample values finite")
     if tau[-1] < 10.0 * tau[0]:
         raise ParameterError("samples must span at least one decade of tau")
     for s in ordered:
@@ -231,15 +226,12 @@ def finite_part(
             )
 
     ncols = len(exps) + (2 if include_log else 1)
-    coef, resid, cond = _finite_part_solve(
-        tau, values, exps, include_log, mu, cond_limit
-    )
+    fit = dict(include_log=include_log, mu=mu, cond_limit=cond_limit)
+    coef, resid, cond = _power_law_fit(tau, values, exps, **fit)
     half = tau <= tau[-1] / 2.0
     if int(half.sum()) < ncols + 1:
         raise ParameterError("too few samples in the nested half window")
-    coef_half, _, _ = _finite_part_solve(
-        tau[half], values[half], exps, include_log, mu, cond_limit
-    )
+    coef_half, _, _ = _power_law_fit(tau[half], values[half], exps, **fit)
     c0_full = float(coef[-1])
     c0_half = float(coef_half[-1])
     drift = abs(c0_full - c0_half)

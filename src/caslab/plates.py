@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import boxint, specfun
-from .errors import ConvergenceError, ParameterError, check_count, check_positive
+from .errors import ConvergenceError, check_choice, check_count, check_positive
 from .heattrace import (
     FinitePartModel,
     HeatTraceSample,
@@ -40,10 +40,8 @@ class PlateConfig:
     L: float
 
     def __post_init__(self):
-        if not self.a > 0.0:
-            raise ParameterError("plate separation a must be > 0")
-        if not self.L > 0.0:
-            raise ParameterError("lateral period L must be > 0")
+        check_positive(self.a, "plate separation a")
+        check_positive(self.L, "lateral period L")
 
 
 def plate_box(L: float, a: float) -> BoxSpec:
@@ -82,8 +80,8 @@ def per_area_trace(a: float, tau: float) -> HeatTraceSample:
     is truncated once the certified exponential tail drops below 1e-16 of the
     running value.
     """
-    if not (0.0 < a < math.inf and 0.0 < tau < math.inf):
-        raise ParameterError("per_area_trace needs finite a > 0 and tau > 0")
+    a = check_positive(a, "a")
+    tau = check_positive(tau, "tau")
     c = tau * (math.pi / a) ** 2
     pref = tau**-1.5 / (8.0 * math.pi)
     total = 0.0
@@ -105,8 +103,7 @@ def default_tau_grid(a: float) -> np.ndarray:
     target for the constant term.  Both ends are placed exactly, so the grid
     spans one full decade for every a, as finite_part requires.
     """
-    if not a > 0.0:
-        raise ParameterError("a must be > 0")
+    a = check_positive(a, "a")
     lo = 1e-4 * a * a
     return np.geomspace(lo, 10.0 * lo, 12)
 
@@ -140,8 +137,7 @@ def casimir_per_area(
     """
     check_positive(a, "a")
     check_count(n_channels, "channel count")
-    if not isinstance(method, CasimirMethod):
-        method = CasimirMethod(method)
+    method = check_choice(method, CasimirMethod, "Casimir method")
     if method is CasimirMethod.HEAT_FIT:
         return n_channels * heat_fit_model(a, tau_grid).c0
     ratio = specfun.gamma(-1.5) / specfun.gamma(-0.5)
@@ -151,10 +147,7 @@ def casimir_per_area(
 
 def normalized_energy(n: int, a: float, n_channels: int = 1) -> float:
     """Plate energy of the normalization area A = n^2 a^2: -(n^2/a) N pi^2/1440."""
-    check_count(n, "cell count n")
-    if not a > 0.0:
-        raise ParameterError("a must be > 0")
-    check_count(n_channels, "channel count")
+    check_count(n, "cell count n")  # casimir_per_area checks a and n_channels
     return casimir_per_area(a, CasimirMethod.ZETA_ROUTE, n_channels) * (n * a) ** 2
 
 
@@ -188,8 +181,7 @@ def theta_bar(
     which must stay within the declared tolerance.
     """
     check_count(n_channels, "channel count")
-    if not isinstance(source, ThetaSource):
-        source = ThetaSource(source)
+    source = check_choice(source, ThetaSource, "theta source")
     delta = boxint.delta_alpha(alpha, boxint.DeltaMethod.T_INTEGRAL)
     closed = n_channels * math.pi**2 / (1440.0 * delta)
     pipeline_value = None

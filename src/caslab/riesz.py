@@ -34,14 +34,20 @@ def _check_m(m: int) -> int:
     return check_count(m, "transverse dimension m")
 
 
-def reduction_constant(m: int, s: float) -> float:
-    """C_{m,s} = (4 pi)^{-m/2} Gamma(s - m/2) / Gamma(s) for s > m/2."""
+def _check_s(m: int, s: float, what: str) -> float:
+    """s as a float, once m is a count and s is finite with s > m/2."""
     _check_m(m)
     s = float(s)
+    if not math.isfinite(s):
+        raise ParameterError(f"{what}: s must be finite, got {s}")
     if not s > 0.5 * m:
-        raise ConvergenceError(
-            f"reduction constant diverges: need s > m/2, got s={s}, m={m}"
-        )
+        raise ConvergenceError(f"{what} diverges: need s > m/2, got s={s}, m={m}")
+    return s
+
+
+def reduction_constant(m: int, s: float) -> float:
+    """C_{m,s} = (4 pi)^{-m/2} Gamma(s - m/2) / Gamma(s) for s > m/2."""
+    s = _check_s(m, s, "reduction constant")
     return (
         (4.0 * math.pi) ** (-0.5 * m)
         * specfun.gamma(s - 0.5 * m)
@@ -69,8 +75,8 @@ class MollifierSpec:
     eps: float = 0.0
 
     def __post_init__(self):
-        if not self.eps >= 0.0:
-            raise ParameterError("mollifier width must be >= 0")
+        if self.eps != 0.0:
+            check_positive(self.eps, "nonzero mollifier width")
 
 
 def quad_checked(
@@ -107,12 +113,8 @@ def quad_checked(
 
 
 def _check_domain(m: int, s: float, lam: float, what: str) -> tuple[float, float]:
-    """(s, lam) as floats, once m is a count, s > m/2 and lam > 0."""
-    _check_m(m)
-    s = float(s)
-    if not s > 0.5 * m:
-        raise ConvergenceError(f"{what} diverges: need s > m/2, got {s}")
-    return s, check_positive(lam, "lam")
+    """(s, lam) as floats, once s passes _check_s and lam is finite and > 0."""
+    return _check_s(m, s, what), check_positive(lam, "lam")
 
 
 def _radial_integral(m: int, s: float, lam: float, damp_eps: float = 0.0) -> float:

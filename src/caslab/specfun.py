@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParameterError, PoleError
+from .errors import ParameterError, PoleError, check_choice, check_positive
 
 _SERIES_RTOL = 1e-14
 
@@ -77,8 +77,10 @@ def upper_gamma_three_halves(y: float) -> float:
     Closed form (sqrt(pi)/2) erfc(sqrt(y)) + sqrt(y) e^{-y}; valid for y >= 0.
     """
     y = float(y)
-    if y < 0.0:
-        raise ParameterError("upper_gamma_three_halves: need y >= 0")
+    if not y >= 0.0:
+        raise ParameterError(f"upper_gamma_three_halves: need y >= 0, got {y!r}")
+    if y == math.inf:
+        return 0.0  # sqrt(y) e^{-y} would be inf * 0
     r = math.sqrt(y)
     return 0.5 * math.sqrt(math.pi) * math.erfc(r) + r * math.exp(-y)
 
@@ -96,11 +98,13 @@ def zeta_negative_odd(n: int) -> Fraction:
     return -_BERNOULLI[n + 1] / (n + 1)
 
 
-class ThetaKind(str, enum.Enum):
-    """Which boundary tower the theta sum ranges over."""
+class Bc(str, enum.Enum):
+    """Boundary condition of one axis, and so the mode tower its theta sum
+    ranges over."""
 
-    DIRICHLET = "dirichlet"  # sum over r >= 1
-    NEUMANN = "neumann"      # sum over m >= 0
+    DIRICHLET = "dirichlet"  # pi^2 r^2 / L^2, r >= 1
+    NEUMANN = "neumann"      # pi^2 m^2 / L^2, m >= 0
+    PERIODIC = "periodic"    # (2 pi k / L)^2, k in Z
 
 
 class ThetaMode(str, enum.Enum):
@@ -121,11 +125,11 @@ class ThetaEval:
     tail_bound: float
 
 
-def _theta_direct(kind: ThetaKind, length: float, t: float) -> ThetaEval:
+def _theta_direct(bc: Bc, length: float, t: float) -> ThetaEval:
     # Dirichlet: sum_{r>=1} exp(-c r^2); Neumann adds the r=0 term.
     c = math.pi * math.pi * t / (length * length)
-    total = 1.0 if kind is ThetaKind.NEUMANN else 0.0
-    terms = 1 if kind is ThetaKind.NEUMANN else 0
+    total = 1.0 if bc is Bc.NEUMANN else 0.0
+    terms = 1 if bc is Bc.NEUMANN else 0
     r = 1
     while True:
         term = math.exp(-c * r * r)
@@ -140,7 +144,7 @@ def _theta_direct(kind: ThetaKind, length: float, t: float) -> ThetaEval:
         r += 1
 
 
-def _theta_dual(kind: ThetaKind, length: float, t: float) -> ThetaEval:
+def _theta_dual(bc: Bc, length: float, t: float) -> ThetaEval:
     # Modular image: sum_{m in Z} exp(-pi^2 m^2 t / L^2)
     #              = (L / sqrt(pi t)) sum_{k in Z} exp(-L^2 k^2 / t),
     # then Neumann = (S+1)/2 and Dirichlet = (S-1)/2.
@@ -151,7 +155,7 @@ def _theta_dual(kind: ThetaKind, length: float, t: float) -> ThetaEval:
     k = 1
     while True:
         term = 2.0 * math.exp(-q * k * k)
-        value = 0.5 * (pref * dual + (1.0 if kind is ThetaKind.NEUMANN else -1.0))
+        value = 0.5 * (pref * dual + (1.0 if bc is Bc.NEUMANN else -1.0))
         if 0.5 * pref * term < _SERIES_RTOL * (1.0 + abs(value)):
             ratio = math.exp(-q * (2 * k + 1))
             tail = 0.5 * pref * term / (1.0 - ratio)
@@ -162,7 +166,7 @@ def _theta_dual(kind: ThetaKind, length: float, t: float) -> ThetaEval:
 
 
 def theta_eval(
-    kind: ThetaKind,
+    bc: Bc,
     length: float,
     t: float,
     mode: ThetaMode = ThetaMode.AUTO,
@@ -171,9 +175,10 @@ def theta_eval(
 
     Parameters
     ----------
-    kind : ThetaKind
+    bc : Bc
         DIRICHLET sums exp(-pi^2 r^2 t / L^2) over r >= 1, NEUMANN over
-        m >= 0.
+        m >= 0; PERIODIC sums exp(-(2 pi k / L)^2 t) over k in Z, which is
+        1 + 2 Theta_D(L/2; t).
     length, t : float
         Finite interval length L > 0 and diffusion time t > 0.
     mode : ThetaMode
@@ -181,26 +186,23 @@ def theta_eval(
         modular dual below that, so either route needs only a handful of
         terms.
     """
-    length = float(length)
-    t = float(t)
-    if not (0.0 < length < math.inf and 0.0 < t < math.inf):
-        raise ParameterError("theta: need finite length > 0 and t > 0")
+    bc = check_choice(bc, Bc, "boundary condition")
+    mode = check_choice(mode, ThetaMode, "theta mode")
+    length = check_positive(length, "theta length")
+    t = check_positive(t, "theta t")
+    periodic = bc is Bc.PERIODIC
+    if periodic:
+        # periodic modes are the Dirichlet modes of the half interval, each
+        # twice, plus the zero mode
+        bc, length = Bc.DIRICHLET, 0.5 * length
     if mode is ThetaMode.AUTO:
         mode = (
             ThetaMode.DIRECT_SERIES
             if math.pi * t / (length * length) >= 1.0
             else ThetaMode.JACOBI_DUAL
         )
-    if mode is ThetaMode.DIRECT_SERIES:
-        return _theta_direct(kind, length, t)
-    return _theta_dual(kind, length, t)
-
-
-def theta(
-    kind: ThetaKind,
-    length: float,
-    t: float,
-    mode: ThetaMode = ThetaMode.AUTO,
-) -> float:
-    """Value-only convenience wrapper around theta_eval."""
-    return theta_eval(kind, length, t, mode).value
+    route = _theta_direct if mode is ThetaMode.DIRECT_SERIES else _theta_dual
+    ev = route(bc, length, t)
+    if periodic:
+        return ThetaEval(1.0 + 2.0 * ev.value, ev.mode, ev.terms, 2.0 * ev.tail_bound)
+    return ev

@@ -9,7 +9,6 @@ downstream traces can report rigorous remainders.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -22,19 +21,13 @@ from .errors import (
     EmptySpectrumError,
     ParameterError,
     ResourceError,
+    check_choice,
     check_positive,
 )
+from .specfun import Bc
 
 _MERGE_RTOL = 1e-12
 DEFAULT_MODE_CAP = 2_000_000
-
-
-class Bc(str, enum.Enum):
-    """Boundary condition of one axis."""
-
-    DIRICHLET = "dirichlet"
-    NEUMANN = "neumann"
-    PERIODIC = "periodic"
 
 
 @dataclass(frozen=True)
@@ -49,8 +42,7 @@ class AxisSpec:
     bc: Bc
 
     def __post_init__(self):
-        if not isinstance(self.bc, Bc):
-            object.__setattr__(self, "bc", Bc(self.bc))
+        object.__setattr__(self, "bc", check_choice(self.bc, Bc, "boundary condition"))
         check_positive(self.length, "axis length")
 
     @property
@@ -71,15 +63,7 @@ class AxisSpec:
 
     def heat_sum(self, t: float) -> float:
         """Full heat sum over every axis mode, sum_j mult_j exp(-t value_j)."""
-        if self.bc is Bc.DIRICHLET:
-            return specfun.theta(specfun.ThetaKind.DIRICHLET, self.length, t)
-        if self.bc is Bc.NEUMANN:
-            return specfun.theta(specfun.ThetaKind.NEUMANN, self.length, t)
-        # periodic modes coincide with Dirichlet modes of the half interval,
-        # doubled, plus the zero mode
-        return 1.0 + 2.0 * specfun.theta(
-            specfun.ThetaKind.DIRICHLET, 0.5 * self.length, t
-        )
+        return specfun.theta_eval(self.bc, self.length, t).value
 
 
 @dataclass(frozen=True)
@@ -107,6 +91,18 @@ class BoxSpec:
         for ax in self.axes:
             v *= ax.length
         return v
+
+    def heat_trace(self, t: float) -> float:
+        """K(t) = sum over every mode of exp(-t lambda), which separability
+        factorizes into the product of the three axis heat sums."""
+        return math.prod(ax.heat_sum(t) for ax in self.axes)
+
+
+def mixed_cell(l1: float, l2: float, a: float) -> BoxSpec:
+    """The Neumann x Neumann x Dirichlet cell: lateral sides l1, l2, width a."""
+    return BoxSpec(
+        (AxisSpec(l1, Bc.NEUMANN), AxisSpec(l2, Bc.NEUMANN), AxisSpec(a, Bc.DIRICHLET))
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,18 +142,14 @@ class EigenStream:
         rest is dominated by the full factorized heat sum at t/2.  The result
         is nonincreasing in t.
         """
-        if not t > 0.0:
-            raise ParameterError("tail bound needs t > 0")
+        t = check_positive(t, "tail bound t")
         half = 0.5 * t
         peak = 1.0 / t
         if self.cutoff >= peak:
             envelope = math.sqrt(self.cutoff) * math.exp(-half * self.cutoff)
         else:
             envelope = math.sqrt(peak) * math.exp(-0.5)
-        product = 1.0
-        for ax in self.box.axes:
-            product *= ax.heat_sum(half)
-        return envelope * product
+        return envelope * self.box.heat_trace(half)
 
 
 def enumerate_modes(
@@ -216,9 +208,7 @@ def enumerate_modes(
 
 def lateral_gap(l1: float, l2: float) -> float:
     """First positive lateral mode scale pi^2 / max(l1, l2)^2."""
-    if not (l1 > 0.0 and l2 > 0.0):
-        raise ParameterError("lateral lengths must be > 0")
-    longest = max(l1, l2)
+    longest = max(check_positive(l1, "l1"), check_positive(l2, "l2"))
     return (math.pi / longest) ** 2
 
 
@@ -234,8 +224,7 @@ def saturation_check(l1: float, l2: float, a: float) -> SaturationResult:
     (a / max(l1, l2))^2 = min(alpha^2, alpha^-2); the cell is saturated
     exactly when that ratio is 1.
     """
-    if not (l1 > 0.0 and l2 > 0.0 and a > 0.0):
-        raise ParameterError("lengths must be > 0")
+    l1, l2, a = (check_positive(x, "cell side") for x in (l1, l2, a))
     target = a * a
     if abs(l1 * l2 - target) > 1e-12 * target:
         raise ConstraintError(

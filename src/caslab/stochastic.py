@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError, check_count
+from .errors import check_choice, check_count, check_positive
 from .spectrum import EigenStream
 
 _BATCH_ROWS = 1 << 16
@@ -43,14 +43,10 @@ class SourceSpec:
     channel: Channel = Channel.REAL
 
     def __post_init__(self):
-        if not isinstance(self.channel, Channel):
-            object.__setattr__(self, "channel", Channel(self.channel))
-        if not self.tau > 0.0:
-            raise ParameterError("regulator tau must be > 0 (no unregularized source)")
-        if not self.g > 0.0:
-            raise ParameterError("normalization g must be > 0")
-        if not self.hbar_c > 0.0:
-            raise ParameterError("hbar_c must be > 0")
+        object.__setattr__(self, "channel", check_choice(self.channel, Channel, "channel"))
+        check_positive(self.tau, "regulator tau")
+        check_positive(self.g, "normalization g")
+        check_positive(self.hbar_c, "hbar_c")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +112,17 @@ def test_b_coefficient_closed_form():
     assert heattrace.b_coefficient(2.0, 0.5, 1.0) == pytest.approx(
         1.5 / (8.0 * math.pi), rel=1e-14
     )
+
+
+def test_lstsq_is_called_only_by_the_fit_helper():
+    # every least-squares solve goes through the one condition-checked fit
+    sites = []
+    for path in sorted(Path(heattrace.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        for call in re.finditer(r"lstsq\(", text):
+            enclosing = re.findall(r"^def (\w+)", text[: call.start()], re.M)
+            sites.append((path.name, enclosing[-1] if enclosing else None))
+    assert sites == [("heattrace.py", "_power_law_fit")]
 
 
 def test_b_coefficient_constraint():

@@ -83,16 +83,18 @@ def test_zeta_negative_odd_rejects_out_of_range():
 
 def _brute_theta(kind, length, t, terms=400):
     c = math.pi**2 * t / length**2
-    if kind is specfun.ThetaKind.NEUMANN:
+    if kind is specfun.Bc.NEUMANN:
         return sum(math.exp(-c * m * m) for m in range(terms))
+    if kind is specfun.Bc.PERIODIC:
+        return sum(math.exp(-4.0 * c * k * k) for k in range(1 - terms, terms))
     return sum(math.exp(-c * r * r) for r in range(1, terms))
 
 
 def test_theta_against_brute_force():
     for length in (0.5, 1.0, 2.0):
         for t in (0.05, 0.2, 1.0, 3.0):
-            for kind in specfun.ThetaKind:
-                got = specfun.theta(kind, length, t)
+            for kind in specfun.Bc:
+                got = specfun.theta_eval(kind, length, t).value
                 want = _brute_theta(kind, length, t)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
@@ -102,7 +104,7 @@ def test_theta_dual_path_agreement():
     for x in (0.2, 0.5, 0.9, 1.0, 1.1, 2.0, 5.0):
         length = 1.3
         t = x * length**2 / math.pi
-        for kind in specfun.ThetaKind:
+        for kind in specfun.Bc:
             direct = specfun.theta_eval(kind, length, t, mode=specfun.ThetaMode.DIRECT_SERIES)
             dual = specfun.theta_eval(kind, length, t, mode=specfun.ThetaMode.JACOBI_DUAL)
             assert direct.value == pytest.approx(dual.value, rel=1e-12, abs=1e-15)
@@ -110,8 +112,8 @@ def test_theta_dual_path_agreement():
 
 def test_theta_auto_mode_selection():
     length = 1.0
-    fast = specfun.theta_eval(specfun.ThetaKind.DIRICHLET, length, 1.01 / math.pi)
-    slow = specfun.theta_eval(specfun.ThetaKind.DIRICHLET, length, 0.99 / math.pi)
+    fast = specfun.theta_eval(specfun.Bc.DIRICHLET, length, 1.01 / math.pi)
+    slow = specfun.theta_eval(specfun.Bc.DIRICHLET, length, 0.99 / math.pi)
     assert fast.mode is specfun.ThetaMode.DIRECT_SERIES
     assert slow.mode is specfun.ThetaMode.JACOBI_DUAL
 
@@ -120,20 +122,20 @@ def test_theta_term_counts_at_crossover():
     length = 1.0
     t = length**2 / math.pi  # pi t / l^2 = 1
     for mode in (specfun.ThetaMode.DIRECT_SERIES, specfun.ThetaMode.JACOBI_DUAL):
-        ev = specfun.theta_eval(specfun.ThetaKind.NEUMANN, length, t, mode=mode)
+        ev = specfun.theta_eval(specfun.Bc.NEUMANN, length, t, mode=mode)
         assert ev.terms <= 20
 
 
 def test_theta_neumann_dirichlet_offset():
     # the two kinds differ by the zero mode alone
     for t in (0.1, 0.5, 2.0):
-        n = specfun.theta(specfun.ThetaKind.NEUMANN, 1.0, t)
-        d = specfun.theta(specfun.ThetaKind.DIRICHLET, 1.0, t)
+        n = specfun.theta_eval(specfun.Bc.NEUMANN, 1.0, t).value
+        d = specfun.theta_eval(specfun.Bc.DIRICHLET, 1.0, t).value
         assert n - d == pytest.approx(1.0, rel=1e-14)
 
 
 def test_theta_tail_bound_reported():
-    ev = specfun.theta_eval(specfun.ThetaKind.DIRICHLET, 1.0, 0.5)
+    ev = specfun.theta_eval(specfun.Bc.DIRICHLET, 1.0, 0.5)
     assert 0.0 <= ev.tail_bound < 1e-12 * (1.0 + ev.value)
 
 
@@ -141,7 +143,7 @@ def test_theta_rejects_bad_arguments():
     # a non-finite argument turns the stopping test into 0 * inf = nan
     bad = ((1.0, 0.0), (0.0, 1.0), (-1.0, 1.0), (1.0, -0.5))
     bad += ((math.inf, 1e-4), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan))
-    for kind in specfun.ThetaKind:
+    for kind in specfun.Bc:
         for length, t in bad:
             with pytest.raises(ParameterError):
                 specfun.theta_eval(kind, length, t)
@@ -154,10 +156,10 @@ def test_theta_rejects_bad_arguments():
 )
 def test_theta_paths_agree_property(length, t):
     direct = specfun.theta_eval(
-        specfun.ThetaKind.NEUMANN, length, t, mode=specfun.ThetaMode.DIRECT_SERIES
+        specfun.Bc.NEUMANN, length, t, mode=specfun.ThetaMode.DIRECT_SERIES
     )
     dual = specfun.theta_eval(
-        specfun.ThetaKind.NEUMANN, length, t, mode=specfun.ThetaMode.JACOBI_DUAL
+        specfun.Bc.NEUMANN, length, t, mode=specfun.ThetaMode.JACOBI_DUAL
     )
     assert direct.value == pytest.approx(dual.value, rel=5e-13, abs=1e-14)
 
@@ -165,8 +167,8 @@ def test_theta_paths_agree_property(length, t):
 @settings(max_examples=40, deadline=None)
 @given(length=st.floats(0.5, 2.0), t=st.floats(0.05, 2.0), factor=st.floats(1.05, 3.0))
 def test_theta_decreasing_in_t(length, t, factor):
-    a = specfun.theta(specfun.ThetaKind.DIRICHLET, length, t)
-    b = specfun.theta(specfun.ThetaKind.DIRICHLET, length, t * factor)
+    a = specfun.theta_eval(specfun.Bc.DIRICHLET, length, t).value
+    b = specfun.theta_eval(specfun.Bc.DIRICHLET, length, t * factor).value
     if a > 1e-12:  # below that the certified truncation may round both to 0
         assert b < a
     else:

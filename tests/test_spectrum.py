@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caslab import harness, spectrum
+from caslab import harness, plates, spectrum
 from caslab.errors import (
     ConstraintError,
     EmptySpectrumError,
@@ -179,6 +179,26 @@ def test_axis_heat_sum_matches_lattice():
         for t in (0.1, 0.3, 1.0):
             brute = sum(k * math.exp(-t * v) for v, k in axis_modes_brute(ax, 5e3))
             assert ax.heat_sum(t) == pytest.approx(brute, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "box",
+    [plates.plate_box(2.0, 1.0), spectrum.mixed_cell(1.3, 0.7, 1.1)],
+    ids=["plate_PPD", "mixed_cell_NND"],
+)
+def test_box_heat_trace_matches_lattice_sum(box):
+    # every lattice point (n1, n2, n3) summed directly, not axis by axis
+    v1, v2, v3 = (np.array(axis_modes_brute(ax, 5e3)) for ax in box.axes)
+    values = v1[:, None, None, 0] + v2[None, :, None, 0] + v3[None, None, :, 0]
+    weights = v1[:, None, None, 1] * v2[None, :, None, 1] * v3[None, None, :, 1]
+    for t in (0.1, 0.3, 1.0):
+        brute = float(np.sum(weights * np.exp(-t * values)))
+        assert box.heat_trace(t) == pytest.approx(brute, rel=1e-13)
+
+
+def test_mixed_cell_layout():
+    cell = spectrum.mixed_cell(1.3, 0.7, 1.1)
+    assert [(ax.length, ax.bc) for ax in cell.axes] == [(1.3, N), (0.7, N), (1.1, D)]
 
 
 def test_tail_bound_dominates_actual_tail():
