@@ -163,6 +163,8 @@ def enumerate_modes(
     1e-12 relative below it, so degeneracies report a single multiplicity.
     """
     cutoff = float(cutoff)
+    if math.isnan(cutoff):
+        raise ParameterError("spectral cutoff must not be nan")
     lam_min = spec.lambda_min
     if cutoff <= lam_min:
         raise EmptySpectrumError(

@@ -104,6 +104,7 @@ def monte_carlo(
     bit-identical for fixed (seed, worker_count) regardless of timing.
     """
     check_count(n, "Monte Carlo sample count", minimum=2)
+    check_count(seed, "seed", minimum=0)
     check_count(worker_count, "worker_count")
     batch_rows = max(1, min(_BATCH_ROWS, _BATCH_BYTES // row_bytes))
     children = np.random.SeedSequence(entropy=seed).spawn(worker_count)

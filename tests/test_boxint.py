@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from caslab import boxint
-from caslab.errors import ParameterError
+from caslab.errors import ParameterError, QuadratureError, ResourceError
 
 
 def test_interval_overlap_against_2d_quadrature():
@@ -77,6 +81,91 @@ def test_delta_quadrature_hits_closed_form():
     # off the cube, the t-integral is the reference
     got = boxint.delta_alpha(1.5, boxint.DeltaMethod.QUADRATURE_3D)
     assert abs(got - boxint.delta_alpha(1.5, boxint.DeltaMethod.T_INTEGRAL)) < 1e-8
+
+
+def _radial_profile(lengths, u):
+    """int_0^R r prod_i (l_i - u_i r) dr along the unit direction u, R being the
+    distance to the first face the ray meets: the angular integrand the face
+    rule replaces, kept here as its oracle."""
+    r_hit = min(li / ui for li, ui in zip(lengths, u) if ui > 0.0)
+    (l1, l2, l3), (u1, u2, u3) = lengths, u
+    c0 = l1 * l2 * l3
+    c1 = -(u1 * l2 * l3 + u2 * l1 * l3 + u3 * l1 * l2)
+    c2 = u1 * u2 * l3 + u1 * u3 * l2 + u2 * u3 * l1
+    c3 = -u1 * u2 * u3
+    return c0 * r_hit**2 / 2 + c1 * r_hit**3 / 3 + c2 * r_hit**4 / 4 + c3 * r_hit**5 / 5
+
+
+def _delta_angular_dblquad(alpha):
+    lengths = (alpha, 1.0 / alpha, 1.0)
+
+    def integrand(theta, phi):
+        st = math.sin(theta)
+        u = (st * math.cos(phi), st * math.sin(phi), math.cos(theta))
+        return _radial_profile(lengths, u) * st
+
+    value, err = integrate.dblquad(
+        integrand, 0.0, 0.5 * math.pi, 0.0, 0.5 * math.pi, epsabs=1e-11, epsrel=1e-11
+    )
+    assert err < 1e-9
+    return 8.0 * value
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.6, 2.5])
+def test_face_rule_matches_angular_dblquad(alpha):
+    got = boxint.delta_alpha(alpha, boxint.DeltaMethod.QUADRATURE_3D)
+    assert abs(got - _delta_angular_dblquad(alpha)) < 1e-10
+
+
+@pytest.mark.parametrize("alpha", [10.0, 50.0, 0.02])
+def test_face_rule_matches_t_integral_at_wide_aspects(alpha):
+    got = boxint.delta_alpha(alpha, boxint.DeltaMethod.QUADRATURE_3D)
+    assert got == pytest.approx(boxint.delta_alpha(alpha), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("lengths", [(1.0, 1.0, 1.0), (1.6, 0.625, 1.0), (50.0, 0.02, 1.0)])
+def test_face_rule_covers_the_octant(lengths):
+    # sum_k int int l_k / |p|^3 dA is the solid angle of the octant, pi/2
+    omega = boxint._face_sum(lengths, lambda p, r2: r2**-1.5, boxint._FACE_NODES)
+    assert omega == pytest.approx(0.5 * math.pi, rel=1e-14, abs=0.0)
+
+
+def test_exit_profile_is_the_radial_integral():
+    rng = np.random.default_rng(11)
+    lengths = (2.0, 0.5, 1.0)
+    for u in np.abs(rng.standard_normal((200, 3))):
+        u /= np.linalg.norm(u)
+        r_hit = min(li / ui for li, ui in zip(lengths, u))
+        want = _radial_profile(lengths, tuple(u))
+        got = r_hit**2 * boxint._exit_profile(lengths, tuple(r_hit * u))
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_face_rule_guards(monkeypatch):
+    # an extreme aspect ratio stops before building its node grid
+    for alpha in (1e-30, 5e-324, 1e300):
+        with pytest.raises(ResourceError):
+            boxint.delta_alpha(alpha, boxint.DeltaMethod.QUADRATURE_3D)
+    # a guard rule too coarse to agree with the 16-node rule trips the check
+    monkeypatch.setattr(boxint, "_GUARD_NODES", 2)
+    with pytest.raises(QuadratureError):
+        boxint.delta_alpha(1.0, boxint.DeltaMethod.QUADRATURE_3D)
+
+
+def test_face_rule_loads_no_quadrature_package():
+    child = (
+        "import sys\n"
+        "from caslab import boxint\n"
+        "boxint.delta_alpha(1.5, boxint.DeltaMethod.QUADRATURE_3D)\n"
+        "print([m for m in ('scipy', 'mpmath') if m in sys.modules])\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_delta_monte_carlo_consistent():

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from caslab import boxint, heattrace, plates, riesz, specfun, spectrum, stochastic
-from caslab.errors import ParameterError
+from caslab.errors import ParameterError, ResourceError
 
 _AXIS = spectrum.AxisSpec(1.0, spectrum.Bc.DIRICHLET)
 _STREAM = spectrum.enumerate_modes(spectrum.BoxSpec((_AXIS, _AXIS, _AXIS)), 60.0)
@@ -80,6 +80,30 @@ def test_finite_part_rejects_non_finite_samples(field, bad):
     samples[3] = dataclasses.replace(samples[3], **{field: bad})
     with pytest.raises(ParameterError):
         heattrace.finite_part(samples, (2.0, 1.5))
+
+
+def test_enumerate_modes_rejects_nan_cutoff():
+    box = spectrum.BoxSpec((_AXIS, _AXIS, _AXIS))
+    with pytest.raises(ParameterError):
+        spectrum.enumerate_modes(box, math.nan)
+    # an infinite cutoff is a request too large to enumerate, not a bad value
+    with pytest.raises(ResourceError):
+        spectrum.enumerate_modes(box, math.inf)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: stochastic.mc_estimate(stochastic.SourceSpec(_STREAM, 0.5), 10, s),
+        lambda s: boxint.delta_alpha(1.0, boxint.DeltaMethod.MONTE_CARLO, budget=10, seed=s),
+    ],
+    ids=["mc_estimate", "delta_alpha"],
+)
+@pytest.mark.parametrize("seed", [-1, True], ids=["negative", "bool"])
+def test_monte_carlo_seed_is_checked(call, seed):
+    # -1 used to reach SeedSequence as numpy's bare ValueError; True was taken as 1
+    with pytest.raises(ParameterError):
+        call(seed)
 
 
 def test_upper_gamma_three_halves_edges():
