@@ -100,9 +100,9 @@ def _delta_angular_dblquad(alpha):
     lengths = (alpha, 1.0 / alpha, 1.0)
 
     def integrand(theta, phi):
-        st = math.sin(theta)
-        u = (st * math.cos(phi), st * math.sin(phi), math.cos(theta))
-        return _radial_profile(lengths, u) * st
+        sin_t = math.sin(theta)
+        u = (sin_t * math.cos(phi), sin_t * math.sin(phi), math.cos(theta))
+        return _radial_profile(lengths, u) * sin_t
 
     value, err = integrate.dblquad(
         integrand, 0.0, 0.5 * math.pi, 0.0, 0.5 * math.pi, epsabs=1e-11, epsrel=1e-11
