@@ -11,7 +11,7 @@ log-concavity and positivity checks behind the monotonicity argument.
 
 from __future__ import annotations
 
-# Module scope stays numpy-only: scipy.integrate and mpmath are imported where they run.
+# Module scope stays numpy-only: mpmath is imported where the positivity chain runs.
 import enum
 import functools
 import math
@@ -65,44 +65,26 @@ def _aspect_lengths(alpha: float) -> tuple[float, float, float]:
 def cell_overlap_energy(lengths: tuple[float, float, float]) -> float:
     """pi^{-1/2} int_0^inf t^{-1/2} prod_i I_{L_i}(t) dt for a general box.
 
-    The endpoint singularity is removed by t = u^2 on (0, 1]; above the split
-    the integrand is smooth and the region beyond T (where every erf factor
-    is 1 within e^{-40}) is summed by the exact power tail of
-    prod_i (L_i sqrt(pi/t) - 1/t).
+    One double-exponential rule over the half-line (riesz.quad_checked): its
+    nodes crowd toward t = 0, where the integrand goes like t^{-1/2}, and
+    spread double exponentially toward the t^{-2} tail, so neither needs a
+    split or an analytic tail.  I_L is interval_overlap's closed form over
+    the node array, with math.erf at each node.
     """
     ls = tuple(check_positive(x, "side length") for x in lengths)
     if len(ls) != 3:
         raise ParameterError("need three side lengths")
 
-    def product(t: float) -> float:
-        return (
-            interval_overlap(ls[0], t)
-            * interval_overlap(ls[1], t)
-            * interval_overlap(ls[2], t)
-        )
+    def f(t: np.ndarray) -> np.ndarray:
+        root_t = np.sqrt(t)
+        out = 1.0 / root_t
+        for L in ls:
+            r = L * root_t
+            erf = np.fromiter(map(math.erf, r), float, count=r.size)
+            out *= L * np.sqrt(math.pi / t) * erf + np.expm1(-r * r) / t
+        return out
 
-    head = quad_checked(lambda u: 2.0 * product(u * u), 0.0, 1.0,
-                        epsabs=1e-13, epsrel=1e-12, limit=300)
-    t_top = max(40.0, 40.0 / min(ls) ** 2)
-    mid = quad_checked(lambda t: product(t) / math.sqrt(t), 1.0, t_top,
-                       epsabs=1e-13, epsrel=1e-12, limit=300)
-    e1 = ls[0] + ls[1] + ls[2]
-    e2 = ls[0] * ls[1] + ls[0] * ls[2] + ls[1] * ls[2]
-    e3 = ls[0] * ls[1] * ls[2]
-    # exact integral over (T, inf) of pi^{-1/2} t^{-1/2} prod of
-    # (A L_i t^{-1/2} - t^{-1}), A = sqrt(pi); the dropped erf and exp
-    # corrections are below e^{-40}
-    tail = (
-        _SQRT_PI * _SQRT_PI * e3 / t_top
-        - (2.0 / 3.0) * _SQRT_PI * e2 * t_top**-1.5
-        + 0.5 * e1 * t_top**-2.0
-        - 0.4 / _SQRT_PI * t_top**-2.5
-    )
-    return (head + mid) / _SQRT_PI + tail
-
-
-def _delta_t_integral(alpha: float) -> float:
-    return cell_overlap_energy(_aspect_lengths(alpha))
+    return quad_checked(f, 0.0, math.inf, epsabs=1e-13, epsrel=1e-12) / _SQRT_PI
 
 
 @functools.lru_cache(maxsize=None)
@@ -208,7 +190,7 @@ def _inverse_distances(
     np.subtract(1.0, d, out=d)
     d *= lengths
     d *= d
-    return 1.0 / np.sqrt(d.sum(axis=1))
+    return 1.0 / np.sqrt(d[:, 0] + d[:, 1] + d[:, 2])
 
 
 def _delta_monte_carlo(
@@ -238,7 +220,7 @@ def delta_alpha(
     """
     method = check_choice(method, DeltaMethod, "Delta method")
     if method is DeltaMethod.T_INTEGRAL:
-        return _delta_t_integral(alpha)
+        return cell_overlap_energy(_aspect_lengths(alpha))
     if method is DeltaMethod.QUADRATURE_3D:
         return _delta_quadrature(alpha)
     return _delta_monte_carlo(alpha, budget, seed, worker_count)

@@ -58,6 +58,37 @@ def test_cell_energy_fifth_power_scaling():
     assert doubled == pytest.approx(32.0 * unit, rel=1e-11)
 
 
+def _cell_energy_quadpack(lengths):
+    """The t-integral by QUADPACK, split at t = 1 with t = u^2 below it."""
+
+    def product(t):
+        return math.prod(boxint.interval_overlap(L, t) for L in lengths)
+
+    def quad(f, a, b):
+        value, _ = integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=400)
+        return value
+
+    head = quad(lambda u: 2.0 * product(u * u), 0.0, 1.0)
+    tail = quad(lambda t: product(t) / math.sqrt(t), 1.0, math.inf)
+    return (head + tail) / math.sqrt(math.pi)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 10.0, 100.0])
+def test_cell_energy_matches_quadpack(alpha):
+    lengths = (alpha, 1.0 / alpha, 1.0)
+    want = _cell_energy_quadpack(lengths)
+    assert boxint.cell_overlap_energy(lengths) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "alpha,rel", [(126.0, 1e-12), (1e3, 1e-12), (1e4, 1e-11), (1 / 126, 1e-12), (1e-3, 1e-12)]
+)
+def test_t_integral_at_extreme_aspects(alpha, rel):
+    # long cells put the factors' erf knees decades apart in t
+    got = boxint.delta_alpha(alpha, boxint.DeltaMethod.T_INTEGRAL)
+    assert got == pytest.approx(boxint._delta_quadrature(alpha), rel=rel, abs=0.0)
+
+
 def test_cell_energy_permutation_invariance():
     a = boxint.cell_overlap_energy((2.0, 0.5, 1.0))
     b = boxint.cell_overlap_energy((0.5, 1.0, 2.0))
@@ -157,6 +188,7 @@ def test_face_rule_loads_no_quadrature_package():
         "import sys\n"
         "from caslab import boxint\n"
         "boxint.delta_alpha(1.5, boxint.DeltaMethod.QUADRATURE_3D)\n"
+        "boxint.delta_alpha(1.5, boxint.DeltaMethod.T_INTEGRAL)\n"
         "print([m for m in ('scipy', 'mpmath') if m in sys.modules])\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -270,11 +270,12 @@ def test_cold_commands_skip_quadrature_imports(tmp_path):
         import json, sys
         from caslab import harness
 
-        mods = ("scipy.integrate", "mpmath")
+        mods = ("scipy", "mpmath")
         loaded = {{"import": [m for m in mods if m in sys.modules]}}
-        # reduce runs last: it integrates, and loads scipy.integrate
+        # boxint runs last: its positivity chain loads mpmath
         for argv in (["spectrum"], ["heat-trace"], ["finite-part"],
-                     ["stochastic", "--n-samples", "20000"], ["plates"], ["reduce"]):
+                     ["stochastic", "--n-samples", "20000"], ["plates"], ["reduce"],
+                     ["calibrate"], ["boxint"]):
             code = harness.main(argv + ["--out", {str(tmp_path)!r}])
             loaded[argv[0]] = [code] + [m for m in mods if m in sys.modules]
         print(json.dumps(loaded))
@@ -288,7 +289,8 @@ def test_cold_commands_skip_quadrature_imports(tmp_path):
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert loaded.pop("import") == []
-    assert loaded.pop("reduce")[:2] == [0, "scipy.integrate"]
+    assert loaded.pop("boxint") == [0, "mpmath"]
+    assert len(loaded) == 7
     for command, (code, *modules) in loaded.items():
         assert code == 0, command
         assert modules == [], command

@@ -1,11 +1,13 @@
 """Reduction constants, quadrature routes, mollified widths, extrapolation."""
 
+import ast
 import math
-import re
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
+from scipy import integrate
 
 from caslab import plates, riesz, spectrum
 from caslab.errors import ConvergenceError, ParameterError, QuadratureError
@@ -78,7 +80,7 @@ def test_momentum_integral_critical_scaling():
 
 
 def test_schwinger_route_both_endpoint_branches():
-    # s - 1 - m/2 < 0 exercises the weighted endpoint quadrature
+    # s - 1 - m/2 < 0 puts an integrable power singularity at t = 0
     for m, s in ((3, 2.0), (1, 1.2), (3, 4.0), (2, 2.0)):
         closed = riesz.reduction_constant(m, s) * 1.0 ** (0.5 * m - s)
         assert riesz.schwinger_integral(m, s, 1.0) == pytest.approx(closed, rel=1e-9)
@@ -103,15 +105,129 @@ def test_quad_checked_rejects_divergent_integrals(f):
         riesz.quad_checked(f, 0.0, 1.0, epsabs=1e-10)
 
 
-def test_quadpack_is_called_only_by_quad_checked():
-    # every QUADPACK call goes through the one checked helper
-    sites = []
+def test_no_caslab_module_imports_scipy():
+    # the runtime needs numpy and mpmath only; QUADPACK is a test oracle
+    found = []
     for path in sorted(Path(riesz.__file__).parent.glob("*.py")):
-        text = path.read_text()
-        for call in re.finditer(r"integrate\.quad\(", text):
-            enclosing = re.findall(r"^def (\w+)", text[: call.start()], re.M)
-            sites.append((path.name, enclosing[-1] if enclosing else None))
-    assert sites == [("riesz.py", "quad_checked")]
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, n) for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
+
+
+# (m, s) pairs and lambdas of the QUADPACK comparison; (1, 3/4) and (3, 1.6)
+# put t^-0.75 and t^-0.9 endpoint singularities into the Schwinger route
+ROUTE_GRID = [(1, 3.0), (2, 2.0), (3, 2.5), (3, 4.0), (4, 3.0), (1, 0.75), (3, 1.6)]
+ROUTE_LAMS = (0.01, 0.5, 1.0, 2.0, 100.0)
+
+
+def quadpack(f, a, b, **kw):
+    value, _ = integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=400, **kw)
+    return value
+
+
+def quadpack_radial(m, s, lam, eps=0.0):
+    def f(q):
+        return q ** (m - 1) * math.exp(-((eps * q) ** 2)) * (lam + q * q) ** (-s)
+
+    c = math.sqrt(lam)
+    pref = riesz.sphere_area(m) / (2.0 * math.pi) ** m
+    return pref * (quadpack(f, 0.0, c) + quadpack(f, c, math.inf))
+
+
+def quadpack_schwinger(m, s, lam):
+    a = s - 1.0 - 0.5 * m
+    head = quadpack(lambda t: math.exp(-lam * t), 0.0, 1.0 / lam, weight="alg", wvar=(a, 0.0))
+    tail = quadpack(lambda t: t**a * math.exp(-lam * t), 1.0 / lam, math.inf)
+    return (4.0 * math.pi) ** (-0.5 * m) / math.gamma(s) * (head + tail)
+
+
+@pytest.mark.parametrize("m,s", ROUTE_GRID)
+def test_routes_match_quadpack_and_closed_form(m, s):
+    for lam in ROUTE_LAMS:
+        closed = riesz.reduction_constant(m, s) * lam ** (0.5 * m - s)
+        mom = riesz.momentum_integral(m, s, lam)
+        sch = riesz.schwinger_integral(m, s, lam)
+        assert mom == pytest.approx(quadpack_radial(m, s, lam), rel=1e-12, abs=0.0)
+        assert sch == pytest.approx(quadpack_schwinger(m, s, lam), rel=1e-12, abs=0.0)
+        assert mom == pytest.approx(closed, rel=1e-13, abs=0.0)
+        assert sch == pytest.approx(closed, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("m,s", [(3, 2.5), (1, 3.0)])
+def test_mollified_route_matches_quadpack(m, s):
+    for eps in (0.2, 0.1, 0.05, 0.025):
+        for lam in (0.5, 1.0, 2.0):
+            got = riesz.mollified_reduction(m, s, lam, riesz.MollifierSpec(eps=eps))
+            assert got == pytest.approx(quadpack_radial(m, s, lam, eps), rel=1e-12, abs=0.0)
+
+
+def test_two_step_chain_matches_nested_quadpack():
+    lam = 2.0
+
+    def inner(mu):
+        return quadpack(lambda p: (mu + p * p) ** (-3), 0.0, math.inf) / math.pi
+
+    outer = quadpack(lambda q: q * q * inner(lam + q * q), 0.0, math.inf)
+    _, _, nested = riesz.two_step_chain(lam)
+    assert nested == pytest.approx(outer / (2.0 * math.pi**2), rel=1e-11, abs=0.0)
+
+
+def test_routes_hold_far_from_unit_lambda():
+    # the nodes follow sqrt(lam), so each route holds at scales far from 1
+    for lam in (1e-12, 1e-6, 1e6, 1e12):
+        closed = riesz.reduction_constant(3, 2.5) / lam
+        assert riesz.momentum_integral(3, 2.5, lam) == pytest.approx(closed, rel=1e-13)
+        assert riesz.schwinger_integral(3, 2.5, lam) == pytest.approx(closed, rel=1e-13)
+        c1, c3, nested = riesz.two_step_chain(lam)
+        assert nested == pytest.approx(c1 * c3 / lam, rel=1e-13)
+
+
+def test_quad_checked_finite_intervals():
+    got = riesz.quad_checked(lambda x: x**-0.5, 0.0, 1.0, epsabs=0.0)
+    assert got == pytest.approx(2.0, rel=1e-14)
+    got = riesz.quad_checked(np.cos, -1.0, 2.0, epsabs=0.0)
+    assert got == pytest.approx(math.sin(2.0) + math.sin(1.0), rel=1e-14)
+    got = riesz.quad_checked(lambda x: np.exp(-x), 3.0, math.inf, epsabs=0.0)
+    assert got == pytest.approx(math.exp(-3.0), rel=1e-14)
+
+
+def test_quad_checked_too_coarse_rule_trips_guard(monkeypatch):
+    # every 16th node: h = 1/2 instead of 1/32 on the same window
+    monkeypatch.setattr(riesz, "_DE_Y", riesz._DE_Y[::16])
+    monkeypatch.setattr(riesz, "_DE_C", 16.0 * riesz._DE_C[::16])
+    with pytest.raises(QuadratureError, match="h/2 gap"):
+        riesz.schwinger_integral(3, 2.5, 0.01)
+    with pytest.raises(QuadratureError):
+        riesz.momentum_integral(3, 2.5, 0.01)
+
+
+def test_quad_checked_rejects_nan_integrand():
+    def f(x):
+        return np.where(x > 2.0, np.nan, np.exp(-x))
+
+    with pytest.raises(QuadratureError):
+        riesz.quad_checked(f, 0.0, math.inf, epsabs=1e-10)
+
+
+def test_quad_checked_rejects_integrand_large_at_window_end():
+    # convergent, but (1+x)^-1.01 is still 4e-3 of its size at x = e^522
+    with pytest.raises(QuadratureError, match="rim term"):
+        riesz.quad_checked(lambda x: (1.0 + x) ** -1.01, 0.0, math.inf, epsabs=1e-10)
+
+
+def test_quad_checked_raises_on_overflow():
+    # the plain radial integrand overflows at q^2 = e^1044; the log form does not
+    with pytest.raises(QuadratureError, match="float range"):
+        riesz.quad_checked(lambda q: q**2 * (1.0 + q * q) ** -2.5, 0.0, math.inf, epsabs=0.0)
+    assert riesz.momentum_integral(3, 2.5, 1.0) == pytest.approx(
+        riesz.reduction_constant(3, 2.5), rel=1e-14
+    )
 
 
 def test_mollified_zero_width_short_circuit():
