@@ -1,12 +1,12 @@
 """Finite-part extraction from regulated traces: divergence subtraction,
-scheme dependence of the log term, and the built-in stability guards."""
+the plate finite part, and the built-in conditioning and stability guards."""
 
 import math
 
 import numpy as np
 
-from caslab import heattrace
-from caslab.errors import FitInstabilityError
+from caslab import heattrace, plates
+from caslab.errors import FitConditionError, FitInstabilityError
 
 TAUS = np.geomspace(1e-3, 5e-2, 24)
 
@@ -26,23 +26,23 @@ print(f"  coefficients {model.coefficients}")
 print(f"  finite part  {model.c0:.12f}   (nested window {model.nested_c0:.12f})")
 print(f"  drift {model.stability_drift:.2e}, cond {model.condition_number:.2e}")
 
-# a log divergence makes the finite part scheme dependent: changing the
-# reference scale mu shifts c0 by -a_log * log(mu^2)
-fn = lambda t: 4.0 * t**-1.0 - 1.5 * math.log(t) + 2.0  # noqa: E731
-m1 = heattrace.finite_part(make_samples(fn), exponents=(1.0,), include_log=True, mu=1.0)
-m2 = heattrace.finite_part(make_samples(fn), exponents=(1.0,), include_log=True, mu=2.0)
+# the plate trace per unit area: subtracting tau^-2 and tau^-3/2 leaves the
+# Casimir coefficient -pi^2/1440, with no log tau term in a flat geometry
+a = 1.0
+plate = [plates.per_area_trace(a, float(t)) for t in plates.default_tau_grid(a)]
+pm = heattrace.finite_part(plate, exponents=plates.PLATE_EXPONENTS)
 print()
-print("log term present, value = 4 tau^-1 - 1.5 log(tau) + 2")
-print(f"  mu=1: c0 = {m1.c0:+.12f}  log coefficient {m1.log_coefficient:+.6f}")
-print(f"  mu=2: c0 = {m2.c0:+.12f}")
-print(f"  shift c0(2) - c0(1)        = {m2.c0 - m1.c0:+.12f}")
-print(f"  -log_coefficient * log(4)  = {-m1.log_coefficient * math.log(4.0):+.12f}")
+print("plate per-area trace, divergences tau^-2 and tau^-3/2")
+print(f"  finite part {pm.c0:+.12f}   -pi^2/1440 = {-math.pi**2 / 1440.0:+.12f}")
+print(f"  drift {pm.stability_drift:.2e} (tolerance {pm.stability_tol:g} relative)")
 
-# a fixed local counterterm moves the finite part by exactly that amount
-plain = heattrace.finite_part(samples, exponents=(1.5, 0.5))
-shifted = heattrace.finite_part(samples, exponents=(1.5, 0.5), counterterm=-1.25)
-print()
-print(f"counterterm -1.25 shifts c0: {plain.c0:.6f} -> {shifted.c0:.6f}")
+# guard: two nearly equal exponents make the design matrix singular, and
+# the fit refuses rather than return arbitrary coefficients
+try:
+    heattrace.finite_part(samples, exponents=(1.5, 1.5 + 1e-11))
+except FitConditionError as exc:
+    print()
+    print(f"near-degenerate exponents rejected: {exc}")
 
 # guard: leaving a real divergence out of the model trips the nested-window
 # stability check instead of silently contaminating c0

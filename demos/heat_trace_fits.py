@@ -1,20 +1,24 @@
-"""Mixed-cell heat trace: dual theta routes, the four-term small-t law,
-and the area-type coefficient against its closed form."""
+"""Mixed-cell heat trace: the theta sums behind it, the four-term small-t
+law, and the area-type coefficient against its closed form."""
 
 import math
 
 from caslab import heattrace, specfun
 
-# the trace factorizes over axes; each theta factor picks its own route
-# (direct series vs dual series) and the two must agree at the crossover
-ell, t = 1.0, 1.0 / math.pi  # pi t / ell^2 = 1, both routes take 4 terms
+# the trace factorizes over axes; each theta factor sums its defining series
+# from pi t / ell^2 = 1 up and its modular dual below, so the value must not
+# jump where the route changes
+ell = 1.0
 td = specfun.Bc.DIRICHLET
-direct = specfun.theta_eval(td, ell, t, mode=specfun.ThetaMode.DIRECT_SERIES).value
-dual = specfun.theta_eval(td, ell, t, mode=specfun.ThetaMode.JACOBI_DUAL).value
-print("Dirichlet theta at the route crossover (pi t / ell^2 = 1)")
-print(f"  direct series {direct:.15e}")
-print(f"  dual series   {dual:.15e}")
-print(f"  difference    {abs(direct - dual):.2e}")
+print("Dirichlet theta on both sides of the route switch (pi t / ell^2 = 1)")
+for x in (0.1, 0.5, 1.0, 2.0, 10.0):
+    ev = specfun.theta_eval(td, ell, x * ell**2 / math.pi)
+    print(f"  pi t/ell^2 = {x:<5} theta = {ev.value:.15e}  "
+          f"({ev.terms} terms, tail < {ev.tail_bound:.1e})")
+t = 1.0 / math.pi  # pi t / ell^2 rounds to exactly 1: the series' side
+at = specfun.theta_eval(td, ell, t).value
+below = specfun.theta_eval(td, ell, math.nextafter(t, 0.0)).value
+print(f"  series at the switch vs dual one ulp below: difference {abs(at - below):.2e}")
 
 l1, l2, a = 1.3, 0.7, 1.1
 print()

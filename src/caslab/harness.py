@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__, acceptance, boxint, heattrace, plates, riesz, spectrum, stochastic
 from .acceptance import CheckReport
-from .errors import CaslabError, ConfigError
+from .errors import CaslabError, ConfigError, ParameterError, check_positive
 
 OUT_ENV_VAR = "CASLAB_OUT"
 _FORMATS = ("json", "csv", "both")
@@ -106,11 +106,18 @@ def _write_report(config: RunConfig, report: dict, tables: dict[str, list]) -> N
 
 
 def _run_reduce(config: RunConfig):
-    lam = config.params["lam"]
+    lam = check_positive(config.params["lam"], "spectral value lambda")
     checks = []
     rows = [("m", "s", "closed", "momentum", "schwinger")]
     for m, s in ((1, 3.0), (2, 2.0), (3, 2.5), (3, 4.0), (4, 3.0)):
-        closed = riesz.reduction_constant(m, s) * lam ** (0.5 * m - s)
+        try:
+            closed = riesz.reduction_constant(m, s) * lam ** (0.5 * m - s)
+        except OverflowError:
+            closed = math.inf
+        if not 0.0 < closed < math.inf:
+            raise ParameterError(
+                f"closed form at lam={lam!r}, m={m}, s={s} leaves the float range"
+            )
         mom = riesz.momentum_integral(m, s, lam)
         sch = riesz.schwinger_integral(m, s, lam)
         rows.append((float(m), s, closed, mom, sch))
@@ -139,14 +146,17 @@ def _run_reduce(config: RunConfig):
     return report, {"constants": rows}
 
 
+def _cell_sides(params: dict) -> tuple[float, float, float]:
+    """Sides (alpha a, a / alpha, a) of the fixed-cross-section cell."""
+    a, alpha = params["a"], check_positive(params["alpha"], "aspect ratio alpha")
+    return alpha * a, a / alpha, a
+
+
 def _run_spectrum(config: RunConfig):
-    a, alpha, cutoff = (
-        config.params["a"],
-        config.params["alpha"],
-        config.params["cutoff"],
+    l1, l2, a = _cell_sides(config.params)
+    stream = spectrum.enumerate_modes(
+        spectrum.mixed_cell(l1, l2, a), config.params["cutoff"]
     )
-    l1, l2 = alpha * a, a / alpha
-    stream = spectrum.enumerate_modes(spectrum.mixed_cell(l1, l2, a), cutoff)
     sat = spectrum.saturation_check(l1, l2, a)
     pairs = list(zip(stream.values.tolist(), stream.multiplicities.tolist()))
     modes = [{"value": v, "multiplicity": m} for v, m in pairs]
@@ -164,8 +174,7 @@ def _run_spectrum(config: RunConfig):
 
 
 def _run_heat_trace(config: RunConfig):
-    a, alpha = config.params["a"], config.params["alpha"]
-    l1, l2 = alpha * a, a / alpha
+    l1, l2, a = _cell_sides(config.params)
     grid = heattrace.short_time_grid()
     rows = [("t", "trace")]
     rows += [(float(t), heattrace.mixed_cell_heat_trace(l1, l2, a, float(t))) for t in grid]
@@ -267,7 +276,7 @@ def _run_plates(config: RunConfig):
     a = config.params["a"]
     grid = plates.default_tau_grid(a)
     samples = [plates.per_area_trace(a, float(t)) for t in grid]
-    fit = plates.casimir_per_area(a, plates.CasimirMethod.HEAT_FIT)
+    fit = heattrace.finite_part(samples, plates.PLATE_EXPONENTS).c0
     zeta = plates.casimir_per_area(a, plates.CasimirMethod.ZETA_ROUTE)
     rows = [("tau", "trace")]
     rows += [(s.tau, s.value) for s in samples]

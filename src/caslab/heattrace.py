@@ -6,7 +6,8 @@ factorize into one-dimensional theta sums, whose short-time expansion has
 computable volume, area, edge, and corner coefficients.  One weighted,
 column-equilibrated power-law fit with a condition-number guard serves both
 those coefficients and the finite part of a divergent small-tau expansion;
-the finite part adds an explicit window-stability guard.
+the finite part adds an explicit window-stability guard.  The finite part
+subtracts pure power divergences only: a flat box has no log tau term.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from .errors import (
 from .spectrum import EigenStream, mixed_cell, saturation_check
 
 _TAIL_TARGET = 1e-6  # tail bound must stay below this fraction of the value
+_STABILITY_TOL = 5e-3  # allowed relative move of c0 between nested windows
+_COND_LIMIT = 1e10  # largest trusted condition number of a fit design matrix
 
 
 @dataclass(frozen=True)
@@ -69,23 +72,20 @@ def mixed_cell_heat_trace(l1: float, l2: float, a: float, t: float) -> float:
     return mixed_cell(l1, l2, a).heat_trace(t)
 
 
-def short_time_grid(lo: float = 1e-4, hi: float = 1e-3, n: int = 16) -> np.ndarray:
-    """Default geometric t-grid for short-time coefficient fits."""
-    return np.geomspace(lo, hi, n)
+def short_time_grid() -> np.ndarray:
+    """Geometric t-grid of short-time coefficient fits: 16 points in [1e-4, 1e-3]."""
+    return np.geomspace(1e-4, 1e-3, 16)
 
 
-def short_time_coefficients(
-    l1: float, l2: float, a: float, t_grid: Sequence[float] | None = None
-) -> dict[str, float]:
+def short_time_coefficients(l1: float, l2: float, a: float) -> dict[str, float]:
     """Fit the four-term small-t law of the mixed-cell heat trace.
 
-    Model: K(t) = c32 t^{-3/2} + c1 t^{-1} + c12 t^{-1/2} + c0, fitted by
-    the power-law fit behind finite_part, weights t^{3/2}.  Returns the
-    fitted coefficients keyed by the exponent they multiply.
+    Model: K(t) = c32 t^{-3/2} + c1 t^{-1} + c12 t^{-1/2} + c0 on
+    short_time_grid(), fitted by the power-law fit behind finite_part,
+    weights t^{3/2}.  Returns the fitted coefficients keyed by the exponent
+    they multiply.
     """
-    t = np.asarray(t_grid if t_grid is not None else short_time_grid(), dtype=float)
-    if t.ndim != 1 or t.size < 6:
-        raise ParameterError("need a one-dimensional grid with >= 6 points")
+    t = short_time_grid()
     cell = mixed_cell(l1, l2, a)
     k = np.array([cell.heat_trace(ti) for ti in t])
     coef, _, _ = _power_law_fit(t, k, (1.5, 1.0, 0.5))
@@ -121,17 +121,13 @@ def b_coefficient(l1: float, l2: float, a: float) -> float:
 class FinitePartModel:
     """Result of a finite-part fit: modeled divergences and the constant term.
 
-    c0 already includes the optional local counterterm.  The stability fields
-    record how much c0 moved when the fit window was cut in half at the top.
+    The stability fields record how much c0 moved when the fit window was cut
+    in half at the top, and the relative tolerance that move was held to.
     """
 
     exponents: tuple[float, ...]
-    include_log: bool
-    mu: float
     coefficients: dict[str, float]
-    log_coefficient: float
     c0: float
-    counterterm: float
     residual: float
     window: tuple[float, float]
     condition_number: float
@@ -144,21 +140,15 @@ def _power_law_fit(
     tau: np.ndarray,
     values: np.ndarray,
     exponents: tuple[float, ...],
-    *,
-    include_log: bool = False,
-    mu: float = 1.0,
-    cond_limit: float = 1e10,
 ) -> tuple[np.ndarray, float, float]:
-    """Fit values = sum_b c_b tau^{-b} [+ c_log log(mu^2 tau)] + c0.
+    """Fit values = sum_b c_b tau^{-b} + c0.
 
     Least squares with weights tau^{max b} and equilibrated columns; returns
     (coef, weighted rms residual, condition number), coef ordered as the
-    exponents, then the log term, then c0.  A FitConditionError is raised when
-    the condition number exceeds cond_limit.
+    exponents, then c0.  A FitConditionError is raised when the condition
+    number exceeds 1e10.
     """
     cols = [tau ** (-b) for b in exponents]
-    if include_log:
-        cols.append(np.log(mu * mu * tau))
     cols.append(np.ones_like(tau))
     design = np.column_stack(cols)
     w = tau ** max(exponents)
@@ -168,10 +158,10 @@ def _power_law_fit(
     scale[scale == 0.0] = 1.0
     aeq = aw / scale
     cond = float(np.linalg.cond(aeq))
-    if cond > cond_limit:
+    if cond > _COND_LIMIT:
         raise FitConditionError(
             f"fit design matrix condition number {cond:.3e} exceeds "
-            f"{cond_limit:.0e}; choose better-separated exponents or a wider "
+            f"{_COND_LIMIT:.0e}; choose better-separated exponents or a wider "
             "window",
             condition_number=cond,
         )
@@ -184,29 +174,18 @@ def _power_law_fit(
 def finite_part(
     samples: Sequence[HeatTraceSample],
     exponents: Sequence[float],
-    include_log: bool = False,
-    mu: float = 1.0,
-    counterterm: float = 0.0,
-    stability_tol: float = 5e-3,
-    cond_limit: float = 1e10,
 ) -> FinitePartModel:
-    """Extract the constant term of value(tau) = sum_b a_b tau^{-b}
-    [+ a_log log(mu^2 tau)] + c0 from trace samples.
+    """Extract the constant term of value(tau) = sum_b a_b tau^{-b} + c0 from
+    trace samples.
 
     The fit is linear least squares with weights tau^{max b}, repeated on the
     nested window [tau_min, tau_max/2]; the two constant terms must agree
-    within stability_tol (relative) or a FitInstabilityError is raised.  The
-    optional counterterm is added to c0, matching a renormalization scheme
-    that shifts the finite part by a fixed local constant.
+    within 5e-3 (relative) or a FitInstabilityError is raised.
     """
     exps = {check_positive(b, "divergent exponent") for b in exponents}
     exps = tuple(sorted(exps, reverse=True))
     if not exps:
         raise ParameterError("need at least one divergent exponent")
-    mu = check_positive(mu, "reference scale mu")
-    # a nan tolerance or limit would silently switch its guard off
-    stability_tol = check_positive(stability_tol, "stability_tol")
-    cond_limit = check_positive(cond_limit, "cond_limit")
     if len(samples) < len(exps) + 2:
         raise ParameterError(
             f"need at least {len(exps) + 2} samples for exponents {exps}"
@@ -225,18 +204,16 @@ def finite_part(
                 "above the fit's accuracy target"
             )
 
-    ncols = len(exps) + (2 if include_log else 1)
-    fit = dict(include_log=include_log, mu=mu, cond_limit=cond_limit)
-    coef, resid, cond = _power_law_fit(tau, values, exps, **fit)
+    coef, resid, cond = _power_law_fit(tau, values, exps)
     half = tau <= tau[-1] / 2.0
-    if int(half.sum()) < ncols + 1:
+    if int(half.sum()) < len(exps) + 2:
         raise ParameterError("too few samples in the nested half window")
-    coef_half, _, _ = _power_law_fit(tau[half], values[half], exps, **fit)
+    coef_half, _, _ = _power_law_fit(tau[half], values[half], exps)
     c0_full = float(coef[-1])
     c0_half = float(coef_half[-1])
     drift = abs(c0_full - c0_half)
     coeff_scale = float(np.max(np.abs(coef))) if coef.size else 1.0
-    allowed = stability_tol * max(abs(c0_full), abs(c0_half), 1e-9 * max(coeff_scale, 1.0))
+    allowed = _STABILITY_TOL * max(abs(c0_full), abs(c0_half), 1e-9 * max(coeff_scale, 1.0))
     if drift > allowed:
         raise FitInstabilityError(
             f"finite part moved by {drift:.3e} between nested windows "
@@ -244,19 +221,14 @@ def finite_part(
             drift=drift,
             tolerance=allowed,
         )
-    log_coef = float(coef[len(exps)]) if include_log else 0.0
     return FinitePartModel(
         exponents=exps,
-        include_log=include_log,
-        mu=mu,
         coefficients={f"tau^-{b:g}": float(c) for b, c in zip(exps, coef)},
-        log_coefficient=log_coef,
-        c0=c0_full + counterterm,
-        counterterm=counterterm,
+        c0=c0_full,
         residual=resid,
         window=(float(tau[0]), float(tau[-1])),
         condition_number=cond,
-        nested_c0=c0_half + counterterm,
+        nested_c0=c0_half,
         stability_drift=drift,
-        stability_tol=stability_tol,
+        stability_tol=_STABILITY_TOL,
     )

@@ -14,19 +14,24 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import boxint, specfun
-from .errors import ConvergenceError, check_choice, check_count, check_positive
+from .errors import (
+    ConvergenceError,
+    ParameterError,
+    check_choice,
+    check_count,
+    check_positive,
+)
 from .heattrace import (
     FinitePartModel,
     HeatTraceSample,
     finite_part,
     regulated_trace,
 )
-from .spectrum import AxisSpec, Bc, BoxSpec, EigenStream, enumerate_modes
+from .spectrum import AxisSpec, Bc, BoxSpec, enumerate_modes
 
 PLATE_EXPONENTS = (2.0, 1.5)
 PIPELINE_TOLERANCE = 7.5e-3  # fit bias bound (0.5%) plus margin for Delta
@@ -55,20 +60,11 @@ def plate_box(L: float, a: float) -> BoxSpec:
     )
 
 
-def plate_stream(
-    L: float, a: float, tau: float, cutoff: float | None = None
-) -> EigenStream:
-    """Enumerated plate spectrum with a cutoff adequate for regulator tau."""
-    if cutoff is None:
-        cutoff = max(60.0 / tau, 4.0 * (math.pi / a) ** 2)
-    return enumerate_modes(plate_box(L, a), cutoff)
-
-
-def finite_box_trace(
-    config: PlateConfig, tau: float, cutoff: float | None = None
-) -> HeatTraceSample:
-    """Regulated half trace of the finite plate box at regulator tau."""
-    stream = plate_stream(config.L, config.a, tau, cutoff)
+def finite_box_trace(config: PlateConfig, tau: float) -> HeatTraceSample:
+    """Regulated half trace of the finite plate box at regulator tau, over the
+    spectrum enumerated below max(60/tau, 4 pi^2/a^2)."""
+    cutoff = max(60.0 / tau, 4.0 * (math.pi / config.a) ** 2)
+    stream = enumerate_modes(plate_box(config.L, config.a), cutoff)
     return regulated_trace(stream, tau)
 
 
@@ -101,10 +97,14 @@ def default_tau_grid(a: float) -> np.ndarray:
     The window sits low enough that the first power correction beyond the
     modeled divergences (linear in tau) stays well under the 0.5% accuracy
     target for the constant term.  Both ends are placed exactly, so the grid
-    spans one full decade for every a, as finite_part requires.
+    spans one full decade for every a, as finite_part requires.  The fit
+    raises tau to the powers -2 and 2, so the window must lie within
+    (1e-150, 1e150) for both to stay in the float range.
     """
     a = check_positive(a, "a")
     lo = 1e-4 * a * a
+    if not (lo > 1e-150 and 10.0 * lo < 1e150):
+        raise ParameterError(f"fit window of a={a!r} leaves the float range")
     return np.geomspace(lo, 10.0 * lo, 12)
 
 
@@ -113,12 +113,10 @@ class CasimirMethod(str, enum.Enum):
     ZETA_ROUTE = "zeta_route"
 
 
-def heat_fit_model(
-    a: float, tau_grid: Sequence[float] | None = None
-) -> FinitePartModel:
-    """Finite-part fit of the per-area trace with divergences {2, 3/2}."""
-    grid = np.asarray(tau_grid if tau_grid is not None else default_tau_grid(a))
-    samples = [per_area_trace(a, float(t)) for t in grid]
+def heat_fit_model(a: float) -> FinitePartModel:
+    """Finite-part fit of the per-area trace with divergences {2, 3/2} on
+    default_tau_grid(a)."""
+    samples = [per_area_trace(a, float(t)) for t in default_tau_grid(a)]
     return finite_part(samples, PLATE_EXPONENTS)
 
 
@@ -126,7 +124,6 @@ def casimir_per_area(
     a: float,
     method: CasimirMethod = CasimirMethod.ZETA_ROUTE,
     n_channels: int = 1,
-    tau_grid: Sequence[float] | None = None,
 ) -> float:
     """Plate energy per unit area for N scalar channels (hbar c = 1).
 
@@ -139,7 +136,7 @@ def casimir_per_area(
     check_count(n_channels, "channel count")
     method = check_choice(method, CasimirMethod, "Casimir method")
     if method is CasimirMethod.HEAT_FIT:
-        return n_channels * heat_fit_model(a, tau_grid).c0
+        return n_channels * heat_fit_model(a).c0
     ratio = specfun.gamma(-1.5) / specfun.gamma(-0.5)
     zeta = float(specfun.zeta_negative_odd(3))
     return n_channels * (1.0 / (8.0 * math.pi)) * ratio * (math.pi / a) ** 3 * zeta

@@ -5,8 +5,8 @@ The gamma and error functions wrap the C library implementations but pin down
 the behavior the rest of the package relies on: explicit pole detection, a
 reflection formula for the left half line, exact oddness of erf, and stated
 accuracy targets (relative 1e-12 for gamma on |x| <= 30, absolute 1e-13 for
-erf).  The theta sums implement both the defining series and its modular dual
-with certified truncation tails.
+erf).  The theta sums are evaluated by the defining series or by its modular
+dual, chosen automatically by pi t / L^2, with certified truncation tails.
 """
 
 from __future__ import annotations
@@ -107,20 +107,11 @@ class Bc(str, enum.Enum):
     PERIODIC = "periodic"    # (2 pi k / L)^2, k in Z
 
 
-class ThetaMode(str, enum.Enum):
-    """Evaluation route for theta sums."""
-
-    AUTO = "auto"
-    DIRECT_SERIES = "direct_series"
-    JACOBI_DUAL = "jacobi_dual"
-
-
 @dataclass(frozen=True)
 class ThetaEval:
     """Result of a theta evaluation with truncation accounting."""
 
     value: float
-    mode: ThetaMode
     terms: int
     tail_bound: float
 
@@ -138,7 +129,7 @@ def _theta_direct(bc: Bc, length: float, t: float) -> ThetaEval:
             # decreasing in k, so the tail is below term / (1 - ratio)
             ratio = math.exp(-c * (2 * r + 1))
             tail = term / (1.0 - ratio)
-            return ThetaEval(total, ThetaMode.DIRECT_SERIES, terms, tail)
+            return ThetaEval(total, terms, tail)
         total += term
         terms += 1
         r += 1
@@ -159,18 +150,13 @@ def _theta_dual(bc: Bc, length: float, t: float) -> ThetaEval:
         if 0.5 * pref * term < _SERIES_RTOL * (1.0 + abs(value)):
             ratio = math.exp(-q * (2 * k + 1))
             tail = 0.5 * pref * term / (1.0 - ratio)
-            return ThetaEval(value, ThetaMode.JACOBI_DUAL, terms, tail)
+            return ThetaEval(value, terms, tail)
         dual += term
         terms += 1
         k += 1
 
 
-def theta_eval(
-    bc: Bc,
-    length: float,
-    t: float,
-    mode: ThetaMode = ThetaMode.AUTO,
-) -> ThetaEval:
+def theta_eval(bc: Bc, length: float, t: float) -> ThetaEval:
     """Evaluate a boundary theta sum with a certified truncation tail.
 
     Parameters
@@ -181,13 +167,11 @@ def theta_eval(
         1 + 2 Theta_D(L/2; t).
     length, t : float
         Finite interval length L > 0 and diffusion time t > 0.
-    mode : ThetaMode
-        AUTO switches to the defining series once pi*t/L^2 >= 1 and to the
-        modular dual below that, so either route needs only a handful of
-        terms.
+
+    The defining series is summed once pi*t/L^2 >= 1 and the modular dual
+    below that, so either route needs only a handful of terms.
     """
     bc = check_choice(bc, Bc, "boundary condition")
-    mode = check_choice(mode, ThetaMode, "theta mode")
     length = check_positive(length, "theta length")
     t = check_positive(t, "theta t")
     periodic = bc is Bc.PERIODIC
@@ -195,14 +179,8 @@ def theta_eval(
         # periodic modes are the Dirichlet modes of the half interval, each
         # twice, plus the zero mode
         bc, length = Bc.DIRICHLET, 0.5 * length
-    if mode is ThetaMode.AUTO:
-        mode = (
-            ThetaMode.DIRECT_SERIES
-            if math.pi * t / (length * length) >= 1.0
-            else ThetaMode.JACOBI_DUAL
-        )
-    route = _theta_direct if mode is ThetaMode.DIRECT_SERIES else _theta_dual
+    route = _theta_direct if math.pi * t / (length * length) >= 1.0 else _theta_dual
     ev = route(bc, length, t)
     if periodic:
-        return ThetaEval(1.0 + 2.0 * ev.value, ev.mode, ev.terms, 2.0 * ev.tail_bound)
+        return ThetaEval(1.0 + 2.0 * ev.value, ev.terms, 2.0 * ev.tail_bound)
     return ev

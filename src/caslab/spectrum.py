@@ -43,7 +43,12 @@ class AxisSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "bc", check_choice(self.bc, Bc, "boundary condition"))
-        check_positive(self.length, "axis length")
+        scale = 2.0 * math.pi / check_positive(self.length, "axis length")
+        if not math.isfinite(scale * scale):
+            raise ParameterError(
+                f"axis length {self.length!r} is so short that its mode scale "
+                "(2 pi / L)^2 leaves the float range"
+            )
 
     @property
     def min_value(self) -> float:
@@ -125,6 +130,8 @@ class EigenStream:
             object.__setattr__(self, name, array)
         if self.values.ndim != 1 or self.values.shape != self.multiplicities.shape:
             raise ParameterError("values and multiplicities must be 1-D, of one length")
+        if not np.all(self.values[1:] > self.values[:-1]):
+            raise ParameterError("values must be strictly ascending")
 
     @property
     def mode_count(self) -> int:

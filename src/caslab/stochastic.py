@@ -1,52 +1,40 @@
 """Heat-regularized Gaussian source sampling and the stochastic trace identity.
 
-A regulated random source has independent mode components
-sigma_j = sqrt(hbar_c / g) lambda_j^{3/4} e^{-tau lambda_j / 2} xi_j, and the
-quadratic energy U = (g/2) sum |sigma_j|^2 / lambda_j collapses to
-(hbar_c/2) sum lambda_j^{1/2} e^{-tau lambda_j} xi_j^2, so its expectation is
-the regulated half trace.  Monte Carlo estimation uses counter-based
+A regulated real Gaussian source (units with hbar c = 1) has independent mode
+components sigma_j = sqrt(1 / g) lambda_j^{3/4} e^{-tau lambda_j / 2} xi_j,
+and the quadratic energy U = (g/2) sum sigma_j^2 / lambda_j collapses to
+(1/2) sum lambda_j^{1/2} e^{-tau lambda_j} xi_j^2, so its expectation is the
+regulated half trace.  Monte Carlo estimation uses counter-based
 per-worker substreams with a deterministic reduction, so results are
 bit-reproducible for a fixed (seed, worker_count).
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import check_choice, check_count, check_positive
+from .errors import check_count, check_positive
 from .spectrum import EigenStream
 
 _BATCH_ROWS = 1 << 16
 _BATCH_BYTES = 64 << 20  # memory budget of one batch of draws
 
 
-class Channel(str, enum.Enum):
-    """Noise channel: real Gaussian, or complex with E|xi|^2 = 1."""
-
-    REAL = "real"
-    COMPLEX = "complex"
-
-
 @dataclass(frozen=True)
 class SourceSpec:
-    """Spectrum, regulator, and normalization of one scalar source channel."""
+    """Spectrum, regulator, and normalization of one real scalar source."""
 
     stream: EigenStream
     tau: float
     g: float = 1.0
-    hbar_c: float = 1.0
-    channel: Channel = Channel.REAL
 
     def __post_init__(self):
-        object.__setattr__(self, "channel", check_choice(self.channel, Channel, "channel"))
         check_positive(self.tau, "regulator tau")
         check_positive(self.g, "normalization g")
-        check_positive(self.hbar_c, "hbar_c")
 
 
 @dataclass(frozen=True)
@@ -61,21 +49,15 @@ class MCEstimate:
 
 
 def sample_sigma_components(spec: SourceSpec, rng: np.random.Generator) -> np.ndarray:
-    """One draw of every mode component sigma_j, one entry per basis vector.
-
-    A float64 array for the real channel; a complex128 array for the complex
-    channel, with E|sigma_j|^2 unchanged.
-    """
+    """One draw of every mode component sigma_j (float64), one entry per
+    basis vector."""
     lam = spec.stream.modes()
-    amp = np.sqrt(spec.hbar_c / spec.g) * lam**0.75 * np.exp(-0.5 * spec.tau * lam)
-    xi = rng.standard_normal(lam.size)
-    if spec.channel is Channel.COMPLEX:
-        xi = (xi + 1j * rng.standard_normal(lam.size)) / math.sqrt(2.0)
-    return amp * xi
+    amp = np.sqrt(1.0 / spec.g) * lam**0.75 * np.exp(-0.5 * spec.tau * lam)
+    return amp * rng.standard_normal(lam.size)
 
 
 def sample_U(spec: SourceSpec, rng: np.random.Generator) -> float:
-    """One draw of the quadratic energy U = (g/2) sum_j |sigma_j|^2 / lambda_j.
+    """One draw of the quadratic energy U = (g/2) sum_j sigma_j^2 / lambda_j.
 
     Computed literally from the sigma components so the exact cancellation of
     g is a property of the arithmetic, not of an algebraic shortcut.  Always
@@ -83,7 +65,7 @@ def sample_U(spec: SourceSpec, rng: np.random.Generator) -> float:
     """
     lam = spec.stream.modes()
     sigma = sample_sigma_components(spec, rng)
-    return float(0.5 * spec.g * np.sum(np.abs(sigma) ** 2 / lam))
+    return float(0.5 * spec.g * np.sum(sigma**2 / lam))
 
 
 def monte_carlo(
@@ -141,22 +123,20 @@ def mc_estimate(
 ) -> MCEstimate:
     """Mean and standard error of U over n independent draws (see monte_carlo).
 
-    U depends on the modes only through the sum of |xi|^2 over each group of
-    k equal eigenvalues, so one variable per distinct eigenvalue is drawn from
-    its exact law: chi^2_k = 2 Gamma(k/2) for the real channel and Gamma(k)
-    for the complex one.  A real group of one draws a squared normal instead,
-    which numpy samples about three times faster than Gamma(1/2).
+    U depends on the modes only through the sum of xi^2 over each group of k
+    equal eigenvalues, so one variable per distinct eigenvalue is drawn from
+    its exact law, chi^2_k = 2 Gamma(k/2).  A group of one draws a squared
+    normal instead, which numpy samples about three times faster than
+    Gamma(1/2).
     """
-    lam, inv = np.unique(spec.stream.values, return_inverse=True)
-    mult = np.bincount(inv, spec.stream.multiplicities)
-    weight = 0.5 * spec.hbar_c * np.sqrt(lam) * np.exp(-spec.tau * lam)
-    # |sigma_j|^2/lambda_j carries (hbar_c/g) lambda^{1/2} e^{-tau lambda};
-    # the g/2 prefactor restores the weight above exactly as in sample_U
-    real = spec.channel is Channel.REAL
-    single = (mult == 1) & real
+    lam, mult = spec.stream.values, spec.stream.multiplicities
+    weight = 0.5 * np.sqrt(lam) * np.exp(-spec.tau * lam)
+    # sigma_j^2/lambda_j carries (1/g) lambda^{1/2} e^{-tau lambda}; the g/2
+    # prefactor restores the weight above exactly as in sample_U
+    single = mult == 1
     w_single = weight[single]
-    shape = mult[~single] * (0.5 if real else 1.0)
-    w_group = weight[~single] * (2.0 if real else 1.0)
+    shape = mult[~single] * 0.5
+    w_group = weight[~single] * 2.0
 
     def sample(rng: np.random.Generator, rows: int) -> np.ndarray:
         xi2 = rng.standard_normal((rows, w_single.size))

@@ -23,14 +23,7 @@ _POSITIVE_REAL_CALLS = {
     "reference_energy_delta": lambda x: boxint.reference_energy(1.0, 1, 1.0, x),
     "log_concavity_scan": lambda x: boxint.log_concavity_scan(h_step=x),
     "regulated_trace": lambda x: heattrace.regulated_trace(_STREAM, x),
-    "finite_part_mu": lambda x: heattrace.finite_part(_PLATE_SAMPLES, (2.0, 1.5), mu=x),
     "finite_part_exponent": lambda x: heattrace.finite_part(_PLATE_SAMPLES, (2.0, x)),
-    "finite_part_stability_tol": lambda x: heattrace.finite_part(
-        _PLATE_SAMPLES, (2.0, 1.5), stability_tol=x
-    ),
-    "finite_part_cond_limit": lambda x: heattrace.finite_part(
-        _PLATE_SAMPLES, (2.0, 1.5), cond_limit=x
-    ),
     "PlateConfig_a": lambda x: plates.PlateConfig(x, 1.0),
     "PlateConfig_L": lambda x: plates.PlateConfig(1.0, x),
     "default_tau_grid": plates.default_tau_grid,
@@ -42,7 +35,6 @@ _POSITIVE_REAL_CALLS = {
     "saturation_check": lambda x: spectrum.saturation_check(x, x, x),
     "SourceSpec_tau": lambda x: stochastic.SourceSpec(_STREAM, tau=x),
     "SourceSpec_g": lambda x: stochastic.SourceSpec(_STREAM, tau=0.5, g=x),
-    "SourceSpec_hbar_c": lambda x: stochastic.SourceSpec(_STREAM, tau=0.5, hbar_c=x),
     "MollifierSpec_eps": riesz.MollifierSpec,
 }
 
@@ -119,14 +111,12 @@ def test_upper_gamma_three_halves_edges():
         (lambda m: plates.casimir_per_area(1.0, m), "zeta_route", None),
         (lambda m: plates.theta_bar(1.0, source=m), "closed_form", None),
         (lambda m: spectrum.AxisSpec(1.0, m).bc, "periodic", spectrum.Bc.PERIODIC),
-        (lambda m: stochastic.SourceSpec(_STREAM, 0.5, channel=m).channel, "complex",
-         stochastic.Channel.COMPLEX),
+        (lambda m: spectrum.AxisSpec(1.0, m).bc, "dirichlet", spectrum.Bc.DIRICHLET),
         (lambda m: specfun.theta_eval(m, 1.0, 0.5).value, "neumann", None),
-        (lambda m: specfun.theta_eval(spectrum.Bc.DIRICHLET, 1.0, 0.5, m).mode,
-         "direct_series", specfun.ThetaMode.DIRECT_SERIES),
+        (lambda m: specfun.theta_eval(m, 1.0, 0.5).value, "periodic", None),
     ],
     ids=["delta_alpha", "casimir_per_area", "theta_bar", "AxisSpec",
-         "SourceSpec", "theta_eval", "theta_mode"],
+         "AxisSpec_dirichlet", "theta_eval", "theta_eval_periodic"],
 )
 def test_method_names_are_checked(call, name, member):
     got = call(name)  # the value string of a member is accepted

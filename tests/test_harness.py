@@ -202,6 +202,30 @@ def test_module_failure_exits_one_with_report(tmp_path):
     assert report["failure"]["type"] == "CutoffError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "--lam", "0"],
+        ["reduce", "--lam", "1e-200"],
+        ["spectrum", "--alpha", "0"],
+        ["heat-trace", "--alpha", "0"],
+        ["heat-trace", "--alpha", "1e-200"],
+        ["spectrum", "--a", "1e-200"],
+        ["finite-part", "--a", "1e-200"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_out_of_range_parameter_fails_with_report(tmp_path, capsys, argv):
+    # each used to escape run() as a bare ZeroDivisionError, OverflowError or
+    # numpy ValueError
+    assert run_cli(argv, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert f"{argv[0]}: FAIL (" in err
+    assert "Traceback" not in err
+    failure = read_report(tmp_path, argv[0])["failure"]
+    assert issubclass(getattr(caslab.errors, failure["type"]), caslab.CaslabError)
+
+
 def test_stochastic_report(tmp_path):
     code = run_cli(["stochastic", "--n-samples", "20000", "--seed", "7"], tmp_path)
     assert code == 0

@@ -71,12 +71,6 @@ def test_plate_box_layout():
     assert box.lambda_min == pytest.approx(math.pi**2, rel=1e-15)
 
 
-def test_plate_stream_modes():
-    stream = plates.plate_stream(4.0, 1.0, tau=0.5)
-    assert stream.values[0] == pytest.approx(math.pi**2, rel=1e-13)
-    assert stream.mode_count > 10
-
-
 def test_default_tau_grid():
     grid = plates.default_tau_grid(2.0)
     assert grid[0] == pytest.approx(1e-4 * 4.0)
@@ -165,7 +159,7 @@ def test_counts_are_validated():
 
 
 def test_stochastic_closure_on_plate_stream():
-    stream = plates.plate_stream(4.0, 1.0, tau=0.5)
+    stream = spectrum.enumerate_modes(plates.plate_box(4.0, 1.0), 120.0)
     trace = heattrace.regulated_trace(stream, 0.5)
     est = stochastic.mc_estimate(
         stochastic.SourceSpec(stream=stream, tau=0.5), n=100_000, seed=21

@@ -99,31 +99,60 @@ def test_theta_against_brute_force():
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
+def _route_values(kind, length, t):
+    """(direct, dual) values of one theta sum, periodic axes mapped onto the
+    Dirichlet modes of the half interval as theta_eval maps them."""
+    if kind is specfun.Bc.PERIODIC:
+        direct, dual = _route_values(specfun.Bc.DIRICHLET, 0.5 * length, t)
+        return 1.0 + 2.0 * direct, 1.0 + 2.0 * dual
+    return (
+        specfun._theta_direct(kind, length, t).value,
+        specfun._theta_dual(kind, length, t).value,
+    )
+
+
+def _at_switch(length):
+    """A t with pi t / L^2 == 1.0 exactly in floating point."""
+    t = length * length / math.pi
+    while math.pi * t / (length * length) < 1.0:
+        t = math.nextafter(t, math.inf)
+    while math.pi * t / (length * length) > 1.0:
+        t = math.nextafter(t, 0.0)
+    assert math.pi * t / (length * length) == 1.0
+    return t
+
+
 def test_theta_dual_path_agreement():
-    # both summation routes across the crossover region
-    for x in (0.2, 0.5, 0.9, 1.0, 1.1, 2.0, 5.0):
-        length = 1.3
-        t = x * length**2 / math.pi
+    # both summation routes across the crossover region, the switch included
+    length = 1.3
+    ts = [x * length**2 / math.pi for x in (0.2, 0.5, 0.9, 1.0, 1.1, 2.0, 5.0)]
+    for t in ts + [_at_switch(length)]:
         for kind in specfun.Bc:
-            direct = specfun.theta_eval(kind, length, t, mode=specfun.ThetaMode.DIRECT_SERIES)
-            dual = specfun.theta_eval(kind, length, t, mode=specfun.ThetaMode.JACOBI_DUAL)
-            assert direct.value == pytest.approx(dual.value, rel=1e-12, abs=1e-15)
+            direct, dual = _route_values(kind, length, t)
+            assert direct == pytest.approx(dual, rel=1e-12, abs=1e-15)
 
 
 def test_theta_auto_mode_selection():
+    # the defining series from pi t / L^2 = 1 up, the modular dual below it
     length = 1.0
-    fast = specfun.theta_eval(specfun.Bc.DIRICHLET, length, 1.01 / math.pi)
-    slow = specfun.theta_eval(specfun.Bc.DIRICHLET, length, 0.99 / math.pi)
-    assert fast.mode is specfun.ThetaMode.DIRECT_SERIES
-    assert slow.mode is specfun.ThetaMode.JACOBI_DUAL
+    switch = _at_switch(length)
+    below = math.nextafter(switch, 0.0)
+    for t, route in ((1.01 / math.pi, specfun._theta_direct), (switch, specfun._theta_direct),
+                     (below, specfun._theta_dual), (0.99 / math.pi, specfun._theta_dual)):
+        for kind in (specfun.Bc.DIRICHLET, specfun.Bc.NEUMANN):
+            assert specfun.theta_eval(kind, length, t) == route(kind, length, t)
+        # a periodic axis switches on its half length
+        half = route(specfun.Bc.DIRICHLET, 0.5 * length, t / 4.0)
+        periodic = specfun.theta_eval(specfun.Bc.PERIODIC, length, t / 4.0)
+        assert periodic.value == 1.0 + 2.0 * half.value
+        assert periodic.terms == half.terms
 
 
 def test_theta_term_counts_at_crossover():
     length = 1.0
-    t = length**2 / math.pi  # pi t / l^2 = 1
-    for mode in (specfun.ThetaMode.DIRECT_SERIES, specfun.ThetaMode.JACOBI_DUAL):
-        ev = specfun.theta_eval(specfun.Bc.NEUMANN, length, t, mode=mode)
-        assert ev.terms <= 20
+    t = _at_switch(length)
+    for route in (specfun._theta_direct, specfun._theta_dual):
+        assert route(specfun.Bc.NEUMANN, length, t).terms <= 20
 
 
 def test_theta_neumann_dirichlet_offset():
@@ -155,12 +184,8 @@ def test_theta_rejects_bad_arguments():
     t=st.floats(0.05, 5.0),
 )
 def test_theta_paths_agree_property(length, t):
-    direct = specfun.theta_eval(
-        specfun.Bc.NEUMANN, length, t, mode=specfun.ThetaMode.DIRECT_SERIES
-    )
-    dual = specfun.theta_eval(
-        specfun.Bc.NEUMANN, length, t, mode=specfun.ThetaMode.JACOBI_DUAL
-    )
+    direct = specfun._theta_direct(specfun.Bc.NEUMANN, length, t)
+    dual = specfun._theta_dual(specfun.Bc.NEUMANN, length, t)
     assert direct.value == pytest.approx(dual.value, rel=5e-13, abs=1e-14)
 
 

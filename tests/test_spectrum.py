@@ -130,6 +130,18 @@ def test_stream_arrays_are_read_only():
         )
 
 
+@pytest.mark.parametrize(
+    "values", [[30.0, 30.0], [60.0, 30.0], [30.0, math.nan]],
+    ids=["repeated", "descending", "nan"],
+)
+def test_stream_values_must_ascend_strictly(values):
+    # mc_estimate draws one variable per entry of values, so a repeated value
+    # would be a group split in two
+    box = spectrum.BoxSpec((spectrum.AxisSpec(1.0, D),) * 3)
+    with pytest.raises(ParameterError):
+        spectrum.EigenStream(cutoff=80.0, values=values, multiplicities=[1, 1], box=box)
+
+
 def test_weyl_count():
     axis = spectrum.AxisSpec(1.0, D)
     stream = spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), 1e4)

@@ -21,7 +21,7 @@ def cube_stream():
 
 
 class OnesRng:
-    """Stand-in generator whose normals are all 1 (and 1+1j scaled for pairs)."""
+    """Stand-in generator whose normals are all 1."""
 
     def standard_normal(self, size=None):
         return np.ones(size)
@@ -35,22 +35,12 @@ def test_forced_unit_draw_reproduces_trace(cube_stream):
     assert u == pytest.approx(want, rel=1e-12)
 
 
-def test_forced_unit_draw_complex_channel(cube_stream):
-    # xi = (1 + i)/sqrt(2) has |xi|^2 = 1, so the same collapse holds
-    spec = stochastic.SourceSpec(
-        stream=cube_stream, tau=0.5, channel=stochastic.Channel.COMPLEX
-    )
-    u = stochastic.sample_U(spec, OnesRng())
-    want = heattrace.regulated_trace(cube_stream, 0.5).value
-    assert u == pytest.approx(want, rel=1e-12)
-
-
 def test_sigma_components_shape_and_scale(cube_stream):
-    spec = stochastic.SourceSpec(stream=cube_stream, tau=0.5, g=4.0, hbar_c=9.0)
+    spec = stochastic.SourceSpec(stream=cube_stream, tau=0.5, g=4.0)
     sigma = stochastic.sample_sigma_components(spec, OnesRng())
     assert len(sigma) == cube_stream.mode_count
     lam0 = float(cube_stream.values[0])
-    want0 = math.sqrt(9.0 / 4.0) * lam0**0.75 * math.exp(-0.25 * lam0)
+    want0 = math.sqrt(1.0 / 4.0) * lam0**0.75 * math.exp(-0.25 * lam0)
     assert sigma[0] == pytest.approx(want0, rel=1e-14)
 
 
@@ -85,18 +75,6 @@ def test_mc_variance_identity(cube_stream):
     assert abs(var_mc / var_exact - 1.0) < 0.1
 
 
-def test_complex_channel_halves_variance(cube_stream):
-    real = stochastic.SourceSpec(stream=cube_stream, tau=0.5)
-    cplx = stochastic.SourceSpec(
-        stream=cube_stream, tau=0.5, channel=stochastic.Channel.COMPLEX
-    )
-    er = stochastic.mc_estimate(real, n=200_000, seed=5)
-    ec = stochastic.mc_estimate(cplx, n=200_000, seed=5)
-    assert ec.stderr / er.stderr == pytest.approx(1.0 / math.sqrt(2.0), rel=0.1)
-    trace = heattrace.regulated_trace(cube_stream, 0.5).value
-    assert abs(ec.mean - trace) <= 4.0 * ec.stderr
-
-
 def test_mc_bit_reproducible(cube_stream):
     spec = stochastic.SourceSpec(stream=cube_stream, tau=0.5)
     a = stochastic.mc_estimate(spec, n=50_000, seed=42, worker_count=3)
@@ -114,35 +92,12 @@ def test_mc_worker_split_is_deterministic_per_count(cube_stream):
     assert abs(one.mean - four.mean) <= 5.0 * math.hypot(one.stderr, four.stderr)
 
 
-def test_merged_multiplicity_equals_expanded(cube_stream):
-    lam = 6.0 * math.pi**2
-    box = cube_stream.box
-    merged = spectrum.EigenStream(
-        cutoff=80.0, values=[lam], multiplicities=[2], box=box
-    )
-    expanded = spectrum.EigenStream(
-        cutoff=80.0, values=[lam, lam], multiplicities=[1, 1], box=box
-    )
-    sa = stochastic.mc_estimate(
-        stochastic.SourceSpec(stream=merged, tau=0.4), n=10_000, seed=2
-    )
-    sb = stochastic.mc_estimate(
-        stochastic.SourceSpec(stream=expanded, tau=0.4), n=10_000, seed=2
-    )
-    assert sa.mean == sb.mean and sa.stderr == sb.stderr
-
-
 def test_mc_frozen_across_batches_and_workers(cube_stream):
     # 70001 draws per worker span two 65536-row batches; these values pin the
     # stream split, the batch order and the reduction order
-    real = stochastic.SourceSpec(stream=cube_stream, tau=0.5)
-    cplx = stochastic.SourceSpec(
-        stream=cube_stream, tau=0.5, channel=stochastic.Channel.COMPLEX
-    )
-    er = stochastic.mc_estimate(real, n=140_001, seed=42, worker_count=2)
-    ec = stochastic.mc_estimate(cplx, n=140_001, seed=42, worker_count=2)
-    assert (er.mean, er.stderr) == (1.0089106887144945e-06, 3.824699971041414e-09)
-    assert (ec.mean, ec.stderr) == (1.0130675237275426e-06, 2.71178950424428e-09)
+    spec = stochastic.SourceSpec(stream=cube_stream, tau=0.5)
+    est = stochastic.mc_estimate(spec, n=140_001, seed=42, worker_count=2)
+    assert (est.mean, est.stderr) == (1.0089106887144945e-06, 3.824699971041414e-09)
 
 
 def test_variance_merge_keeps_digits_under_a_large_mean():
@@ -160,20 +115,18 @@ def test_variance_merge_keeps_digits_under_a_large_mean():
     assert abs(est.mean - 1e6) <= 4.0 * est.stderr
 
 
-def _exact_moments(stream, tau, channel):
+def _exact_moments(stream, tau):
     """Mean, variance and fourth cumulant of U over the stream's modes.
 
-    U = sum_j w_j |xi_j|^2 with w = lambda^{1/2} e^{-tau lambda} / 2; |xi|^2
-    has cumulants 2^{r-1}(r-1)! (chi^2_1) on the real channel and (r-1)!
-    (unit exponential) on the complex one.
+    U = sum_j w_j xi_j^2 with w = lambda^{1/2} e^{-tau lambda} / 2; xi^2 is
+    chi^2_1, with cumulants 2^{r-1}(r-1)!.
     """
     lam, mult = stream.values, stream.multiplicities
     w = 0.5 * np.sqrt(lam) * np.exp(-tau * lam)
-    c2, c4 = (2.0, 48.0) if channel is stochastic.Channel.REAL else (1.0, 6.0)
     return (
         float(np.sum(mult * w)),
-        c2 * float(np.sum(mult * w**2)),
-        c4 * float(np.sum(mult * w**4)),
+        2.0 * float(np.sum(mult * w**2)),
+        48.0 * float(np.sum(mult * w**4)),
     )
 
 
@@ -204,13 +157,12 @@ _MOMENT_BOXES = {
 }
 
 
-@pytest.mark.parametrize("channel", list(stochastic.Channel), ids=lambda c: c.value)
 @pytest.mark.parametrize("box", sorted(_MOMENT_BOXES))
-def test_samplers_match_exact_mean_and_variance(box, channel):
+def test_samplers_match_exact_mean_and_variance(box):
     spec_box, cutoff, tau = _MOMENT_BOXES[box]
     stream = spectrum.enumerate_modes(spec_box, cutoff)
-    spec = stochastic.SourceSpec(stream=stream, tau=tau, channel=channel)
-    exact = _exact_moments(stream, tau, channel)
+    spec = stochastic.SourceSpec(stream=stream, tau=tau)
+    exact = _exact_moments(stream, tau)
     # grouped draws in mc_estimate
     est = stochastic.mc_estimate(spec, n=200_000, seed=13)
     z_est = _z_scores(est.mean, est.stderr**2 * est.n, est.n, exact)
@@ -243,8 +195,6 @@ def test_source_spec_validation(cube_stream):
         stochastic.SourceSpec(stream=cube_stream, tau=0.0)
     with pytest.raises(ParameterError):
         stochastic.SourceSpec(stream=cube_stream, tau=0.5, g=0.0)
-    with pytest.raises(ParameterError):
-        stochastic.SourceSpec(stream=cube_stream, tau=0.5, hbar_c=-1.0)
 
 
 def test_mc_estimate_validation(cube_stream):
