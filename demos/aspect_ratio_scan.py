@@ -36,17 +36,21 @@ for alpha in (1.25, 1.5, 2.0):
 e = boxint.reference_energy(q_strength=0.25, n=2, a=1.0, delta=closed)
 print(f"\nreference energy (Q=1/4, n=2, a=1, cube): {e:.12f}")
 
+
+def show(checks):
+    for c in checks:
+        verdict = "ok  " if c.passed else "FAIL"
+        print(f"  {verdict} {c.name} ({c.measured:.3e} vs {c.threshold:g})")
+
+
 # concavity of u -> log I_{e^u}(t): strictly negative second differences
-# over the default (t, u) grid, an even symmetrized field, and a strictly
-# decreasing product along beta
+# over the default (t, u) grid and a strictly decreasing product along beta;
+# the symmetrized field is measured for evenness as well
 report = boxint.log_concavity_scan()
 print()
 print("log-concavity scan")
-print(f"  max second difference {report.max_second_difference:.6e}")
-print(f"  violations            {len(report.violations)}")
 print(f"  symmetrized-field deviation {report.symmetry_deviation:.2e}")
-print(f"  product monotone      {report.product_monotone}")
-print(f"  passed                {report.passed}")
+show(report.checks)
 
 # the positivity chain behind the derivative argument: k > 0, h > 0,
 # h(0) = 0, and h' = 2 E k on a strided subgrid
@@ -54,10 +58,9 @@ pos = boxint.positivity_chain()
 print()
 print("positivity chain")
 print(f"  k_min {pos.k_min:.6e}  h_min {pos.h_min:.6e}  h(0) = {pos.h_at_zero}")
-print(f"  max |h'/(2Ek) - 1| = {pos.max_derivative_rel_err:.2e}")
-print(f"  passed {pos.passed}")
+show(pos.checks)
 
 # small-r behavior of k: dominated by (5/6) r^4
 rs = np.array([0.05, 0.1, 0.2])
 for r in rs:
-    print(f"  k({r:.2f}) / ((5/6) r^4) = {boxint.chain_k(float(r)) / ((5/6) * r**4):.6f}")
+    print(f"  k({r:.2f}) / ((5/6) r^4) = {boxint.chain_terms(float(r))[1] / ((5/6) * r**4):.6f}")

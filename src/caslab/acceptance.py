@@ -17,27 +17,10 @@ from typing import Callable
 import numpy as np
 
 from . import boxint, heattrace, plates, riesz, spectrum, stochastic
+from .errors import CheckReport
 
 CUBE_CUTOFF = 200.0
 TEN_MODE_CUTOFF = 11.5 * math.pi**2  # unit Dirichlet cube: 10 modes in total
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    passed: bool
-    measured: float
-    threshold: float
-
-    @classmethod
-    def measure(cls, name: str, measured: float, threshold: float) -> CheckReport:
-        """A check that passes when measured <= threshold."""
-        return cls(
-            name=name,
-            passed=bool(measured <= threshold),
-            measured=float(measured),
-            threshold=float(threshold),
-        )
 
 
 @dataclass
@@ -55,8 +38,7 @@ class CriterionResult:
         self.checks.append(CheckReport.measure(name, measured, threshold))
 
     def add_flag(self, name: str, ok: bool) -> None:
-        # boolean check: measured 0 when ok, 1 when not
-        self.add(name, 0.0 if ok else 1.0, 0.0)
+        self.checks.append(CheckReport.flag(name, ok))
 
     def summary_line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -247,14 +229,9 @@ def criterion_9(res: CriterionResult, seed: int) -> None:
 
 @_criterion(10, "log-concavity scan and positivity chain")
 def criterion_10(res: CriterionResult, seed: int) -> None:
-    scan = boxint.log_concavity_scan()
-    res.add("max second difference (must be < 0)", scan.max_second_difference, -1e-12)
-    res.add_flag("product strictly decreasing in beta", scan.product_monotone)
-    chain = boxint.positivity_chain()
-    res.add_flag("k > 0 on (0, 10]", chain.k_min > 0.0)
-    res.add_flag("h > 0 on (0, 10]", chain.h_min > 0.0)
-    res.add_flag("h(0) = 0", chain.h_at_zero == 0.0)
-    res.add("h' vs 2 E k relative error", chain.max_derivative_rel_err, 1e-6)
+    # each scan decides its own checks; the criterion reports them as they are
+    res.checks += boxint.log_concavity_scan().checks
+    res.checks += boxint.positivity_chain().checks
 
 
 @_criterion(11, "calibration coefficient: closed form and pipeline")

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import specfun
 from .errors import (
+    CheckReport,
     ParameterError,
     QuadratureError,
     ResourceError,
@@ -248,10 +249,13 @@ class ConcavityReport:
     max_second_difference: float
     min_second_difference: float
     max_by_t: tuple[tuple[float, float], ...]  # (t, max over u of second diff)
-    violations: tuple[tuple[float, float, float], ...]  # (t, u, second diff)
     product_monotone: bool
     symmetry_deviation: float
-    passed: bool
+    checks: tuple[CheckReport, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
 
 def second_difference_margin(t: float, u: float, h: float) -> float:
@@ -279,10 +283,11 @@ def log_concavity_scan(
 ) -> ConcavityReport:
     """Verify strict concavity of log I_{e^u}(t) in u over the whole grid.
 
-    Also checks the two companion facts the monotonicity argument uses: the
-    symmetrized field u -> log(I_{e^u} I_{e^-u}) is even in u (its scanned
-    second differences mirror within 1e-9), and the product
-    I_{e^beta}(1) I_{e^-beta}(1) strictly decreases in beta >= 0.
+    The report's two checks decide it: the largest second difference must
+    stay below zero by at least 1e-12, and the product
+    I_{e^beta}(1) I_{e^-beta}(1) must strictly decrease in beta >= 0.  The
+    report also measures how far the scanned second differences of the
+    symmetrized field u -> log(I_{e^u} I_{e^-u}) are from even in u.
     """
     h_step = check_positive(h_step, "h_step")
     t_vals = np.asarray(
@@ -295,15 +300,12 @@ def log_concavity_scan(
         raise ParameterError("grids must be nonempty one-dimensional arrays")
     best = math.inf
     max_by_t = []
-    violations = []
     for t in t_vals:
         worst_t = -math.inf
         for u in u_vals:
             d2 = second_difference_margin(float(t), float(u), h_step)
             worst_t = max(worst_t, d2)
             best = min(best, d2)
-            if d2 >= 0.0:
-                violations.append((float(t), float(u), d2))
         max_by_t.append((float(t), worst_t))
     # mirrored scan of the symmetrized field: evenness must hold to roundoff
     sym_dev = 0.0
@@ -318,15 +320,18 @@ def log_concavity_scan(
         for b in betas
     ]
     monotone = all(prods[i + 1] < prods[i] for i in range(len(prods) - 1))
+    worst = max(d2 for _, d2 in max_by_t)
     return ConcavityReport(
         h_step=h_step,
-        max_second_difference=max(d2 for _, d2 in max_by_t),
+        max_second_difference=worst,
         min_second_difference=best,
         max_by_t=tuple(max_by_t),
-        violations=tuple(violations),
         product_monotone=monotone,
         symmetry_deviation=sym_dev,
-        passed=not violations and monotone,
+        checks=(
+            CheckReport.measure("max second difference (must be < 0)", worst, -1e-12),
+            CheckReport.flag("product strictly decreasing in beta", monotone),
+        ),
     )
 
 
@@ -341,33 +346,25 @@ class PositivityReport:
     h_min: float
     h_at_zero: float
     max_derivative_rel_err: float
-    passed: bool
+    checks: tuple[CheckReport, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
 
-def chain_a(r: float) -> float:
-    """A(r) = int_0^r e^{-s^2} ds = (sqrt(pi)/2) erf(r)."""
-    return 0.5 * _SQRT_PI * specfun.erf(r)
+def chain_terms(r, num=math):
+    """(A, k, h) at r in the arithmetic of num: math for floats, or mpmath.
 
-
-def chain_k(r: float) -> float:
-    """k(r) = r A(r) (2 r^2 - 1) + (1 - r^2)(1 - E(r)), E = e^{-r^2}."""
-    e = math.exp(-r * r)
-    return r * chain_a(r) * (2.0 * r * r - 1.0) + (1.0 - r * r) * (1.0 - e)
-
-
-def chain_h(r: float) -> float:
-    """h(r) = (1 - E)(A + r E) - 2 r^2 A E; h(0) = 0 and h' = 2 E k."""
-    e = math.exp(-r * r)
-    a = chain_a(r)
-    return (1.0 - e) * (a + r * e) - 2.0 * r * r * a * e
-
-
-def _chain_h_mp(r):
-    import mpmath
-
-    e = mpmath.exp(-r * r)
-    a = mpmath.sqrt(mpmath.pi) / 2 * mpmath.erf(r)
-    return (1 - e) * (a + r * e) - 2 * r * r * a * e
+    With E = e^{-r^2}: A = int_0^r e^{-s^2} ds = (sqrt(pi)/2) erf(r),
+    k = r A (2 r^2 - 1) + (1 - r^2)(1 - E) and h = (1 - E)(A + r E) - 2 r^2 A E,
+    so that h(0) = 0 and h' = 2 E k.
+    """
+    e = num.exp(-r * r)
+    a = num.sqrt(num.pi) / 2 * num.erf(r)
+    k = r * a * (2 * r * r - 1) + (1 - r * r) * (1 - e)
+    h = (1 - e) * (a + r * e) - 2 * r * r * a * e
+    return a, k, h
 
 
 def _derivative_rel_err(r: float) -> float:
@@ -383,47 +380,46 @@ def _derivative_rel_err(r: float) -> float:
     with mpmath.workdps(dps):
         rr = mpmath.mpf(r)
         step = mpmath.mpf(10) ** (-8)
-        fd = (_chain_h_mp(rr + step) - _chain_h_mp(rr - step)) / (2 * step)
-        exact = 2 * mpmath.exp(-rr * rr) * (
-            rr * (mpmath.sqrt(mpmath.pi) / 2 * mpmath.erf(rr)) * (2 * rr * rr - 1)
-            + (1 - rr * rr) * (1 - mpmath.exp(-rr * rr))
-        )
+        h_up = chain_terms(rr + step, mpmath)[2]
+        h_down = chain_terms(rr - step, mpmath)[2]
+        fd = (h_up - h_down) / (2 * step)
+        exact = 2 * mpmath.exp(-rr * rr) * chain_terms(rr, mpmath)[1]
         return float(abs(fd - exact) / abs(exact))
 
 
 def positivity_chain(r_grid=None) -> PositivityReport:
     """Check k > 0, h > 0 on the grid, h(0) = 0, and h' = 2 E k.
 
-    The derivative identity is verified by central finite differences at
-    every tenth grid point (it is the most expensive check); relative agreement
-    within 1e-6 is required everywhere it is evaluated.
+    The report's four checks decide it, one per fact.  The derivative
+    identity is verified by central finite differences at every tenth grid
+    point (it is the most expensive check); relative agreement within 1e-6 is
+    required everywhere it is evaluated.
     """
     grid = np.asarray(
         r_grid if r_grid is not None else np.linspace(0.05, 10.0, 200), dtype=float
     )
     if grid.ndim != 1 or not grid.size or not np.all((grid > 0.0) & (grid < math.inf)):
         raise ParameterError("r_grid must be a nonempty finite positive 1D array")
-    k_vals = np.array([chain_k(float(r)) for r in grid])
-    h_vals = np.array([chain_h(float(r)) for r in grid])
+    _, k_vals, h_vals = np.array([chain_terms(float(r)) for r in grid]).T
     deriv_err = 0.0
     for r in grid[::10]:
         deriv_err = max(deriv_err, _derivative_rel_err(float(r)))
-    h_zero = chain_h(0.0)
-    ok = (
-        bool(np.all(k_vals > 0.0))
-        and bool(np.all(h_vals > 0.0))
-        and h_zero == 0.0
-        and deriv_err <= 1e-6
-    )
+    h_zero = chain_terms(0.0)[2]
+    k_min, h_min, r_max = float(k_vals.min()), float(h_vals.min()), float(grid[-1])
     return PositivityReport(
         r_grid_size=int(grid.size),
         r_min=float(grid[0]),
-        r_max=float(grid[-1]),
-        k_min=float(k_vals.min()),
-        h_min=float(h_vals.min()),
+        r_max=r_max,
+        k_min=k_min,
+        h_min=h_min,
         h_at_zero=h_zero,
         max_derivative_rel_err=deriv_err,
-        passed=ok,
+        checks=(
+            CheckReport.flag(f"k > 0 on (0, {r_max:g}]", k_min > 0.0),
+            CheckReport.flag(f"h > 0 on (0, {r_max:g}]", h_min > 0.0),
+            CheckReport.flag("h(0) = 0", h_zero == 0.0),
+            CheckReport.measure("h' vs 2 E k relative error", deriv_err, 1e-6),
+        ),
     )
 
 

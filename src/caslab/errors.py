@@ -1,16 +1,19 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy and the checks shared across the package.
 
 Every error raised by library code derives from CaslabError so callers can
 catch one base type at module boundaries.  Subclasses carry enough state to
 report what went wrong without re-running the computation.  check_count is
 the one validator for integer counts (sample sizes, channels, cells, workers),
 check_choice the one for method and boundary-condition names, and
-check_positive the one for lengths, times and spectral values.
+check_positive the one for lengths, times and spectral values.  CheckReport
+is the one record of a measured check: the acceptance battery, the
+command-line reports and the boxint scans all build theirs from it.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 
 class CaslabError(Exception):
@@ -113,3 +116,26 @@ def check_positive(value, what: str) -> float:
     if not ok:
         raise ParameterError(f"{what} must be finite and > 0, got {value!r}")
     return float(value)
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    name: str
+    passed: bool
+    measured: float
+    threshold: float
+
+    @classmethod
+    def measure(cls, name: str, measured: float, threshold: float) -> CheckReport:
+        """A check that passes when measured <= threshold."""
+        return cls(
+            name=name,
+            passed=bool(measured <= threshold),
+            measured=float(measured),
+            threshold=float(threshold),
+        )
+
+    @classmethod
+    def flag(cls, name: str, ok: bool) -> CheckReport:
+        """A boolean check: measured 0 when ok, 1 when not, against threshold 0."""
+        return cls.measure(name, 0.0 if ok else 1.0, 0.0)

@@ -47,11 +47,14 @@ def regulated_trace(stream: EigenStream, tau: float) -> HeatTraceSample:
 
     The stream's heat-tail envelope at tau (halved like the sum) is attached
     as the sample's tail bound; if that bound exceeds 1e-6 of the value the
-    cutoff was too low for this tau and a CutoffError is raised.
+    cutoff was too low for this tau and a CutoffError is raised.  A tau so
+    large that every weight underflows to 0 raises ParameterError.
     """
     tau = check_positive(tau, "regulated trace tau")
     lam = stream.values
     total = 0.5 * float(np.sum(stream.multiplicities * np.sqrt(lam) * np.exp(-tau * lam)))
+    if total == 0.0:
+        raise ParameterError(f"tau {tau!r} is so large that the trace underflows to 0")
     tail = 0.5 * stream.tail_bound(tau)
     if tail > _TAIL_TARGET * total:
         raise CutoffError(

@@ -75,11 +75,10 @@ class MollifierSpec:
     """Width of the Gaussian smearing profile (unit mass, so its Fourier
     image is 1 at 0) for mollified restriction integrals."""
 
-    eps: float = 0.0
+    eps: float
 
     def __post_init__(self):
-        if self.eps != 0.0:
-            check_positive(self.eps, "nonzero mollifier width")
+        check_positive(self.eps, "mollifier width")
 
 
 # The double-exponential rule: x = exp((pi/2) sinh t) maps the trapezoid rule
@@ -204,14 +203,11 @@ def mollified_reduction(
     """Momentum integral smeared by |eta_hat(eps q)|^2.
 
     Monotone nonincreasing in the width and converges to momentum_integral as
-    the width shrinks; width 0 short-circuits to momentum_integral since the
-    profile is identically 1 there.
+    the width shrinks.
     """
     _check_m(m)
     if not isinstance(mollifier, MollifierSpec):
         raise ParameterError("mollifier must be a MollifierSpec")
-    if mollifier.eps == 0.0:
-        return momentum_integral(m, s, lam)
     s, lam = _check_domain(m, s, lam, "mollified integral")
     pref = sphere_area(m) / (2.0 * math.pi) ** m
     return pref * _radial_integral(m, s, lam, damp_eps=mollifier.eps)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -56,12 +55,20 @@ class AxisSpec:
             return (math.pi / self.length) ** 2
         return 0.0
 
-    def modes_below(self, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending values <= cutoff (float64) and their multiplicities (int64)."""
+    def modes_below(self, cutoff: float, max_modes: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending values <= cutoff (float64) and their multiplicities (int64);
+        ResourceError, before allocating, past max_modes + 1 indices (one spare
+        for the rounding of the square root)."""
         scale = 2.0 if self.bc is Bc.PERIODIC else 1.0
         base = (scale * math.pi / self.length) ** 2
         start = 1 if self.bc is Bc.DIRICHLET else 0
-        n = np.arange(start, int(math.sqrt(max(cutoff, 0.0) / base)) + 2)
+        top = math.sqrt(max(cutoff, 0.0) / base)
+        if top - start > max_modes + 1:
+            raise ResourceError(
+                f"axis of length {self.length!r} has {top:.3e} modes below {cutoff!r},"
+                f" cap {max_modes}"
+            )
+        n = np.arange(start, int(top) + 2)
         n = n[base * n * n <= cutoff]
         mults = np.where(n > 0, 2, 1) if self.bc is Bc.PERIODIC else np.ones_like(n)
         return base * n * n, mults
@@ -177,16 +184,18 @@ def enumerate_modes(
         raise EmptySpectrumError(
             f"cutoff {cutoff} admits no modes (lowest eigenvalue {lam_min})"
         )
-    weyl = spec.volume * cutoff**1.5 / (6.0 * math.pi**2)
+    # cutoff * sqrt(cutoff) runs to inf where cutoff**1.5 would raise OverflowError
+    weyl = spec.volume * cutoff * math.sqrt(cutoff) / (6.0 * math.pi**2)
     if weyl > 4.0 * max_modes:
         raise ResourceError(
             f"estimated {weyl:.3e} modes below cutoff exceeds cap {max_modes}"
         )
     a1, a2, a3 = spec.axes
     m1, m2, m3 = (ax.min_value for ax in spec.axes)
-    v1s, k1s = a1.modes_below(cutoff - m2 - m3)
-    v2s, k2s = a2.modes_below(cutoff - m1 - m3)
-    v3s, k3s = a3.modes_below(cutoff - m1 - m2)
+    # each axis mode is a box mode, so one axis over the cap puts the box over it
+    v1s, k1s = a1.modes_below(cutoff - m2 - m3, max_modes)
+    v2s, k2s = a2.modes_below(cutoff - m1 - m3, max_modes)
+    v3s, k3s = a3.modes_below(cutoff - m1 - m2, max_modes)
     values, mults = [], []
     count = 0
     for v1, k1 in zip(v1s.tolist(), k1s.tolist()):
@@ -221,7 +230,8 @@ def lateral_gap(l1: float, l2: float) -> float:
     return (math.pi / longest) ** 2
 
 
-class SaturationResult(NamedTuple):
+@dataclass(frozen=True)
+class SaturationResult:
     saturated: bool
     ratio: float
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from caslab import boxint
-from caslab.errors import ParameterError, QuadratureError, ResourceError
+from caslab.errors import CheckReport, ParameterError, QuadratureError, ResourceError
 
 
 def test_interval_overlap_against_2d_quadrature():
@@ -309,9 +309,13 @@ def test_concavity_scan_frozen_margin():
         boxint.second_difference_margin(t, float(x), scan.h_step) for x in u
     )
     assert scan.min_second_difference < -0.5
-    assert scan.violations == ()
     assert scan.product_monotone
     assert scan.symmetry_deviation <= 1e-9
+    margin, monotone = scan.checks
+    assert margin.name == "max second difference (must be < 0)"
+    assert (margin.measured, margin.threshold) == (scan.max_second_difference, -1e-12)
+    assert monotone.name == "product strictly decreasing in beta"
+    assert monotone.measured == 0.0
     assert scan.passed
 
 
@@ -327,25 +331,25 @@ def test_concavity_scan_custom_grid():
 
 
 def test_chain_endpoint_values():
-    assert boxint.chain_h(0.0) == 0.0
-    assert boxint.chain_h(3.0) == pytest.approx(0.8844995651524932, rel=1e-14)
-    assert boxint.chain_a(1.0) == pytest.approx(
+    assert boxint.chain_terms(0.0)[2] == 0.0
+    assert boxint.chain_terms(3.0)[2] == pytest.approx(0.8844995651524932, rel=1e-14)
+    assert boxint.chain_terms(1.0)[0] == pytest.approx(
         0.5 * math.sqrt(math.pi) * math.erf(1.0), rel=1e-14
     )
 
 
 def test_chain_small_r_quartic_law():
     r = 0.05
-    assert boxint.chain_k(r) / ((5.0 / 6.0) * r**4) == pytest.approx(1.0, abs=1e-3)
+    assert boxint.chain_terms(r)[1] / ((5.0 / 6.0) * r**4) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_chain_k_lower_bounds():
     # quartic lower bound on the small-r side, source-mass bound past 1/sqrt(2)
     for r in (0.1, 0.3, 0.5, 0.7):
-        assert boxint.chain_k(r) >= 0.5 * r**4 * (1.0 + r * r)
+        assert boxint.chain_terms(r)[1] >= 0.5 * r**4 * (1.0 + r * r)
     for r in (0.71, 1.0, 2.0, 5.0):
         e = math.exp(-r * r)
-        assert boxint.chain_k(r) >= 0.5 * (1.0 - e)
+        assert boxint.chain_terms(r)[1] >= 0.5 * (1.0 - e)
 
 
 def test_positivity_chain_report():
@@ -358,7 +362,25 @@ def test_positivity_chain_report():
     assert report.r_grid_size == 200
     assert report.r_min == pytest.approx(0.05)
     assert report.r_max == pytest.approx(10.0)
-    assert dataclasses.asdict(report)["passed"] is True
+    assert [c.name for c in report.checks] == [
+        "k > 0 on (0, 10]", "h > 0 on (0, 10]", "h(0) = 0", "h' vs 2 E k relative error",
+    ]
+    assert [c.measured for c in report.checks] == [0.0, 0.0, 0.0, report.max_derivative_rel_err]
+    assert report.checks[-1].threshold == 1e-6
+
+
+def test_scan_verdicts_follow_their_checks():
+    # a custom grid names its own range, and one failing check fails the report
+    report = boxint.positivity_chain(np.linspace(0.5, 2.0, 4))
+    assert report.checks[0].name == "k > 0 on (0, 2]"
+    assert report.passed
+    failing = dataclasses.replace(
+        report, checks=report.checks[:-1] + (CheckReport.flag("h' vs 2 E k", False),)
+    )
+    assert not failing.passed
+    scan = boxint.log_concavity_scan(t_grid=[1.0], u_grid=[0.0])
+    assert scan.passed
+    assert not dataclasses.replace(scan, checks=(CheckReport.flag("x", False),)).passed
 
 
 @settings(max_examples=40, deadline=None)

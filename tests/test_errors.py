@@ -7,7 +7,7 @@ import math
 import pytest
 
 from caslab import boxint, heattrace, plates, riesz, specfun, spectrum, stochastic
-from caslab.errors import ParameterError, ResourceError
+from caslab.errors import CheckReport, ParameterError, ResourceError
 
 _AXIS = spectrum.AxisSpec(1.0, spectrum.Bc.DIRICHLET)
 _STREAM = spectrum.enumerate_modes(spectrum.BoxSpec((_AXIS, _AXIS, _AXIS)), 60.0)
@@ -96,6 +96,13 @@ def test_monte_carlo_seed_is_checked(call, seed):
     # -1 used to reach SeedSequence as numpy's bare ValueError; True was taken as 1
     with pytest.raises(ParameterError):
         call(seed)
+
+
+def test_check_report_flag():
+    ok, bad = CheckReport.flag("holds", True), CheckReport.flag("fails", False)
+    assert ok == CheckReport("holds", True, 0.0, 0.0)
+    assert bad == CheckReport("fails", False, 1.0, 0.0)
+    assert ok == CheckReport.measure("holds", 0.0, 0.0)
 
 
 def test_upper_gamma_three_halves_edges():

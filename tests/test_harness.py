@@ -1,5 +1,6 @@
 """Command-line driver: config resolution, reports, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import caslab
-from caslab import harness
+from caslab import acceptance, boxint, harness
 
 
 def run_cli(args, tmp_path, fmt=None):
@@ -77,7 +78,8 @@ def test_byte_identical_reruns(tmp_path, command):
 
 def test_flags_come_from_the_defaults_table():
     parser = harness._build_parser()
-    for command, defaults in harness._COMMAND_DEFAULTS.items():
+    assert list(harness._COMMANDS) == [*COMPUTING_COMMANDS, "verify-all"]
+    for command, (_, defaults, _) in harness._COMMANDS.items():
         argv = [command]
         for key, default in defaults.items():
             argv += ["--" + key.replace("_", "-"), str(default)]
@@ -212,18 +214,37 @@ def test_module_failure_exits_one_with_report(tmp_path):
         ["heat-trace", "--alpha", "1e-200"],
         ["spectrum", "--a", "1e-200"],
         ["finite-part", "--a", "1e-200"],
+        ["spectrum", "--alpha", "1e-20"],
+        ["spectrum", "--alpha", "1e-8"],
+        ["spectrum", "--alpha", "1e20"],
+        ["stochastic", "--cutoff", "1e300"],
+        ["stochastic", "--tau", "1e20"],
     ],
     ids=lambda argv: " ".join(argv),
 )
 def test_out_of_range_parameter_fails_with_report(tmp_path, capsys, argv):
     # each used to escape run() as a bare ZeroDivisionError, OverflowError or
-    # numpy ValueError
+    # numpy ValueError; spectrum --alpha 1e-8 asked for about 2.4 GB first
     assert run_cli(argv, tmp_path) == 1
     err = capsys.readouterr().err
     assert f"{argv[0]}: FAIL (" in err
     assert "Traceback" not in err
     failure = read_report(tmp_path, argv[0])["failure"]
     assert issubclass(getattr(caslab.errors, failure["type"]), caslab.CaslabError)
+
+
+def test_boxint_reports_the_scan_checks(tmp_path):
+    # the scans decide their checks once; the command and criterion 10 reuse them
+    assert run_cli(["boxint"], tmp_path) == 0
+    report = read_report(tmp_path, "boxint")
+    scan, chain = boxint.log_concavity_scan(), boxint.positivity_chain()
+    own = [dataclasses.asdict(c) for c in scan.checks + chain.checks]
+    assert report["checks"][0]["name"] == "closed form vs TIntegral"
+    assert report["checks"][1:] == own
+    assert report["concavity"]["checks"] == own[:2]
+    assert report["positivity"]["checks"] == own[2:]
+    assert report["concavity_passed"] is report["positivity_passed"] is True
+    assert acceptance.run_criterion(10).checks == list(scan.checks + chain.checks)
 
 
 def test_stochastic_report(tmp_path):

@@ -230,11 +230,10 @@ def test_quad_checked_raises_on_overflow():
     )
 
 
-def test_mollified_zero_width_short_circuit():
-    spec = riesz.MollifierSpec(eps=0.0)
-    assert riesz.mollified_reduction(3, 2.5, 1.0, spec) == riesz.momentum_integral(
-        3, 2.5, 1.0
-    )
+def test_mollifier_width_must_be_positive():
+    # width 0 is momentum_integral itself, so the spec takes only a positive width
+    with pytest.raises(ParameterError):
+        riesz.MollifierSpec(eps=0.0)
 
 
 def test_mollified_error_battery_at_critical_pair():
@@ -267,10 +266,12 @@ def test_mollified_subcritical_pair_extrapolates_clean():
 
 
 def test_mollified_monotone_in_width():
+    # width 0 is the unmollified momentum integral
     vals = [
         riesz.mollified_reduction(3, 2.5, 1.0, riesz.MollifierSpec(eps=e))
-        for e in (0.4, 0.2, 0.1, 0.0)
+        for e in (0.4, 0.2, 0.1)
     ]
+    vals.append(riesz.momentum_integral(3, 2.5, 1.0))
     assert vals == sorted(vals)
 
 

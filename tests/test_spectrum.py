@@ -161,6 +161,13 @@ def test_resource_guard_trips_before_walking():
         spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), 7e5)
 
 
+def test_resource_guard_trips_on_one_long_axis():
+    # the Weyl estimate sees only the unit volume; the 1e8 axis alone has
+    # about 3e8 modes below the cutoff, which used to be allocated (2.4 GB)
+    with pytest.raises(ResourceError, match="axis of length"):
+        spectrum.enumerate_modes(spectrum.mixed_cell(1e-8, 1e8, 1.0), 100.0)
+
+
 def test_resource_guard_trips_during_walk():
     # the Weyl estimate (1510 modes) passes the pre-check; the 1277 modes the
     # walk finds exceed the cap
