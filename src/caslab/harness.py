@@ -169,7 +169,7 @@ def _run_spectrum(config: RunConfig):
 )
 def _run_heat_trace(config: RunConfig):
     l1, l2, a = _cell_sides(config.params)
-    grid = heattrace.short_time_grid()
+    grid = heattrace.short_time_grid(min(l1, l2, a))
     rows = [("t", "trace")]
     rows += [(float(t), heattrace.mixed_cell_heat_trace(l1, l2, a, float(t))) for t in grid]
     coeffs = heattrace.short_time_coefficients(l1, l2, a)

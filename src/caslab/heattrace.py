@@ -75,20 +75,32 @@ def mixed_cell_heat_trace(l1: float, l2: float, a: float, t: float) -> float:
     return mixed_cell(l1, l2, a).heat_trace(t)
 
 
-def short_time_grid() -> np.ndarray:
-    """Geometric t-grid of short-time coefficient fits: 16 points in [1e-4, 1e-3]."""
-    return np.geomspace(1e-4, 1e-3, 16)
+def short_time_grid(length: float, points: int = 16) -> np.ndarray:
+    """Fit window of every power-law fit: points in [1e-4, 1e-3] length^2.
+
+    length is the shortest side of the geometry, so the window sits low
+    enough that the first power correction beyond the modeled terms stays
+    well under the fits' accuracy targets.  Both ends are placed exactly, so
+    the grid spans one full decade for every length, as finite_part requires.
+    The fits raise t to powers up to 2 in magnitude, so the window must lie
+    within (1e-150, 1e150) for them to stay in the float range.
+    """
+    length = check_positive(length, "fit window length")
+    lo = 1e-4 * length * length
+    if not (lo > 1e-150 and 10.0 * lo < 1e150):
+        raise ParameterError(f"fit window of length {length!r} leaves the float range")
+    return np.geomspace(lo, 10.0 * lo, points)
 
 
 def short_time_coefficients(l1: float, l2: float, a: float) -> dict[str, float]:
     """Fit the four-term small-t law of the mixed-cell heat trace.
 
     Model: K(t) = c32 t^{-3/2} + c1 t^{-1} + c12 t^{-1/2} + c0 on
-    short_time_grid(), fitted by the power-law fit behind finite_part,
-    weights t^{3/2}.  Returns the fitted coefficients keyed by the exponent
-    they multiply.
+    short_time_grid of the shortest side, fitted by the power-law fit behind
+    finite_part, weights t^{3/2}.  Returns the fitted coefficients keyed by
+    the exponent they multiply.
     """
-    t = short_time_grid()
+    t = short_time_grid(min(l1, l2, a))
     cell = mixed_cell(l1, l2, a)
     k = np.array([cell.heat_trace(ti) for ti in t])
     coef, _, _ = _power_law_fit(t, k, (1.5, 1.0, 0.5))
@@ -107,7 +119,7 @@ def b_coefficient(l1: float, l2: float, a: float) -> float:
     """
     saturation_check(l1, l2, a)  # raises ConstraintError when l1 l2 != a^2
     closed = (a * (l1 + l2) - a * a) / (8.0 * math.pi)
-    t = short_time_grid()
+    t = short_time_grid(min(l1, l2, a))
     vol = l1 * l2 * a / (8.0 * math.pi**1.5)
     cell = mixed_cell(l1, l2, a)
     resid = np.array([cell.heat_trace(ti) - vol * ti**-1.5 for ti in t])

@@ -20,7 +20,6 @@ import numpy as np
 from . import boxint, specfun
 from .errors import (
     ConvergenceError,
-    ParameterError,
     check_choice,
     check_count,
     check_positive,
@@ -30,6 +29,7 @@ from .heattrace import (
     HeatTraceSample,
     finite_part,
     regulated_trace,
+    short_time_grid,
 )
 from .spectrum import AxisSpec, Bc, BoxSpec, enumerate_modes
 
@@ -92,20 +92,9 @@ def per_area_trace(a: float, tau: float) -> HeatTraceSample:
 
 
 def default_tau_grid(a: float) -> np.ndarray:
-    """Fit window for the per-area finite part: 12 points in [1e-4, 1e-3] a^2.
-
-    The window sits low enough that the first power correction beyond the
-    modeled divergences (linear in tau) stays well under the 0.5% accuracy
-    target for the constant term.  Both ends are placed exactly, so the grid
-    spans one full decade for every a, as finite_part requires.  The fit
-    raises tau to the powers -2 and 2, so the window must lie within
-    (1e-150, 1e150) for both to stay in the float range.
-    """
-    a = check_positive(a, "a")
-    lo = 1e-4 * a * a
-    if not (lo > 1e-150 and 10.0 * lo < 1e150):
-        raise ParameterError(f"fit window of a={a!r} leaves the float range")
-    return np.geomspace(lo, 10.0 * lo, 12)
+    """Fit window for the per-area finite part: short_time_grid(a) with 12
+    points, in [1e-4, 1e-3] a^2."""
+    return short_time_grid(a, 12)
 
 
 class CasimirMethod(str, enum.Enum):

@@ -291,43 +291,68 @@ def test_reference_energy_formula():
     assert got < 0.0
 
 
+def second_difference_margin(t: float, u: float, h: float) -> float:
+    """Centered second difference of u -> log I_{e^u}(t), the scan's oracle."""
+
+    def f(uu: float) -> float:
+        return math.log(boxint.interval_overlap(math.exp(uu), t))
+
+    return (f(u + h) - 2.0 * f(u) + f(u - h)) / (h * h)
+
+
 def test_second_difference_negative_samples():
+    # phi'' < 0 at the scan's corners and centre, and out in both tails
     for t in (0.01, 1.0, 100.0):
         for u in (-3.0, -0.7, 0.0, 1.3, 3.0):
-            assert boxint.second_difference_margin(t, u, 1e-3) < 0.0
+            s = np.array([u + 0.5 * math.log(t)])
+            assert boxint.log_overlap_curvature(s)[0] < 0.0
+    assert np.all(boxint.log_overlap_curvature(np.array([-12.0, -8.0, 8.0, 20.0])) < 0.0)
+
+
+def test_log_overlap_curvature_against_mpmath():
+    import mpmath
+
+    def phi(s):
+        r = mpmath.exp(s)
+        return mpmath.log(mpmath.sqrt(mpmath.pi) * r * mpmath.erf(r) + mpmath.expm1(-r * r))
+
+    s = np.linspace(-5.31, 5.31, 37)
+    got = boxint.log_overlap_curvature(s)
+    with mpmath.workdps(50):
+        want = [mpmath.diff(phi, mpmath.mpf(float(x)), 2) for x in s]
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-9 * abs(w)
+
+
+def test_log_overlap_curvature_against_second_differences():
+    # the scan's whole grid, against the centered differences it replaced
+    t_vals, u_vals = np.geomspace(1e-2, 1e2, 25), np.linspace(-3.0, 3.0, 61)
+    for t in t_vals:
+        exact = boxint.log_overlap_curvature(u_vals + 0.5 * math.log(t))
+        fd = [second_difference_margin(float(t), float(u), 1e-3) for u in u_vals]
+        np.testing.assert_allclose(fd, exact, rtol=1e-4, atol=0.0)
 
 
 def test_concavity_scan_frozen_margin():
     scan = boxint.log_concavity_scan()
     assert scan.max_second_difference == pytest.approx(
-        -1.652544767694053e-05, rel=1e-6
+        -1.6524823359009844e-05, rel=1e-12
     )
     assert len(scan.max_by_t) == 25
     assert max(d2 for _, d2 in scan.max_by_t) == scan.max_second_difference
     t, u = scan.max_by_t[12][0], np.linspace(-3.0, 3.0, 61)
-    assert scan.max_by_t[12][1] == max(
-        boxint.second_difference_margin(t, float(x), scan.h_step) for x in u
+    assert scan.max_by_t[12][1] == pytest.approx(
+        max(boxint.log_overlap_curvature(u + 0.5 * math.log(t))), rel=1e-14
     )
     assert scan.min_second_difference < -0.5
     assert scan.product_monotone
-    assert scan.symmetry_deviation <= 1e-9
+    assert scan.symmetry_deviation == 0.0
     margin, monotone = scan.checks
     assert margin.name == "max second difference (must be < 0)"
     assert (margin.measured, margin.threshold) == (scan.max_second_difference, -1e-12)
     assert monotone.name == "product strictly decreasing in beta"
     assert monotone.measured == 0.0
     assert scan.passed
-
-
-def test_concavity_scan_custom_grid():
-    scan = boxint.log_concavity_scan(
-        t_grid=np.geomspace(0.1, 10.0, 7), u_grid=np.linspace(-1.0, 1.0, 11)
-    )
-    assert scan.passed
-    with pytest.raises(ParameterError):
-        boxint.log_concavity_scan(h_step=0.0)
-    with pytest.raises(ParameterError):
-        boxint.log_concavity_scan(t_grid=np.array([]))
 
 
 def test_chain_endpoint_values():
@@ -370,17 +395,13 @@ def test_positivity_chain_report():
 
 
 def test_scan_verdicts_follow_their_checks():
-    # a custom grid names its own range, and one failing check fails the report
-    report = boxint.positivity_chain(np.linspace(0.5, 2.0, 4))
-    assert report.checks[0].name == "k > 0 on (0, 2]"
-    assert report.passed
-    failing = dataclasses.replace(
-        report, checks=report.checks[:-1] + (CheckReport.flag("h' vs 2 E k", False),)
-    )
-    assert not failing.passed
-    scan = boxint.log_concavity_scan(t_grid=[1.0], u_grid=[0.0])
-    assert scan.passed
-    assert not dataclasses.replace(scan, checks=(CheckReport.flag("x", False),)).passed
+    # each report passes on its own checks, and one failing check fails it
+    for report in (boxint.log_concavity_scan(), boxint.positivity_chain()):
+        assert report.passed
+        failing = dataclasses.replace(
+            report, checks=report.checks[:-1] + (CheckReport.flag("x", False),)
+        )
+        assert not failing.passed
 
 
 @settings(max_examples=40, deadline=None)

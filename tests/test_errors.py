@@ -21,7 +21,6 @@ _POSITIVE_REAL_CALLS = {
     "reference_energy_q": lambda x: boxint.reference_energy(x, 1, 1.0, 1.0),
     "reference_energy_a": lambda x: boxint.reference_energy(1.0, 1, x, 1.0),
     "reference_energy_delta": lambda x: boxint.reference_energy(1.0, 1, 1.0, x),
-    "log_concavity_scan": lambda x: boxint.log_concavity_scan(h_step=x),
     "regulated_trace": lambda x: heattrace.regulated_trace(_STREAM, x),
     "finite_part_exponent": lambda x: heattrace.finite_part(_PLATE_SAMPLES, (2.0, x)),
     "PlateConfig_a": lambda x: plates.PlateConfig(x, 1.0),
@@ -51,12 +50,11 @@ def test_positive_reals_reject_non_finite_and_bool(call, bad):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda x: boxint.positivity_chain([x]),
         lambda x: riesz.reduction_constant(3, x),
         lambda x: riesz.schwinger_integral(3, x, 1.0),
         lambda x: riesz.momentum_integral(3, x, 1.0),
     ],
-    ids=["positivity_chain", "reduction_constant", "schwinger_integral", "momentum_integral"],
+    ids=["reduction_constant", "schwinger_integral", "momentum_integral"],
 )
 @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
 def test_non_finite_grid_and_exponent_rejected(call, bad):

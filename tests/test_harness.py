@@ -212,6 +212,7 @@ def test_module_failure_exits_one_with_report(tmp_path):
         ["spectrum", "--alpha", "0"],
         ["heat-trace", "--alpha", "0"],
         ["heat-trace", "--alpha", "1e-200"],
+        ["heat-trace", "--a", "1e110"],
         ["spectrum", "--a", "1e-200"],
         ["finite-part", "--a", "1e-200"],
         ["spectrum", "--alpha", "1e-20"],
@@ -231,6 +232,17 @@ def test_out_of_range_parameter_fails_with_report(tmp_path, capsys, argv):
     assert "Traceback" not in err
     failure = read_report(tmp_path, argv[0])["failure"]
     assert issubclass(getattr(caslab.errors, failure["type"]), caslab.CaslabError)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--alpha", "1e3"], ["--alpha", "1e-3"], ["--a", "1e-3"]],
+    ids=lambda argv: " ".join(argv),
+)
+def test_heat_trace_fits_scale_with_the_shortest_side(tmp_path, argv):
+    # a window fixed at t in [1e-4, 1e-3] left a side of 1e-3 outside the
+    # short-time regime, and the companion fit of B failed
+    assert run_cli(["heat-trace", *argv], tmp_path) == 0
 
 
 def test_boxint_reports_the_scan_checks(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caslab import heattrace, spectrum
+from caslab import heattrace, plates, spectrum
 from caslab.errors import (
     ConstraintError,
     CutoffError,
@@ -91,11 +91,16 @@ def test_mixed_cell_short_time_volume_law():
 
 
 def test_short_time_grid_shape():
-    grid = heattrace.short_time_grid()
-    assert grid[0] == pytest.approx(1e-4)
-    assert grid[-1] == pytest.approx(1e-3)
-    assert len(grid) == 16
+    grid = heattrace.short_time_grid(1.0)
+    assert np.array_equal(grid, np.geomspace(1e-4, 1e-3, 16))
     assert np.all(np.diff(np.log(grid)) > 0)
+    small = heattrace.short_time_grid(1e-3, 12)
+    assert small[0] == pytest.approx(1e-10) and small[-1] == pytest.approx(1e-9)
+    assert len(small) == 12 and small[-1] >= 10.0 * small[0]
+    assert np.array_equal(plates.default_tau_grid(3.0), heattrace.short_time_grid(3.0, 12))
+    for length in (1e-80, 1e80):
+        with pytest.raises(ParameterError, match="float range"):
+            heattrace.short_time_grid(length)
 
 
 def test_short_time_coefficients_unit_cell():
