@@ -16,7 +16,7 @@ for tau in (1e-4, 5e-4, 1e-3):
     print(f"  tau={tau:<7} value {s.value:.10e}   tail bound {s.tail_bound:.1e}")
 
 model = plates.heat_fit_model(a)
-zeta_value = plates.casimir_per_area(a, plates.CasimirMethod.ZETA_ROUTE)
+zeta_value = plates.casimir_per_area(a)
 print()
 print("finite-part fit over the default window")
 print(f"  divergence coefficients {model.coefficients}")

@@ -196,16 +196,10 @@ def _inverse_distances(
     return 1.0 / np.sqrt(d[:, 0] + d[:, 1] + d[:, 2])
 
 
-def _delta_monte_carlo(
-    alpha: float, budget: int, seed: int, worker_count: int
-) -> MCEstimate:
+def _delta_monte_carlo(alpha: float, budget: int, seed: int) -> MCEstimate:
     lengths = np.array(_aspect_lengths(alpha))
     return monte_carlo(
-        functools.partial(_inverse_distances, lengths),
-        budget,
-        seed,
-        worker_count,
-        row_bytes=24,
+        functools.partial(_inverse_distances, lengths), budget, seed, row_bytes=24
     )
 
 
@@ -214,7 +208,6 @@ def delta_alpha(
     method: DeltaMethod = DeltaMethod.T_INTEGRAL,
     budget: int = 1_000_000,
     seed: int = 1234,
-    worker_count: int = 1,
 ):
     """Delta(alpha) for the unit-volume aspect cell by the chosen method.
 
@@ -226,7 +219,7 @@ def delta_alpha(
         return cell_overlap_energy(_aspect_lengths(alpha))
     if method is DeltaMethod.QUADRATURE_3D:
         return _delta_quadrature(alpha)
-    return _delta_monte_carlo(alpha, budget, seed, worker_count)
+    return _delta_monte_carlo(alpha, budget, seed)
 
 
 def delta_cube_closed_form() -> float:

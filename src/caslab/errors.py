@@ -3,7 +3,7 @@
 Every error raised by library code derives from CaslabError so callers can
 catch one base type at module boundaries.  Subclasses carry enough state to
 report what went wrong without re-running the computation.  check_count is
-the one validator for integer counts (sample sizes, channels, cells, workers),
+the one validator for integer counts (sample sizes, seeds, channels, cells),
 check_choice the one for method and boundary-condition names, and
 check_positive the one for lengths, times and spectral values.  CheckReport
 is the one record of a measured check: the acceptance battery, the

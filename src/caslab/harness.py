@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -41,10 +41,10 @@ class RunConfig:
     """Fully resolved run: command, parameters, seed, output destination."""
 
     command: str
-    params: dict = field(default_factory=dict)
-    seed: int = 42
-    out_dir: Path = Path("caslab-report")
-    fmt: str = "json"
+    params: dict
+    seed: int
+    out_dir: Path
+    fmt: str
 
     def manifest(self) -> dict:
         return {
@@ -267,7 +267,7 @@ def _run_plates(config: RunConfig):
     grid = plates.default_tau_grid(a)
     samples = [plates.per_area_trace(a, float(t)) for t in grid]
     fit = heattrace.finite_part(samples, plates.PLATE_EXPONENTS).c0
-    zeta = plates.casimir_per_area(a, plates.CasimirMethod.ZETA_ROUTE)
+    zeta = plates.casimir_per_area(a)
     rows = [("tau", "trace")]
     rows += [(s.tau, s.value) for s in samples]
     report = {

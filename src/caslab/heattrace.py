@@ -182,7 +182,11 @@ def _power_law_fit(
         )
     coef_eq, *_ = np.linalg.lstsq(aeq, bw, rcond=None)
     coef = coef_eq / scale
-    resid = float(np.sqrt(np.mean((aw @ coef - bw) ** 2)))
+    r = aw @ coef - bw
+    # squares of r * 2^-e, with max|r| in [2^(e-1), 2^e), cannot overflow, and
+    # scaling by a power of two is exact
+    e = math.frexp(float(np.max(np.abs(r))))[1]
+    resid = math.ldexp(float(np.sqrt(np.mean(np.ldexp(r, -e) ** 2))), e)
     return coef, resid, cond
 
 

@@ -97,11 +97,6 @@ def default_tau_grid(a: float) -> np.ndarray:
     return short_time_grid(a, 12)
 
 
-class CasimirMethod(str, enum.Enum):
-    HEAT_FIT = "heat_fit"
-    ZETA_ROUTE = "zeta_route"
-
-
 def heat_fit_model(a: float) -> FinitePartModel:
     """Finite-part fit of the per-area trace with divergences {2, 3/2} on
     default_tau_grid(a)."""
@@ -109,23 +104,16 @@ def heat_fit_model(a: float) -> FinitePartModel:
     return finite_part(samples, PLATE_EXPONENTS)
 
 
-def casimir_per_area(
-    a: float,
-    method: CasimirMethod = CasimirMethod.ZETA_ROUTE,
-    n_channels: int = 1,
-) -> float:
+def casimir_per_area(a: float, n_channels: int = 1) -> float:
     """Plate energy per unit area for N scalar channels (hbar c = 1).
 
-    HEAT_FIT extracts the constant term of the per-area trace numerically;
-    ZETA_ROUTE evaluates the analytic continuation
-    (1/(8 pi)) (Gamma(-3/2)/Gamma(-1/2)) (pi/a)^3 zeta(-3), which reduces to
-    -pi^2/(1440 a^3) per channel.
+    The analytic continuation
+    (1/(8 pi)) (Gamma(-3/2)/Gamma(-1/2)) (pi/a)^3 zeta(-3) reduces to
+    -pi^2/(1440 a^3) per channel; heat_fit_model(a).c0 is the independent
+    numerical route to the same constant.
     """
     check_positive(a, "a")
     check_count(n_channels, "channel count")
-    method = check_choice(method, CasimirMethod, "Casimir method")
-    if method is CasimirMethod.HEAT_FIT:
-        return n_channels * heat_fit_model(a).c0
     ratio = specfun.gamma(-1.5) / specfun.gamma(-0.5)
     zeta = float(specfun.zeta_negative_odd(3))
     return n_channels * (1.0 / (8.0 * math.pi)) * ratio * (math.pi / a) ** 3 * zeta
@@ -134,7 +122,7 @@ def casimir_per_area(
 def normalized_energy(n: int, a: float, n_channels: int = 1) -> float:
     """Plate energy of the normalization area A = n^2 a^2: -(n^2/a) N pi^2/1440."""
     check_count(n, "cell count n")  # casimir_per_area checks a and n_channels
-    return casimir_per_area(a, CasimirMethod.ZETA_ROUTE, n_channels) * (n * a) ** 2
+    return casimir_per_area(a, n_channels) * (n * a) ** 2
 
 
 class ThetaSource(str, enum.Enum):

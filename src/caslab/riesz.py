@@ -205,7 +205,6 @@ def mollified_reduction(
     Monotone nonincreasing in the width and converges to momentum_integral as
     the width shrinks.
     """
-    _check_m(m)
     if not isinstance(mollifier, MollifierSpec):
         raise ParameterError("mollifier must be a MollifierSpec")
     s, lam = _check_domain(m, s, lam, "mollified integral")

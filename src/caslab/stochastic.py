@@ -4,9 +4,9 @@ A regulated real Gaussian source (units with hbar c = 1) has independent mode
 components sigma_j = sqrt(1 / g) lambda_j^{3/4} e^{-tau lambda_j / 2} xi_j,
 and the quadratic energy U = (g/2) sum sigma_j^2 / lambda_j collapses to
 (1/2) sum lambda_j^{1/2} e^{-tau lambda_j} xi_j^2, so its expectation is the
-regulated half trace.  Monte Carlo estimation uses counter-based
-per-worker substreams with a deterministic reduction, so results are
-bit-reproducible for a fixed (seed, worker_count).
+regulated half trace.  Monte Carlo estimation draws from one counter-based
+Philox stream per seed and merges its batches in a fixed order, so results
+are bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class MCEstimate:
     stderr: float
     n: int
     seed: int
-    worker_count: int
 
 
 def sample_sigma_components(spec: SourceSpec, rng: np.random.Generator) -> np.ndarray:
@@ -72,55 +71,41 @@ def monte_carlo(
     sample: Callable[[np.random.Generator, int], np.ndarray],
     n: int,
     seed: int,
-    worker_count: int,
     row_bytes: int,
 ) -> MCEstimate:
     """Mean and standard error of n draws of sample(rng, rows) values.
 
-    Each worker owns a counter-based Philox substream spawned from the seed
-    and draws its share in batches of at most 65536 rows and 64 MiB
-    (row_bytes per row).  Each batch contributes its own (mean, M2), the sum
-    of squared deviations from its mean, and these are merged in worker and
-    batch order by the pairwise update of Chan, Golub and LeVeque (1979), so
-    the variance keeps its digits when the mean is large and the estimate is
-    bit-identical for fixed (seed, worker_count) regardless of timing.
+    The draws come from one counter-based Philox stream keyed by the seed, in
+    batches of at most 65536 rows and 64 MiB (row_bytes per row).  Each batch
+    contributes its own (mean, M2), the sum of squared deviations from its
+    mean, and these are merged in batch order by the pairwise update of Chan,
+    Golub and LeVeque (1979), so the variance keeps its digits when the mean
+    is large and the estimate is bit-identical for a fixed seed.
     """
     check_count(n, "Monte Carlo sample count", minimum=2)
     check_count(seed, "seed", minimum=0)
-    check_count(worker_count, "worker_count")
     batch_rows = max(1, min(_BATCH_ROWS, _BATCH_BYTES // row_bytes))
-    children = np.random.SeedSequence(entropy=seed).spawn(worker_count)
-    base, extra = divmod(n, worker_count)
+    # spawn_key (0,) is SeedSequence(seed).spawn(1)[0], the pinned estimates' stream
+    rng = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,)))
+    )
     count = 0
     mean = 0.0
     m2 = 0.0
-    for i, child in enumerate(children):
-        quota = base + (1 if i < extra else 0)
-        rng = np.random.Generator(np.random.Philox(child))
-        done = 0
-        while done < quota:
-            rows = min(batch_rows, quota - done)
-            vals = sample(rng, rows)
-            batch_mean = float(np.mean(vals))
-            dev = vals - batch_mean
-            delta = batch_mean - mean
-            merged = count + rows
-            mean += delta * (rows / merged)
-            m2 += float(dev @ dev) + delta * delta * (count * rows / merged)
-            count = merged
-            done += rows
-    return MCEstimate(
-        mean=mean,
-        stderr=math.sqrt(m2 / (n - 1) / n),
-        n=n,
-        seed=seed,
-        worker_count=worker_count,
-    )
+    while count < n:
+        rows = min(batch_rows, n - count)
+        vals = sample(rng, rows)
+        batch_mean = float(np.mean(vals))
+        dev = vals - batch_mean
+        delta = batch_mean - mean
+        merged = count + rows
+        mean += delta * (rows / merged)
+        m2 += float(dev @ dev) + delta * delta * (count * rows / merged)
+        count = merged
+    return MCEstimate(mean=mean, stderr=math.sqrt(m2 / (n - 1) / n), n=n, seed=seed)
 
 
-def mc_estimate(
-    spec: SourceSpec, n: int, seed: int, worker_count: int = 1
-) -> MCEstimate:
+def mc_estimate(spec: SourceSpec, n: int, seed: int) -> MCEstimate:
     """Mean and standard error of U over n independent draws (see monte_carlo).
 
     U depends on the modes only through the sum of xi^2 over each group of k
@@ -144,4 +129,4 @@ def mc_estimate(
         gamma = rng.standard_gamma(shape, (rows, shape.size))
         return xi2 @ w_single + gamma @ w_group
 
-    return monte_carlo(sample, n, seed, worker_count, row_bytes=8 * lam.size)
+    return monte_carlo(sample, n, seed, row_bytes=8 * lam.size)

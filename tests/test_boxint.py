@@ -279,8 +279,6 @@ def test_aspect_cell_validation():
             boxint.delta_alpha(0.0, method)
     with pytest.raises(ParameterError):
         boxint.delta_alpha(1.0, boxint.DeltaMethod.MONTE_CARLO, budget=1)
-    with pytest.raises(ParameterError):
-        boxint.delta_alpha(1.0, boxint.DeltaMethod.MONTE_CARLO, worker_count=True)
     assert boxint.delta_alpha(2.0) == boxint.cell_overlap_energy((2.0, 0.5, 1.0))
 
 

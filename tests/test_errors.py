@@ -113,14 +113,13 @@ def test_upper_gamma_three_halves_edges():
     "call, name, member",
     [
         (lambda m: boxint.delta_alpha(1.0, m), "quadrature_3d", None),
-        (lambda m: plates.casimir_per_area(1.0, m), "zeta_route", None),
         (lambda m: plates.theta_bar(1.0, source=m), "closed_form", None),
         (lambda m: spectrum.AxisSpec(1.0, m).bc, "periodic", spectrum.Bc.PERIODIC),
         (lambda m: spectrum.AxisSpec(1.0, m).bc, "dirichlet", spectrum.Bc.DIRICHLET),
         (lambda m: specfun.theta_eval(m, 1.0, 0.5).value, "neumann", None),
         (lambda m: specfun.theta_eval(m, 1.0, 0.5).value, "periodic", None),
     ],
-    ids=["delta_alpha", "casimir_per_area", "theta_bar", "AxisSpec",
+    ids=["delta_alpha", "theta_bar", "AxisSpec",
          "AxisSpec_dirichlet", "theta_eval", "theta_eval_periodic"],
 )
 def test_method_names_are_checked(call, name, member):

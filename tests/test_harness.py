@@ -234,14 +234,22 @@ def test_out_of_range_parameter_fails_with_report(tmp_path, capsys, argv):
     assert issubclass(getattr(caslab.errors, failure["type"]), caslab.CaslabError)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "argv",
-    [["--alpha", "1e3"], ["--alpha", "1e-3"], ["--a", "1e-3"]],
+    [
+        ["--alpha", "1e3"],
+        ["--alpha", "1e-3"],
+        ["--a", "1e-3"],
+        ["--a", "1e57"],
+        ["--a", "1e76"],
+    ],
     ids=lambda argv: " ".join(argv),
 )
 def test_heat_trace_fits_scale_with_the_shortest_side(tmp_path, argv):
     # a window fixed at t in [1e-4, 1e-3] left a side of 1e-3 outside the
-    # short-time regime, and the companion fit of B failed
+    # short-time regime, and the companion fit of B failed; at a >= 1e57 the
+    # fit residual squared values past the float range and warned
     assert run_cli(["heat-trace", *argv], tmp_path) == 0
 
 
@@ -266,6 +274,18 @@ def test_stochastic_report(tmp_path):
     assert report["z_score"] <= 3.0
     assert report["estimate"]["seed"] == 7
     assert report["estimate"]["n"] == 20000
+
+
+def test_stochastic_default_estimate_is_pinned(tmp_path):
+    # tau 0.5, cutoff 200, 100k draws, seed 42: pins the Philox stream, the
+    # batch order and the variance merge of the default run
+    assert run_cli(["stochastic"], tmp_path) == 0
+    assert read_report(tmp_path, "stochastic")["estimate"] == {
+        "mean": 1.0066916451140559e-06,
+        "stderr": 4.503665014131775e-09,
+        "n": 100_000,
+        "seed": 42,
+    }
 
 
 def test_calibrate_report_has_both_routes(tmp_path):

@@ -97,8 +97,8 @@ def test_heat_fit_model_extracts_negative_constant():
 
 def test_casimir_routes_agree():
     for a in (0.5, 1.0, 2.0):
-        fit = plates.casimir_per_area(a, plates.CasimirMethod.HEAT_FIT)
-        zeta = plates.casimir_per_area(a, plates.CasimirMethod.ZETA_ROUTE)
+        fit = plates.heat_fit_model(a).c0
+        zeta = plates.casimir_per_area(a)
         assert fit == pytest.approx(zeta, rel=5e-3)
         assert fit < 0.0
 
@@ -106,17 +106,14 @@ def test_casimir_routes_agree():
 def test_zeta_route_closed_form():
     for a in (0.5, 1.0, 2.0):
         for n_channels in (1, 3):
-            got = plates.casimir_per_area(
-                a, plates.CasimirMethod.ZETA_ROUTE, n_channels=n_channels
-            )
+            got = plates.casimir_per_area(a, n_channels=n_channels)
             want = -n_channels * math.pi**2 / (1440.0 * a**3)
             assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_casimir_cube_of_width_invariance():
     vals = [
-        plates.casimir_per_area(a, plates.CasimirMethod.ZETA_ROUTE) * a**3
-        for a in (0.5, 1.0, 2.0, 4.0)
+        plates.casimir_per_area(a) * a**3 for a in (0.5, 1.0, 2.0, 4.0)
     ]
     for v in vals[1:]:
         assert v == pytest.approx(vals[0], rel=1e-12)

@@ -62,7 +62,7 @@ def test_mc_mean_matches_trace(cube_stream):
     trace = heattrace.regulated_trace(cube_stream, 0.5).value
     est = stochastic.mc_estimate(spec, n=40_000, seed=11)
     assert abs(est.mean - trace) <= 4.0 * est.stderr
-    assert est.n == 40_000 and est.seed == 11 and est.worker_count == 1
+    assert est.n == 40_000 and est.seed == 11
 
 
 def test_mc_variance_identity(cube_stream):
@@ -77,27 +77,18 @@ def test_mc_variance_identity(cube_stream):
 
 def test_mc_bit_reproducible(cube_stream):
     spec = stochastic.SourceSpec(stream=cube_stream, tau=0.5)
-    a = stochastic.mc_estimate(spec, n=50_000, seed=42, worker_count=3)
-    b = stochastic.mc_estimate(spec, n=50_000, seed=42, worker_count=3)
+    a = stochastic.mc_estimate(spec, n=50_000, seed=42)
+    b = stochastic.mc_estimate(spec, n=50_000, seed=42)
     assert a.mean == b.mean
     assert a.stderr == b.stderr
 
 
-def test_mc_worker_split_is_deterministic_per_count(cube_stream):
+def test_mc_frozen_across_batches(cube_stream):
+    # 140001 draws span three 65536-row batches; these values pin the stream,
+    # the batch order and the reduction order
     spec = stochastic.SourceSpec(stream=cube_stream, tau=0.5)
-    one = stochastic.mc_estimate(spec, n=30_000, seed=9, worker_count=1)
-    four = stochastic.mc_estimate(spec, n=30_000, seed=9, worker_count=4)
-    # different substreams, same target
-    assert one.mean != four.mean
-    assert abs(one.mean - four.mean) <= 5.0 * math.hypot(one.stderr, four.stderr)
-
-
-def test_mc_frozen_across_batches_and_workers(cube_stream):
-    # 70001 draws per worker span two 65536-row batches; these values pin the
-    # stream split, the batch order and the reduction order
-    spec = stochastic.SourceSpec(stream=cube_stream, tau=0.5)
-    est = stochastic.mc_estimate(spec, n=140_001, seed=42, worker_count=2)
-    assert (est.mean, est.stderr) == (1.0089106887144945e-06, 3.824699971041414e-09)
+    est = stochastic.mc_estimate(spec, n=140_001, seed=42)
+    assert (est.mean, est.stderr) == (1.0086640141776921e-06, 3.8085067061204495e-09)
 
 
 def test_variance_merge_keeps_digits_under_a_large_mean():
@@ -110,7 +101,7 @@ def test_variance_merge_keeps_digits_under_a_large_mean():
         return vals
 
     n = 200_000
-    est = stochastic.monte_carlo(offset_normal, n, seed=7, worker_count=2, row_bytes=8)
+    est = stochastic.monte_carlo(offset_normal, n, seed=7, row_bytes=8)
     assert est.stderr == pytest.approx(1e-3 / math.sqrt(n), rel=0.01)
     assert abs(est.mean - 1e6) <= 4.0 * est.stderr
 
@@ -201,8 +192,6 @@ def test_mc_estimate_validation(cube_stream):
     spec = stochastic.SourceSpec(stream=cube_stream, tau=0.5)
     with pytest.raises(ParameterError):
         stochastic.mc_estimate(spec, n=1, seed=0)
-    with pytest.raises(ParameterError):
-        stochastic.mc_estimate(spec, n=100, seed=0, worker_count=0)
 
 
 def test_estimate_json(cube_stream):
@@ -214,5 +203,4 @@ def test_estimate_json(cube_stream):
         "stderr": est.stderr,
         "n": 1000,
         "seed": 1,
-        "worker_count": 1,
     }
