@@ -191,15 +191,20 @@ def _inverse_distances(
     d = rng.random((rows, 3))
     np.sqrt(d, out=d)
     np.subtract(1.0, d, out=d)
-    d *= lengths
+    # one scalar per column: a broadcast length-3 vector loops once per row
+    for k, length in enumerate(lengths):
+        d[:, k] *= length
     d *= d
-    return 1.0 / np.sqrt(d[:, 0] + d[:, 1] + d[:, 2])
+    s = d[:, 0] + d[:, 1]
+    s += d[:, 2]
+    np.sqrt(s, out=s)
+    return np.reciprocal(s, out=s)
 
 
 def _delta_monte_carlo(alpha: float, budget: int, seed: int) -> MCEstimate:
     lengths = np.array(_aspect_lengths(alpha))
     return monte_carlo(
-        functools.partial(_inverse_distances, lengths), budget, seed, row_bytes=24
+        functools.partial(_inverse_distances, lengths), budget, seed, draws_per_row=3
     )
 
 

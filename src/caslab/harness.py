@@ -24,6 +24,8 @@ from .errors import CaslabError, CheckReport, ConfigError, ParameterError, check
 
 OUT_ENV_VAR = "CASLAB_OUT"
 _FORMATS = ("json", "csv", "both")
+_DEFAULT_SEED = 42
+_DEFAULT_FORMAT = "json"
 
 _PARAM_HELP = {
     "lam": "spectral value lambda",
@@ -102,7 +104,8 @@ def _run_reduce(config: RunConfig):
             closed = riesz.reduction_constant(m, s) * lam ** (0.5 * m - s)
         except OverflowError:
             closed = math.inf
-        if not 0.0 < closed < math.inf:
+        # a subnormal closed form has lost digits the 1e-7 checks below need
+        if not sys.float_info.min <= closed < math.inf:
             raise ParameterError(
                 f"closed form at lam={lam!r}, m={m}, s={s} leaves the float range"
             )
@@ -390,9 +393,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for key, value in params.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value!r}")
-    seed = resolve("seed", 42)
+    seed = resolve("seed", _DEFAULT_SEED)
     out = resolve("out", "") or os.environ.get(OUT_ENV_VAR) or "caslab-report"
-    fmt = resolve("format", "json")
+    fmt = resolve("format", _DEFAULT_FORMAT)
     if fmt not in _FORMATS:
         raise ConfigError(f"format must be one of {_FORMATS}")
     return RunConfig(
@@ -403,10 +406,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override it")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (default 42)")
+    common.add_argument("--seed", type=int, default=None,
+                        help=f"RNG seed (default {_DEFAULT_SEED})")
     common.add_argument("--out", default=None, help=f"output directory (or ${OUT_ENV_VAR})")
     common.add_argument("--format", choices=_FORMATS, default=None,
-                        help="report format: json, csv, or both (default json)")
+                        help=f"report format: json, csv, or both (default {_DEFAULT_FORMAT})")
     parser = argparse.ArgumentParser(
         prog="caslab",
         description="Spectral heat-kernel laboratory: verified runs with JSON/CSV reports",

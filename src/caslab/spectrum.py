@@ -173,8 +173,10 @@ def enumerate_modes(
 
     Each axis-1 mode v1 broadcasts one slice v1 + v2 + v3, kept where
     v3 <= (cutoff - v1) - v2, and the mode cap is checked after every slice.
-    After one stable sort each value joins the group of the first value within
-    1e-12 relative below it, so degeneracies report a single multiplicity.
+    After one sort each value joins the group of the first value within 1e-12
+    relative below it, so degeneracies report a single multiplicity; the sort
+    need not be stable, since the order of exactly equal values changes
+    neither the group heads nor the integer group sums.
     """
     cutoff = float(cutoff)
     if math.isnan(cutoff):
@@ -211,7 +213,7 @@ def enumerate_modes(
     if count == 0:
         raise EmptySpectrumError(f"no modes at or below cutoff {cutoff}")
     found = np.concatenate(values)
-    order = np.argsort(found, kind="stable")
+    order = np.argsort(found)
     found, grouped = found[order], np.concatenate(mults)[order]
     # a group can only start where the sorted value changes
     steps = np.flatnonzero(found[1:] != found[:-1]) + 1

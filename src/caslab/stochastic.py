@@ -17,11 +17,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import check_count, check_positive
+from .errors import ResourceError, check_count, check_positive
 from .spectrum import EigenStream
 
 _BATCH_ROWS = 1 << 16
-_BATCH_BYTES = 64 << 20  # memory budget of one batch of draws
+_BATCH_DRAWS = 1 << 23  # draws per batch; the partition fixes the stream layout
+_BLOCK_BYTES = 1 << 20  # size of one block of draws within a batch, or 64 rows
+_DRAW_BUDGET = 1 << 28  # draws one Monte Carlo run may ask for, about 5 s of gammas
 
 
 @dataclass(frozen=True)
@@ -71,20 +73,29 @@ def monte_carlo(
     sample: Callable[[np.random.Generator, int], np.ndarray],
     n: int,
     seed: int,
-    row_bytes: int,
+    draws_per_row: int,
 ) -> MCEstimate:
     """Mean and standard error of n draws of sample(rng, rows) values.
 
-    The draws come from one counter-based Philox stream keyed by the seed, in
-    batches of at most 65536 rows and 64 MiB (row_bytes per row).  Each batch
-    contributes its own (mean, M2), the sum of squared deviations from its
-    mean, and these are merged in batch order by the pairwise update of Chan,
-    Golub and LeVeque (1979), so the variance keeps its digits when the mean
-    is large and the estimate is bit-identical for a fixed seed.
+    sample returns a new float64 array of rows values, which the merge reuses
+    as scratch.  The draws come from one counter-based Philox stream keyed by
+    the seed, in batches of min(65536, 2^23 // draws_per_row) rows.  That
+    partition fixes which draws of the stream land on which row, so it is part
+    of every pinned estimate; the sampler bounds its memory by drawing a batch
+    in blocks.  Each batch contributes its own (mean, M2), the sum of squared
+    deviations from its mean, and these are merged in batch order by the
+    pairwise update of Chan, Golub and LeVeque (1979), so the variance keeps
+    its digits when the mean is large and the estimate is bit-identical for a
+    fixed seed.  A request for more than 2^28 draws in all raises
+    ResourceError at once.
     """
     check_count(n, "Monte Carlo sample count", minimum=2)
     check_count(seed, "seed", minimum=0)
-    batch_rows = max(1, min(_BATCH_ROWS, _BATCH_BYTES // row_bytes))
+    if n * draws_per_row > _DRAW_BUDGET:
+        raise ResourceError(
+            f"{n} samples of {draws_per_row} draws exceed the draw budget {_DRAW_BUDGET}"
+        )
+    batch_rows = max(1, min(_BATCH_ROWS, _BATCH_DRAWS // draws_per_row))
     # spawn_key (0,) is SeedSequence(seed).spawn(1)[0], the pinned estimates' stream
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,)))
@@ -96,11 +107,11 @@ def monte_carlo(
         rows = min(batch_rows, n - count)
         vals = sample(rng, rows)
         batch_mean = float(np.mean(vals))
-        dev = vals - batch_mean
+        vals -= batch_mean
         delta = batch_mean - mean
         merged = count + rows
         mean += delta * (rows / merged)
-        m2 += float(dev @ dev) + delta * delta * (count * rows / merged)
+        m2 += float(vals @ vals) + delta * delta * (count * rows / merged)
         count = merged
     return MCEstimate(mean=mean, stderr=math.sqrt(m2 / (n - 1) / n), n=n, seed=seed)
 
@@ -123,10 +134,25 @@ def mc_estimate(spec: SourceSpec, n: int, seed: int) -> MCEstimate:
     shape = mult[~single] * 0.5
     w_group = weight[~single] * 2.0
 
-    def sample(rng: np.random.Generator, rows: int) -> np.ndarray:
+    def normal_sq(rng: np.random.Generator, rows: int) -> np.ndarray:
         xi2 = rng.standard_normal((rows, w_single.size))
         xi2 *= xi2
-        gamma = rng.standard_gamma(shape, (rows, shape.size))
-        return xi2 @ w_single + gamma @ w_group
+        return xi2
 
-    return monte_carlo(sample, n, seed, row_bytes=8 * lam.size)
+    def gamma(rng: np.random.Generator, rows: int) -> np.ndarray:
+        return rng.standard_gamma(shape, (rows, shape.size))
+
+    def sample(rng: np.random.Generator, rows: int) -> np.ndarray:
+        # every normal of the batch, then every gamma, each row-major: the
+        # stream order of one (rows x k) draw, taken in blocks of rows.  A
+        # block is a multiple of 64 rows, so each row takes the same BLAS
+        # kernel path as in one (rows x k) product, which unrolls over rows.
+        vals = np.zeros(rows)
+        for draw, w in ((normal_sq, w_single), (gamma, w_group)):
+            step = max(64, (_BLOCK_BYTES // (8 * max(1, w.size))) & -64)
+            for start in range(0, rows, step):
+                stop = min(start + step, rows)
+                vals[start:stop] += draw(rng, stop - start) @ w
+        return vals
+
+    return monte_carlo(sample, n, seed, draws_per_row=lam.size)

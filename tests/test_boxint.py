@@ -235,6 +235,15 @@ def test_pair_distances_are_strictly_positive():
     assert np.all(np.isfinite(inv)) and np.all(inv > 0.0)
 
 
+def test_delta_monte_carlo_is_pinned():
+    # pins the pair kernel, the 65536-row batches of three draws per pair
+    # and the merge order
+    est = boxint.delta_alpha(
+        1.5, boxint.DeltaMethod.MONTE_CARLO, budget=1_000_000, seed=5
+    )
+    assert (est.mean, est.stderr) == (1.8052114222192268, 0.0014761940302068558)
+
+
 def test_pair_sampler_mean_matches_t_integral():
     est = boxint.delta_alpha(
         2.0, boxint.DeltaMethod.MONTE_CARLO, budget=1_000_000, seed=8

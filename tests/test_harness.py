@@ -220,12 +220,18 @@ def test_module_failure_exits_one_with_report(tmp_path):
         ["spectrum", "--alpha", "1e20"],
         ["stochastic", "--cutoff", "1e300"],
         ["stochastic", "--tau", "1e20"],
+        ["stochastic", "--n-samples", "1000000000"],
+        ["stochastic", "--cutoff", "1e5"],
+        ["reduce", "--lam", "6.4488891409067575e+122"],
     ],
     ids=lambda argv: " ".join(argv),
 )
 def test_out_of_range_parameter_fails_with_report(tmp_path, capsys, argv):
     # each used to escape run() as a bare ZeroDivisionError, OverflowError or
-    # numpy ValueError; spectrum --alpha 1e-8 asked for about 2.4 GB first
+    # numpy ValueError; spectrum --alpha 1e-8 asked for about 2.4 GB first.
+    # The two stochastic runs ask for 9e9 and 8.4e8 draws, which ran for 196 s
+    # and 19 s before the draw budget; reduce at that lam has subnormal closed
+    # forms, which failed two checks with no failure report
     assert run_cli(argv, tmp_path) == 1
     err = capsys.readouterr().err
     assert f"{argv[0]}: FAIL (" in err

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from caslab import heattrace, plates, spectrum, stochastic
-from caslab.errors import ParameterError
+from caslab.errors import ParameterError, ResourceError
 
 D = spectrum.Bc.DIRICHLET
 
@@ -101,7 +101,7 @@ def test_variance_merge_keeps_digits_under_a_large_mean():
         return vals
 
     n = 200_000
-    est = stochastic.monte_carlo(offset_normal, n, seed=7, row_bytes=8)
+    est = stochastic.monte_carlo(offset_normal, n, seed=7, draws_per_row=1)
     assert est.stderr == pytest.approx(1e-3 / math.sqrt(n), rel=0.01)
     assert abs(est.mean - 1e6) <= 4.0 * est.stderr
 
@@ -165,20 +165,72 @@ def test_samplers_match_exact_mean_and_variance(box):
 
 
 def test_mc_batch_memory_is_bounded():
-    # 1277 modes: one 65536-row batch would take 670 MB; the batch budget
-    # holds it to 64 MiB per draw array
+    # 1277 modes in 147 distinct values: a batch of 57065 rows would hold
+    # 67 MB of draws at once; 1 MiB blocks bound the working set instead,
+    # and the estimate over four batches is the one drawn as whole batches
     axis = spectrum.AxisSpec(1.0, D)
     stream = spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), 2000.0)
-    assert stream.mode_count == 1277
+    assert (stream.mode_count, stream.values.size) == (1277, 147)
     spec = stochastic.SourceSpec(stream=stream, tau=0.05)
     tracemalloc.start()
     try:
-        est = stochastic.mc_estimate(spec, n=32_768, seed=1)
+        est = stochastic.mc_estimate(spec, n=200_000, seed=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * (64 << 20)
-    assert est.n == 32_768 and est.stderr > 0.0
+    assert peak < 8 << 20
+    assert (est.mean, est.stderr) == (1.5128580276983399, 0.002266098800672303)
+
+
+def test_blocks_draw_what_whole_batches_draw(monkeypatch):
+    # 1651 distinct values, 1646 of them groups, so a 1 MiB gamma block holds
+    # 79 rows; rounded down to 64, no block ends inside the BLAS row unroll,
+    # which at 79 rows moved some rows by 1 ulp
+    axis = spectrum.AxisSpec(1.0, D)
+    stream = spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), 2e4)
+    tau = 0.002
+    lam, mult = stream.values, stream.multiplicities
+    weight = 0.5 * np.sqrt(lam) * np.exp(-tau * lam)
+    single = mult == 1
+
+    def whole_batch(rng, rows):
+        xi2 = rng.standard_normal((rows, int(single.sum())))
+        xi2 *= xi2
+        gamma = rng.standard_gamma(mult[~single] * 0.5, (rows, int((~single).sum())))
+        return xi2 @ weight[single] + gamma @ (weight[~single] * 2.0)
+
+    samplers = []
+    monkeypatch.setattr(
+        stochastic, "monte_carlo", lambda sample, *args, **kw: samplers.append(sample)
+    )
+    stochastic.mc_estimate(stochastic.SourceSpec(stream=stream, tau=tau), n=2, seed=0)
+    for rows in (200, 50):  # gamma blocks of 64, 64, 64 and 8 rows; of 50 rows
+        rng_a, rng_b = (np.random.Generator(np.random.Philox(7)) for _ in range(2))
+        assert np.array_equal(samplers[0](rng_a, rows), whole_batch(rng_b, rows))
+        assert rng_a.random() == rng_b.random()  # the same draws were used up
+
+
+class _Drawn(Exception):
+    """Raised by a sampler to show that monte_carlo got as far as drawing."""
+
+
+def _refuse_to_draw(rng, rows):
+    raise _Drawn
+
+
+@pytest.mark.parametrize(
+    ("n", "draws_per_row", "stop"),
+    [
+        ((1 << 28) - 1, 1, _Drawn),
+        (1 << 28, 1, _Drawn),
+        ((1 << 28) + 1, 1, ResourceError),
+        ((1 << 27) + 1, 2, ResourceError),
+    ],
+)
+def test_draw_budget_is_checked_before_drawing(n, draws_per_row, stop):
+    # up to 2^28 draws reach the sampler; one more fails before any draw
+    with pytest.raises(stop):
+        stochastic.monte_carlo(_refuse_to_draw, n, seed=0, draws_per_row=draws_per_row)
 
 
 def test_source_spec_validation(cube_stream):
