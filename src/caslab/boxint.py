@@ -186,17 +186,17 @@ def _inverse_distances(
 
     Along each axis |x_i - y_i| has the triangular density 2(L - d)/L^2, which
     L(1 - sqrt(U)) samples exactly from one uniform U in [0, 1); since
-    sqrt(U) <= 1 - 2^-53, every distance is at least 2^-53 L_i > 0.
+    sqrt(U) <= 1 - 2^-53, every distance is at least 2^-53 L_i > 0.  The
+    uniforms are drawn as a (3, rows) array, so each axis is one contiguous
+    row that is scaled by its own length.
     """
-    d = rng.random((rows, 3))
+    d = rng.random((3, rows))
     np.sqrt(d, out=d)
     np.subtract(1.0, d, out=d)
-    # one scalar per column: a broadcast length-3 vector loops once per row
-    for k, length in enumerate(lengths):
-        d[:, k] *= length
+    d *= lengths[:, None]
     d *= d
-    s = d[:, 0] + d[:, 1]
-    s += d[:, 2]
+    s = d[0] + d[1]
+    s += d[2]
     np.sqrt(s, out=s)
     return np.reciprocal(s, out=s)
 

@@ -215,15 +215,35 @@ def enumerate_modes(
     found = np.concatenate(values)
     order = np.argsort(found)
     found, grouped = found[order], np.concatenate(mults)[order]
-    # a group can only start where the sorted value changes
-    steps = np.flatnonzero(found[1:] != found[:-1]) + 1
-    heads = [0]
-    head = float(found[0])
-    for i, value in zip(steps.tolist(), found[steps].tolist()):
-        if value - head > _MERGE_RTOL * value:
-            heads.append(i)
-            head = value
+    heads = _group_heads(found)
     return EigenStream(cutoff, found[heads], np.add.reduceat(grouped, heads), spec)
+
+
+def _group_heads(found: np.ndarray) -> np.ndarray:
+    """Group start indices of an ascending array: walking up, each value that
+    lies more than 1e-12 relative above its group's head starts a new group.
+
+    A group can only start where the value changes.  A step more than the
+    tolerance above its predecessor always starts one, because rounded
+    subtraction is monotone and the head is at most the predecessor.  When no
+    other step lies past the tolerance of the head those steps give, they are
+    the walk's heads exactly; otherwise a chain of small steps has drifted and
+    the walk itself runs.
+    """
+    steps = np.flatnonzero(found[1:] != found[:-1]) + 1
+    values = found[steps]
+    limits = _MERGE_RTOL * values
+    heads = np.concatenate(([0], steps[values - found[steps - 1] > limits]))
+    own_head = heads[np.searchsorted(heads, steps, side="right") - 1]
+    if not np.any(values - found[own_head] > limits):
+        return heads
+    walk = [0]
+    head = float(found[0])
+    for i, value in zip(steps.tolist(), values.tolist()):
+        if value - head > _MERGE_RTOL * value:
+            walk.append(i)
+            head = value
+    return np.array(walk)
 
 
 def lateral_gap(l1: float, l2: float) -> float:

@@ -4,9 +4,9 @@ A regulated real Gaussian source (units with hbar c = 1) has independent mode
 components sigma_j = sqrt(1 / g) lambda_j^{3/4} e^{-tau lambda_j / 2} xi_j,
 and the quadratic energy U = (g/2) sum sigma_j^2 / lambda_j collapses to
 (1/2) sum lambda_j^{1/2} e^{-tau lambda_j} xi_j^2, so its expectation is the
-regulated half trace.  Monte Carlo estimation draws from one counter-based
-Philox stream per seed and merges its batches in a fixed order, so results
-are bit-reproducible for a fixed seed.
+regulated half trace.  Monte Carlo estimation draws from one SFC64 stream per
+seed and merges its batches in a fixed order with numpy's own reductions, so
+results are bit-reproducible for a fixed seed at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .spectrum import EigenStream
 _BATCH_ROWS = 1 << 16
 _BATCH_DRAWS = 1 << 23  # draws per batch; the partition fixes the stream layout
 _BLOCK_BYTES = 1 << 20  # size of one block of draws within a batch, or 64 rows
-_DRAW_BUDGET = 1 << 28  # draws one Monte Carlo run may ask for, about 5 s of gammas
+_DRAW_BUDGET = 1 << 28  # draws one run may ask for; 8.7 s of chi^2 on a 2-vCPU Xeon
 
 
 @dataclass(frozen=True)
@@ -78,15 +78,17 @@ def monte_carlo(
     """Mean and standard error of n draws of sample(rng, rows) values.
 
     sample returns a new float64 array of rows values, which the merge reuses
-    as scratch.  The draws come from one counter-based Philox stream keyed by
-    the seed, in batches of min(65536, 2^23 // draws_per_row) rows.  That
-    partition fixes which draws of the stream land on which row, so it is part
-    of every pinned estimate; the sampler bounds its memory by drawing a batch
-    in blocks.  Each batch contributes its own (mean, M2), the sum of squared
+    as scratch.  The draws come from one SFC64 stream keyed by the seed, in
+    batches of min(65536, 2^23 // draws_per_row) rows.  That partition fixes
+    which draws of the stream land on which row, so it is part of every
+    pinned estimate; the sampler bounds its memory by drawing a batch in
+    blocks.  Each batch contributes its own (mean, M2), the sum of squared
     deviations from its mean, and these are merged in batch order by the
     pairwise update of Chan, Golub and LeVeque (1979), so the variance keeps
-    its digits when the mean is large and the estimate is bit-identical for a
-    fixed seed.  A request for more than 2^28 draws in all raises
+    its digits when the mean is large.  The sum of squared deviations is
+    numpy's own reduction, not a BLAS dot product that splits its sum across
+    threads, so the estimate is bit-identical for a fixed seed at any BLAS
+    thread count.  A request for more than 2^28 draws in all raises
     ResourceError at once.
     """
     check_count(n, "Monte Carlo sample count", minimum=2)
@@ -96,9 +98,9 @@ def monte_carlo(
             f"{n} samples of {draws_per_row} draws exceed the draw budget {_DRAW_BUDGET}"
         )
     batch_rows = max(1, min(_BATCH_ROWS, _BATCH_DRAWS // draws_per_row))
-    # spawn_key (0,) is SeedSequence(seed).spawn(1)[0], the pinned estimates' stream
+    # spawn_key (0,) is SeedSequence(seed).spawn(1)[0], the pinned estimates' key
     rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,)))
+        np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0,)))
     )
     count = 0
     mean = 0.0
@@ -111,7 +113,8 @@ def monte_carlo(
         delta = batch_mean - mean
         merged = count + rows
         mean += delta * (rows / merged)
-        m2 += float(vals @ vals) + delta * delta * (count * rows / merged)
+        squares = float(np.einsum("i,i->", vals, vals))  # not a threaded BLAS ddot
+        m2 += squares + delta * delta * (count * rows / merged)
         count = merged
     return MCEstimate(mean=mean, stderr=math.sqrt(m2 / (n - 1) / n), n=n, seed=seed)
 
@@ -121,38 +124,40 @@ def mc_estimate(spec: SourceSpec, n: int, seed: int) -> MCEstimate:
 
     U depends on the modes only through the sum of xi^2 over each group of k
     equal eigenvalues, so one variable per distinct eigenvalue is drawn from
-    its exact law, chi^2_k = 2 Gamma(k/2).  A group of one draws a squared
-    normal instead, which numpy samples about three times faster than
-    Gamma(1/2).
+    its exact law, chi^2_k = 2 Gamma(k/2).  The values of one multiplicity k
+    share one draw call with the scalar shape k/2, which numpy samples faster
+    than a call with one shape per value; k = 1 draws squared normals instead,
+    which numpy samples about four times faster than Gamma(1/2).
     """
     lam, mult = spec.stream.values, spec.stream.multiplicities
     weight = 0.5 * np.sqrt(lam) * np.exp(-spec.tau * lam)
     # sigma_j^2/lambda_j carries (1/g) lambda^{1/2} e^{-tau lambda}; the g/2
-    # prefactor restores the weight above exactly as in sample_U
-    single = mult == 1
-    w_single = weight[single]
-    shape = mult[~single] * 0.5
-    w_group = weight[~single] * 2.0
+    # prefactor restores the weight above exactly as in sample_U.  One class
+    # per multiplicity present, ascending (np.unique would import numpy.ma);
+    # a gamma class carries the 2 of chi^2_k = 2 Gamma(k/2) in its weights.
+    classes = [
+        (k, weight[mult == k] * (1.0 if k == 1 else 2.0))
+        for k in np.flatnonzero(np.bincount(mult)).tolist()
+    ]
 
-    def normal_sq(rng: np.random.Generator, rows: int) -> np.ndarray:
-        xi2 = rng.standard_normal((rows, w_single.size))
+    def draw(rng: np.random.Generator, k: int, rows: int, cols: int) -> np.ndarray:
+        if k > 1:
+            return rng.standard_gamma(0.5 * k, (rows, cols))
+        xi2 = rng.standard_normal((rows, cols))
         xi2 *= xi2
         return xi2
 
-    def gamma(rng: np.random.Generator, rows: int) -> np.ndarray:
-        return rng.standard_gamma(shape, (rows, shape.size))
-
     def sample(rng: np.random.Generator, rows: int) -> np.ndarray:
-        # every normal of the batch, then every gamma, each row-major: the
-        # stream order of one (rows x k) draw, taken in blocks of rows.  A
-        # block is a multiple of 64 rows, so each row takes the same BLAS
-        # kernel path as in one (rows x k) product, which unrolls over rows.
+        # one class after another in ascending k, each drawn row-major in
+        # blocks of rows.  A block holds at most 1 MiB of draws or 64 rows and
+        # is a multiple of 64 rows, so each row takes the same BLAS kernel
+        # path as in one (rows x n_k) product, which unrolls over rows.
         vals = np.zeros(rows)
-        for draw, w in ((normal_sq, w_single), (gamma, w_group)):
-            step = max(64, (_BLOCK_BYTES // (8 * max(1, w.size))) & -64)
+        for k, w in classes:
+            step = max(64, (_BLOCK_BYTES // (8 * w.size)) & -64)
             for start in range(0, rows, step):
                 stop = min(start + step, rows)
-                vals[start:stop] += draw(rng, stop - start) @ w
+                vals[start:stop] += draw(rng, k, stop - start, w.size) @ w
         return vals
 
     return monte_carlo(sample, n, seed, draws_per_row=lam.size)

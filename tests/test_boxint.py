@@ -241,7 +241,7 @@ def test_delta_monte_carlo_is_pinned():
     est = boxint.delta_alpha(
         1.5, boxint.DeltaMethod.MONTE_CARLO, budget=1_000_000, seed=5
     )
-    assert (est.mean, est.stderr) == (1.8052114222192268, 0.0014761940302068558)
+    assert (est.mean, est.stderr) == (1.8028350535010718, 0.0016161686990808855)
 
 
 def test_pair_sampler_mean_matches_t_integral():

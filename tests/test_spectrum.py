@@ -114,6 +114,41 @@ def test_merge_compares_with_group_head():
     assert stream.multiplicities.tolist() == [1, 2, 1]
 
 
+@pytest.mark.parametrize(
+    ("chain", "heads"),
+    [
+        ([1.0 + 6e-13 * i for i in range(6)], [0, 2, 4, 6, 9]),
+        ([1.0, 1.0 + 6e-13], [0, 2, 5]),
+    ],
+)
+def test_group_heads_follow_the_walk(chain, heads):
+    # steps 6e-13 relative apart: the six-value chain drifts past the
+    # tolerance every second step, which only the walk sees; the pair does
+    # not, so the vectorized rule alone decides.  2 + 1e-12 joins 2.
+    found = np.array(chain + [2.0, 2.0, 2.0 + 1e-12, 3.0])
+    assert spectrum._group_heads(found).tolist() == heads == _walk_heads(found.tolist())
+
+
+def _walk_heads(found):
+    """The reference rule, one value at a time."""
+    heads, head = [0], found[0]
+    for i, value in enumerate(found):
+        if value - head > 1e-12 * value:
+            heads.append(i)
+            head = value
+    return heads
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 5), st.integers(0, 8)), min_size=1, max_size=40)
+)
+def test_group_heads_match_the_walk(offsets):
+    # values b (1 + 3e-13 k): chains of near-equal values that drift or not
+    found = np.sort(np.array([b * (1.0 + 3e-13 * k) for b, k in offsets]))
+    assert spectrum._group_heads(found).tolist() == _walk_heads(found.tolist())
+
+
 def test_stream_arrays_are_read_only():
     axis = spectrum.AxisSpec(1.0, D)
     stream = spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), 200.0)

@@ -3,7 +3,11 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,7 +92,7 @@ def test_mc_frozen_across_batches(cube_stream):
     # the batch order and the reduction order
     spec = stochastic.SourceSpec(stream=cube_stream, tau=0.5)
     est = stochastic.mc_estimate(spec, n=140_001, seed=42)
-    assert (est.mean, est.stderr) == (1.0086640141776921e-06, 3.8085067061204495e-09)
+    assert (est.mean, est.stderr) == (1.0048941318178257e-06, 3.787758413038303e-09)
 
 
 def test_variance_merge_keeps_digits_under_a_large_mean():
@@ -179,35 +183,93 @@ def test_mc_batch_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
-    assert (est.mean, est.stderr) == (1.5128580276983399, 0.002266098800672303)
+    assert (est.mean, est.stderr) == (1.5134804368654913, 0.0022706171893552445)
 
 
 def test_blocks_draw_what_whole_batches_draw(monkeypatch):
-    # 1651 distinct values, 1646 of them groups, so a 1 MiB gamma block holds
-    # 79 rows; rounded down to 64, no block ends inside the BLAS row unroll,
-    # which at 79 rows moved some rows by 1 ulp
+    # 1651 distinct values in 41 multiplicity classes of 1 to 195 values.
+    # 64 KiB blocks hold 64 rows of a class above 64 values (195 values fill
+    # 42 rows, rounded up to 64) and 128 or more of the others, so 200 rows
+    # span several blocks; no block ends inside the BLAS row unroll, which
+    # moved some rows by 1 ulp
     axis = spectrum.AxisSpec(1.0, D)
     stream = spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), 2e4)
     tau = 0.002
     lam, mult = stream.values, stream.multiplicities
     weight = 0.5 * np.sqrt(lam) * np.exp(-tau * lam)
-    single = mult == 1
 
     def whole_batch(rng, rows):
-        xi2 = rng.standard_normal((rows, int(single.sum())))
-        xi2 *= xi2
-        gamma = rng.standard_gamma(mult[~single] * 0.5, (rows, int((~single).sum())))
-        return xi2 @ weight[single] + gamma @ (weight[~single] * 2.0)
+        vals = np.zeros(rows)
+        for k in np.unique(mult).tolist():  # one (rows x n_k) draw per class
+            w = weight[mult == k]
+            if k == 1:
+                xi2 = rng.standard_normal((rows, w.size))
+                xi2 *= xi2
+                vals += xi2 @ w
+            else:
+                vals += rng.standard_gamma(0.5 * k, (rows, w.size)) @ (w * 2.0)
+        return vals
 
     samplers = []
+    monkeypatch.setattr(stochastic, "_BLOCK_BYTES", 1 << 16)
     monkeypatch.setattr(
         stochastic, "monte_carlo", lambda sample, *args, **kw: samplers.append(sample)
     )
     stochastic.mc_estimate(stochastic.SourceSpec(stream=stream, tau=tau), n=2, seed=0)
-    for rows in (200, 50):  # gamma blocks of 64, 64, 64 and 8 rows; of 50 rows
-        rng_a, rng_b = (np.random.Generator(np.random.Philox(7)) for _ in range(2))
+    for rows in (200, 50):  # widest blocks of 64, 64, 64 and 8 rows; of 50 rows
+        rng_a, rng_b = (np.random.Generator(np.random.SFC64(7)) for _ in range(2))
         assert np.array_equal(samplers[0](rng_a, rows), whole_batch(rng_b, rows))
         assert rng_a.random() == rng_b.random()  # the same draws were used up
+
+
+def test_seeds_give_standard_normal_z_scores():
+    # 200 seeds on the 10-mode cube: |z| has mean sqrt(2/pi) = 0.798 (standard
+    # deviation 0.043 over 200 seeds) and exceeds 2 with probability 0.046
+    # (standard deviation 0.015); a stream whose seeds overlap or whose
+    # stderr is off shows in one of the two
+    axis = spectrum.AxisSpec(1.0, D)
+    stream = spectrum.enumerate_modes(
+        spectrum.BoxSpec((axis, axis, axis)), 11.5 * math.pi**2
+    )
+    assert stream.mode_count == 10
+    spec = stochastic.SourceSpec(stream=stream, tau=0.5)
+    trace = heattrace.regulated_trace(stream, 0.5).value
+    z = []
+    for seed in range(200):
+        est = stochastic.mc_estimate(spec, n=4096, seed=seed)
+        z.append((est.mean - trace) / est.stderr)
+    z = np.abs(np.array(z))
+    assert 0.65 <= float(z.mean()) <= 0.95
+    assert np.count_nonzero(z > 2.0) <= 20
+
+
+def test_estimates_do_not_depend_on_blas_threads():
+    # a threaded BLAS dot product splits its sum across threads and moved the
+    # last bit of these stderrs between one and two threads
+    child = (
+        "from caslab import boxint, spectrum, stochastic\n"
+        "axis = spectrum.AxisSpec(1.0, 'dirichlet')\n"
+        "cube = spectrum.BoxSpec((axis, axis, axis))\n"
+        "for cutoff, tau in ((600.0, 0.1), (1200.0, 0.05)):\n"
+        "    stream = spectrum.enumerate_modes(cube, cutoff)\n"
+        "    est = stochastic.mc_estimate(stochastic.SourceSpec(stream, tau), 65536, 3)\n"
+        "    print(est.mean.hex(), est.stderr.hex())\n"
+        "est = boxint.delta_alpha(1.0, boxint.DeltaMethod.MONTE_CARLO,"
+        " budget=300_000, seed=5)\n"
+        "print(est.mean.hex(), est.stderr.hex())\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.split())
+    assert len(outputs[0]) == 6
+    assert outputs[0] == outputs[1]
 
 
 class _Drawn(Exception):
