@@ -15,7 +15,7 @@ for tau in (1e-4, 5e-4, 1e-3):
     s = plates.per_area_trace(a, tau)
     print(f"  tau={tau:<7} value {s.value:.10e}   tail bound {s.tail_bound:.1e}")
 
-model = plates.heat_fit_model(a)
+_, model = plates.heat_fit(a)
 zeta_value = plates.casimir_per_area(a)
 print()
 print("finite-part fit over the default window")
@@ -29,7 +29,7 @@ print(f"  nested-window drift     {model.stability_drift:.1e}")
 print()
 print("a^3 scaling of the fitted constant")
 for a_test in (0.5, 1.0, 2.0):
-    c0 = plates.heat_fit_model(a_test).c0
+    c0 = plates.heat_fit(a_test)[1].c0
     print(f"  a={a_test:<4} a^3 c0 = {a_test**3 * c0:+.10e}")
 
 # a finite box with periodic lateral directions reproduces the per-area

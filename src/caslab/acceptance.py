@@ -2,10 +2,14 @@
 
 Each criterion function runs its checks and returns a CriterionResult; the
 test suite and the command-line verify-all report share this module so a
-claim can never pass in one and fail in the other.  Checks measure actual
-deviations and compare them to the declared thresholds; nothing is asserted
-that is not measured.  Every criterion builder takes the run's seed; the
-deterministic ones ignore it.
+claim can never pass in one and fail in the other.  A claim that a command
+also reports is decided by one check builder below: it takes the parameters
+and the values its caller has computed and returns CheckReports at its one
+threshold, and the criteria call it on their fixed grids while the commands
+call it at the user's parameters.  Checks measure actual deviations and
+compare them to the declared thresholds; nothing is asserted that is not
+measured.  Every criterion builder takes the run's seed; the deterministic
+ones ignore it.
 """
 
 from __future__ import annotations
@@ -73,6 +77,65 @@ def _rel(value: float, target: float) -> float:
     return abs(value - target) / abs(target)
 
 
+def route_checks(
+    m: int, s: float, lam: float, closed: float, momentum: float, schwinger: float | None = None
+) -> list[CheckReport]:
+    """The momentum route, and the Schwinger route where its caller has it,
+    vs the closed form: relative, 1e-10."""
+    where = f"(m={m}, s={s}, lam={lam})"
+    routes = {"momentum": momentum, "schwinger": schwinger}
+    return [CheckReport.measure(f"{route} vs closed {where}", _rel(value, closed), 1e-10)
+            for route, value in routes.items() if value is not None]
+
+
+def chain_checks(lam: float, c1: float, c3: float, nested: float) -> list[CheckReport]:
+    """Stage product vs 1/(32 pi^2) at 1e-14 and nested chain vs
+    1/(32 pi^2 lam) at 1e-7, both relative."""
+    combined = 1.0 / (32.0 * math.pi**2)
+    return [CheckReport.measure("stage product vs 1/(32 pi^2)", _rel(c1 * c3, combined), 1e-14),
+            CheckReport.measure(f"nested chain vs 1/(32 pi^2 lam) (lam={lam})",
+                                _rel(nested, combined / lam), 1e-7)]
+
+
+def short_time_checks(a: float, alpha: float, coeffs: dict, b: float) -> list[CheckReport]:
+    """Fitted coefficients of the cell (alpha a, a / alpha, a), relative:
+    t^-3/2 vs its volume term at 1e-3, t^-1 vs the closed-form B at 1e-2."""
+    vol = alpha * a * (a / alpha) * a / (8.0 * math.pi**1.5)
+    where = f"(a={a}, alpha={alpha})"
+    return [CheckReport.measure(f"t^-3/2 coefficient vs volume {where}",
+                                _rel(coeffs["t^-3/2"], vol), 1e-3),
+            CheckReport.measure(f"t^-1 coefficient vs B {where}", _rel(coeffs["t^-1"], b), 1e-2)]
+
+
+def plate_checks(a: float, fit: float, zeta: float) -> list[CheckReport]:
+    """Heat fit at 5e-3 and zeta route at 1e-12 vs -pi^2/(1440 a^3), relative;
+    two channels double the zeta route exactly."""
+    target = -math.pi**2 / (1440.0 * a**3)
+    return [CheckReport.measure(f"heat fit vs -pi^2/(1440 a^3) (a={a})", _rel(fit, target), 5e-3),
+            CheckReport.measure(f"zeta route vs -pi^2/(1440 a^3) (a={a})",
+                                _rel(zeta, target), 1e-12),
+            CheckReport.flag(f"two channels double the zeta route exactly (a={a})",
+                             plates.casimir_per_area(a, 2) == 2.0 * zeta)]
+
+
+def trace_identity_check(trace: float, est: stochastic.MCEstimate) -> list[CheckReport]:
+    """Monte Carlo mean of U within three standard errors of the regulated trace."""
+    z3 = abs(est.mean - trace) / (3.0 * est.stderr)
+    return [CheckReport.measure("|MC mean - trace| / (3 stderr)", z3, 1.0)]
+
+
+def delta_cube_check(t_integral: float, closed: float) -> list[CheckReport]:
+    """T-integral route of Delta(1) vs the cube's closed form: absolute, 1e-6."""
+    return [CheckReport.measure("TIntegral vs closed form", abs(t_integral - closed), 1e-6)]
+
+
+def pipeline_check(cal: plates.CalibrationResult) -> list[CheckReport]:
+    """Pipeline calibration vs its closed form: relative, PIPELINE_TOLERANCE."""
+    return [CheckReport.measure(f"pipeline vs closed form (alpha={cal.alpha}, N={cal.n_channels})",
+                                _rel(cal.pipeline_value, cal.closed_value),
+                                plates.PIPELINE_TOLERANCE)]
+
+
 def _cube_stream(cutoff: float) -> spectrum.EigenStream:
     axis = spectrum.AxisSpec(1.0, spectrum.Bc.DIRICHLET)
     return spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), cutoff)
@@ -80,19 +143,14 @@ def _cube_stream(cutoff: float) -> spectrum.EigenStream:
 
 @_criterion(1, "reduction constants and the combined chain")
 def criterion_1(res: CriterionResult, seed: int) -> None:
+    # hand-derived closed forms: 1/(6 pi^2 lam) at (3, 5/2), 3/16 at (1, 3, 1)
     target_3 = 1.0 / (6.0 * math.pi**2)
     for lam in (0.5, 1.0, 4.0):
         got = riesz.momentum_integral(3, 2.5, lam)
-        res.add(f"momentum_integral(3,5/2,{lam}) vs closed", _rel(got, target_3 / lam), 1e-8)
-    res.add(
-        "momentum_integral(1,3,1) vs 3/16",
-        _rel(riesz.momentum_integral(1, 3.0, 1.0), 3.0 / 16.0),
-        1e-10,
-    )
-    c1, c3, nested = riesz.two_step_chain(1.0)
-    combined = 1.0 / (32.0 * math.pi**2)
-    res.add("stage constants product vs 1/(32 pi^2)", _rel(c1 * c3, combined), 1e-14)
-    res.add("nested 4D quadrature vs 1/(32 pi^2)", _rel(nested, combined), 1e-7)
+        res.checks += route_checks(3, 2.5, lam, target_3 / lam, got)
+    got = riesz.momentum_integral(1, 3.0, 1.0)
+    res.checks += route_checks(1, 3.0, 1.0, 3.0 / 16.0, got)
+    res.checks += chain_checks(1.0, *riesz.two_step_chain(1.0))
 
 
 @_criterion(2, "critical exponent gives a pure 1/lambda law")
@@ -126,7 +184,7 @@ def criterion_4(res: CriterionResult, seed: int) -> None:
     trace = heattrace.regulated_trace(stream, tau).value
     spec = stochastic.SourceSpec(stream=stream, tau=tau)
     est = stochastic.mc_estimate(spec, n=100_000, seed=seed)
-    res.add("|MC mean - trace| / (3 stderr)", abs(est.mean - trace) / (3.0 * est.stderr), 1.0)
+    res.checks += trace_identity_check(trace, est)
     small = _cube_stream(TEN_MODE_CUTOFF)
     res.add_flag("10-mode spectrum has 10 modes", small.mode_count == 10)
     est2 = stochastic.mc_estimate(
@@ -176,10 +234,8 @@ def criterion_7(res: CriterionResult, seed: int) -> None:
     for alpha in (1.0, 2.0):
         l1, l2 = alpha * a, a / alpha
         coeffs = heattrace.short_time_coefficients(l1, l2, a)
-        vol = l1 * l2 * a / (8.0 * math.pi**1.5)
         b_closed = (a * (l1 + l2) - a * a) / (8.0 * math.pi)
-        res.add(f"t^-3/2 coefficient, alpha={alpha}", _rel(coeffs["t^-3/2"], vol), 1e-3)
-        res.add(f"t^-1 coefficient, alpha={alpha}", _rel(coeffs["t^-1"], b_closed), 1e-2)
+        res.checks += short_time_checks(a, alpha, coeffs, b_closed)
     grid = np.geomspace(0.25, 4.0, 17)
     b_vals = [heattrace.b_coefficient(al * a, a / al, a) for al in grid]
     idx = int(np.argmin(b_vals))
@@ -193,20 +249,15 @@ def criterion_7(res: CriterionResult, seed: int) -> None:
 
 @_criterion(8, "plate finite part: fit vs zeta route")
 def criterion_8(res: CriterionResult, seed: int) -> None:
-    target = -math.pi**2 / 1440.0
-    fit = plates.heat_fit_model(1.0).c0
-    res.add("HeatFit c0 vs -pi^2/1440", _rel(fit, target), 5e-3)
-    zeta = plates.casimir_per_area(1.0)
-    res.add("ZetaRoute vs -pi^2/1440", _rel(zeta, target), 1e-12)
-    double = plates.casimir_per_area(1.0, 2)
-    res.add_flag("two channels double the value exactly", double == 2.0 * zeta)
+    _, model = plates.heat_fit(1.0)
+    res.checks += plate_checks(1.0, model.c0, plates.casimir_per_area(1.0))
 
 
 @_criterion(9, "box integral by three methods, symmetry, monotonicity")
 def criterion_9(res: CriterionResult, seed: int) -> None:
     closed = boxint.delta_cube_closed_form()
     ti = boxint.delta_alpha(1.0, boxint.DeltaMethod.T_INTEGRAL)
-    res.add("TIntegral vs closed form", abs(ti - closed), 1e-6)
+    res.checks += delta_cube_check(ti, closed)
     q3 = boxint.delta_alpha(1.0, boxint.DeltaMethod.QUADRATURE_3D)
     res.add("Quadrature3D vs closed form", abs(q3 - closed), 1e-5)
     mc = boxint.delta_alpha(
@@ -244,12 +295,7 @@ def criterion_11(res: CriterionResult, seed: int) -> None:
         1e-6,
     )
     res.add("theta_bar(1, 2) vs quoted decimal", abs(cal.theta_bar - 0.0072824), 1e-6)
-    pipe = plates.theta_bar(1.0, 2, plates.ThetaSource.PIPELINE)
-    res.add(
-        "pipeline vs closed form (relative)",
-        _rel(pipe.pipeline_value, pipe.closed_value),
-        plates.PIPELINE_TOLERANCE,
-    )
+    res.checks += pipeline_check(plates.theta_bar(1.0, 2, plates.ThetaSource.PIPELINE))
     grid = (0.5, 0.75, 1.0, 1.5, 2.0)
     thetas = [
         plates.theta_bar(al, 2, plates.ThetaSource.CLOSED_FORM).theta_bar for al in grid

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__, acceptance, boxint, heattrace, plates, riesz, spectrum, stochastic
-from .errors import CaslabError, CheckReport, ConfigError, ParameterError, check_positive
+from .errors import CaslabError, ConfigError, ParameterError, check_positive
 
 OUT_ENV_VAR = "CASLAB_OUT"
 _FORMATS = ("json", "csv", "both")
@@ -104,7 +104,7 @@ def _run_reduce(config: RunConfig):
             closed = riesz.reduction_constant(m, s) * lam ** (0.5 * m - s)
         except OverflowError:
             closed = math.inf
-        # a subnormal closed form has lost digits the 1e-7 checks below need
+        # a subnormal closed form has lost digits the 1e-10 route checks need
         if not sys.float_info.min <= closed < math.inf:
             raise ParameterError(
                 f"closed form at lam={lam!r}, m={m}, s={s} leaves the float range"
@@ -112,23 +112,9 @@ def _run_reduce(config: RunConfig):
         mom = riesz.momentum_integral(m, s, lam)
         sch = riesz.schwinger_integral(m, s, lam)
         rows.append((float(m), s, closed, mom, sch))
-        checks.append(
-            CheckReport.measure(
-                f"momentum vs closed (m={m}, s={s})", abs(mom - closed) / closed, 1e-7
-            )
-        )
-        checks.append(
-            CheckReport.measure(
-                f"schwinger vs closed (m={m}, s={s})", abs(sch - closed) / closed, 1e-7
-            )
-        )
+        checks += acceptance.route_checks(m, s, lam, closed, mom, sch)
     c1, c3, nested = riesz.two_step_chain(lam)
-    target = c1 * c3 / lam
-    checks.append(
-        CheckReport.measure(
-            "two-step chain nested vs stagewise", abs(nested - target) / target, 1e-7
-        )
-    )
+    checks += acceptance.chain_checks(lam, c1, c3, nested)
     report = {
         "lam": lam,
         "two_step_chain": {"c_1d": c1, "c_3d": c3, "nested": nested},
@@ -177,20 +163,11 @@ def _run_heat_trace(config: RunConfig):
     rows += [(float(t), heattrace.mixed_cell_heat_trace(l1, l2, a, float(t))) for t in grid]
     coeffs = heattrace.short_time_coefficients(l1, l2, a)
     b_closed = heattrace.b_coefficient(l1, l2, a)  # raises if the fit disagrees
-    vol = l1 * l2 * a / (8.0 * math.pi**1.5)
-    checks = [
-        CheckReport.measure(
-            "fitted volume coefficient", abs(coeffs["t^-3/2"] - vol) / vol, 1e-3
-        ),
-        CheckReport.measure(
-            "fitted area coefficient vs B", abs(coeffs["t^-1"] - b_closed) / b_closed, 1e-2
-        ),
-    ]
     report = {
         "cell": {"l1": l1, "l2": l2, "a": a},
         "coefficients": coeffs,
         "b_closed_form": b_closed,
-        "checks": checks,
+        "checks": acceptance.short_time_checks(a, config.params["alpha"], coeffs, b_closed),
     }
     return report, {"trace": rows}
 
@@ -198,19 +175,10 @@ def _run_heat_trace(config: RunConfig):
 @_command("finite-part", "per-area plate trace fit and finite part", a=1.0)
 def _run_finite_part(config: RunConfig):
     a = config.params["a"]
-    grid = plates.default_tau_grid(a)
-    samples = [plates.per_area_trace(a, float(t)) for t in grid]
-    model = heattrace.finite_part(samples, plates.PLATE_EXPONENTS)
-    target = -math.pi**2 / (1440.0 * a**3)
-    checks = [
-        CheckReport.measure(
-            "finite part vs -pi^2/(1440 a^3)", abs(model.c0 - target) / abs(target), 5e-3
-        )
-    ]
-    rows = [("tau", "value")]
-    rows += [(s.tau, s.value) for s in samples]
-    report = {"a": a, "model": model, "checks": checks}
-    return report, {"samples": rows}
+    samples, model = plates.heat_fit(a)
+    checks = acceptance.plate_checks(a, model.c0, plates.casimir_per_area(a))
+    rows = [("tau", "value"), *((s.tau, s.value) for s in samples)]
+    return {"a": a, "model": model, "checks": checks}, {"samples": rows}
 
 
 @_command(
@@ -234,7 +202,7 @@ def _run_stochastic(config: RunConfig):
         "trace": trace,
         "estimate": est,
         "z_score": z,
-        "checks": [CheckReport.measure("MC mean vs trace (z-score)", z, 3.0)],
+        "checks": acceptance.trace_identity_check(trace.value, est),
     }
     return report, {}
 
@@ -250,14 +218,12 @@ def _run_boxint(config: RunConfig):
     scan = boxint.log_concavity_scan()
     chain = boxint.positivity_chain()
     margin_rows = [("t", "max_second_difference"), *scan.max_by_t]
-    closed = CheckReport.measure(
-        "closed form vs TIntegral", abs(deltas[1.0] - boxint.delta_cube_closed_form()), 1e-6
-    )
+    closed = acceptance.delta_cube_check(deltas[1.0], boxint.delta_cube_closed_form())
     report = {
         "deltas": {f"{al:.6f}": d for al, d in deltas.items()},
         "concavity": scan,
         "positivity": chain,
-        "checks": [closed, *scan.checks, *chain.checks],
+        "checks": [*closed, *scan.checks, *chain.checks],
         "concavity_passed": scan.passed,
         "positivity_passed": chain.passed,
     }
@@ -267,21 +233,15 @@ def _run_boxint(config: RunConfig):
 @_command("plates", "plate pipeline: HeatFit vs ZetaRoute", a=1.0)
 def _run_plates(config: RunConfig):
     a = config.params["a"]
-    grid = plates.default_tau_grid(a)
-    samples = [plates.per_area_trace(a, float(t)) for t in grid]
-    fit = heattrace.finite_part(samples, plates.PLATE_EXPONENTS).c0
+    samples, model = plates.heat_fit(a)
     zeta = plates.casimir_per_area(a)
-    rows = [("tau", "trace")]
-    rows += [(s.tau, s.value) for s in samples]
     report = {
         "a": a,
-        "casimir_heat_fit": fit,
+        "casimir_heat_fit": model.c0,
         "casimir_zeta_route": zeta,
-        "checks": [
-            CheckReport.measure("HeatFit vs ZetaRoute", abs(fit - zeta) / abs(zeta), 5e-3)
-        ],
+        "checks": acceptance.plate_checks(a, model.c0, zeta),
     }
-    return report, {"trace": rows}
+    return report, {"trace": [("tau", "trace"), *((s.tau, s.value) for s in samples)]}
 
 
 @_command(
@@ -294,21 +254,8 @@ def _run_calibrate(config: RunConfig):
     closed = plates.theta_bar(alpha, n_channels, plates.ThetaSource.CLOSED_FORM)
     pipe = plates.theta_bar(alpha, n_channels, plates.ThetaSource.PIPELINE)
     rows = [("alpha", "theta_bar")]
-    for al in (0.5, 0.75, 1.0, 1.5, 2.0):
-        rows.append(
-            (al, plates.theta_bar(al, n_channels, plates.ThetaSource.CLOSED_FORM).theta_bar)
-        )
-    report = {
-        "theta_bar": pipe,
-        "closed_form": closed,
-        "checks": [
-            CheckReport.measure(
-                "pipeline vs closed form",
-                abs(pipe.pipeline_value - closed.theta_bar) / closed.theta_bar,
-                plates.PIPELINE_TOLERANCE,
-            )
-        ],
-    }
+    rows += [(al, plates.theta_bar(al, n_channels).theta_bar) for al in (0.5, 0.75, 1.0, 1.5, 2.0)]
+    report = {"theta_bar": pipe, "closed_form": closed, "checks": acceptance.pipeline_check(pipe)}
     return report, {"theta": rows}
 
 

@@ -92,6 +92,18 @@ def short_time_grid(length: float, points: int = 16) -> np.ndarray:
     return np.geomspace(lo, 10.0 * lo, points)
 
 
+def _cell_window(l1: float, l2: float, a: float) -> tuple[np.ndarray, float]:
+    """short_time_grid of the cell's shortest side and its volume coefficient
+    l1 l2 a / (8 pi^3/2).  The volume term leads the trace at the window's
+    smallest t, so ParameterError is raised when twice that term leaves the
+    float range."""
+    t = short_time_grid(min(l1, l2, a))
+    vol = l1 * l2 * a / (8.0 * math.pi**1.5)
+    if not 2.0 * vol * float(t[0]) ** -1.5 < math.inf:
+        raise ParameterError(f"volume term of the cell ({l1!r}, {l2!r}, {a!r}) overflows")
+    return t, vol
+
+
 def short_time_coefficients(l1: float, l2: float, a: float) -> dict[str, float]:
     """Fit the four-term small-t law of the mixed-cell heat trace.
 
@@ -100,7 +112,7 @@ def short_time_coefficients(l1: float, l2: float, a: float) -> dict[str, float]:
     finite_part, weights t^{3/2}.  Returns the fitted coefficients keyed by
     the exponent they multiply.
     """
-    t = short_time_grid(min(l1, l2, a))
+    t, _ = _cell_window(l1, l2, a)
     cell = mixed_cell(l1, l2, a)
     k = np.array([cell.heat_trace(ti) for ti in t])
     coef, _, _ = _power_law_fit(t, k, (1.5, 1.0, 0.5))
@@ -119,8 +131,7 @@ def b_coefficient(l1: float, l2: float, a: float) -> float:
     """
     saturation_check(l1, l2, a)  # raises ConstraintError when l1 l2 != a^2
     closed = (a * (l1 + l2) - a * a) / (8.0 * math.pi)
-    t = short_time_grid(min(l1, l2, a))
-    vol = l1 * l2 * a / (8.0 * math.pi**1.5)
+    t, vol = _cell_window(l1, l2, a)
     cell = mixed_cell(l1, l2, a)
     resid = np.array([cell.heat_trace(ti) - vol * ti**-1.5 for ti in t])
     coef, _, _ = _power_law_fit(t, resid, (1.0, 0.5))

@@ -18,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boxint, specfun
-from .errors import (
-    ConvergenceError,
-    check_choice,
-    check_count,
-    check_positive,
-)
+from .errors import check_choice, check_count, check_positive
 from .heattrace import (
     FinitePartModel,
     HeatTraceSample,
@@ -97,11 +92,11 @@ def default_tau_grid(a: float) -> np.ndarray:
     return short_time_grid(a, 12)
 
 
-def heat_fit_model(a: float) -> FinitePartModel:
-    """Finite-part fit of the per-area trace with divergences {2, 3/2} on
-    default_tau_grid(a)."""
+def heat_fit(a: float) -> tuple[list[HeatTraceSample], FinitePartModel]:
+    """Per-area trace samples on default_tau_grid(a) and their finite-part
+    fit with divergences {2, 3/2}."""
     samples = [per_area_trace(a, float(t)) for t in default_tau_grid(a)]
-    return finite_part(samples, PLATE_EXPONENTS)
+    return samples, finite_part(samples, PLATE_EXPONENTS)
 
 
 def casimir_per_area(a: float, n_channels: int = 1) -> float:
@@ -109,7 +104,7 @@ def casimir_per_area(a: float, n_channels: int = 1) -> float:
 
     The analytic continuation
     (1/(8 pi)) (Gamma(-3/2)/Gamma(-1/2)) (pi/a)^3 zeta(-3) reduces to
-    -pi^2/(1440 a^3) per channel; heat_fit_model(a).c0 is the independent
+    -pi^2/(1440 a^3) per channel; the c0 of heat_fit(a) is the independent
     numerical route to the same constant.
     """
     check_positive(a, "a")
@@ -151,8 +146,9 @@ def theta_bar(
     Closed form: N pi^2 / (1440 Delta(alpha)).  The pipeline route divides
     the numerically fitted plate energy (n = a = 1) by
     reference_energy(1, 1, 1, Delta(alpha)); the area factors cancel, so any
-    deviation from the closed form is exactly the finite-part fit error,
-    which must stay within the declared tolerance.
+    deviation from the closed form is exactly the finite-part fit error.
+    acceptance.pipeline_check decides whether it stays within the declared
+    tolerance.
     """
     check_count(n_channels, "channel count")
     source = check_choice(source, ThetaSource, "theta source")
@@ -160,14 +156,8 @@ def theta_bar(
     closed = n_channels * math.pi**2 / (1440.0 * delta)
     pipeline_value = None
     if source is ThetaSource.PIPELINE:
-        fitted = n_channels * heat_fit_model(1.0).c0  # energy of the unit area
-        reference = boxint.reference_energy(1.0, 1, 1.0, delta)
-        pipeline_value = fitted / reference
-        if abs(pipeline_value - closed) > PIPELINE_TOLERANCE * closed:
-            raise ConvergenceError(
-                f"calibration mismatch: pipeline {pipeline_value!r} vs closed "
-                f"{closed!r} beyond {PIPELINE_TOLERANCE:.1%}"
-            )
+        fitted = n_channels * heat_fit(1.0)[1].c0  # energy of the unit area
+        pipeline_value = fitted / boxint.reference_energy(1.0, 1, 1.0, delta)
     return CalibrationResult(
         alpha=alpha,
         n_channels=n_channels,

@@ -124,7 +124,7 @@ def _theta_direct(bc: Bc, length: float, t: float) -> ThetaEval:
     r = 1
     while True:
         term = math.exp(-c * r * r)
-        if term < _SERIES_RTOL * (1.0 + total):
+        if not term >= _SERIES_RTOL * (1.0 + total):  # a NaN ends the loop too
             # geometric domination: successive ratios are exp(-c(2k+1)),
             # decreasing in k, so the tail is below term / (1 - ratio)
             ratio = math.exp(-c * (2 * r + 1))
@@ -141,13 +141,15 @@ def _theta_dual(bc: Bc, length: float, t: float) -> ThetaEval:
     # then Neumann = (S+1)/2 and Dirichlet = (S-1)/2.
     q = length * length / t
     pref = length / math.sqrt(math.pi * t)
+    if pref == math.inf:
+        raise ParameterError(f"theta prefactor L/sqrt(pi t) at L={length!r}, t={t!r} overflows")
     dual = 1.0
     terms = 1
     k = 1
     while True:
         term = 2.0 * math.exp(-q * k * k)
         value = 0.5 * (pref * dual + (1.0 if bc is Bc.NEUMANN else -1.0))
-        if 0.5 * pref * term < _SERIES_RTOL * (1.0 + abs(value)):
+        if not 0.5 * pref * term >= _SERIES_RTOL * (1.0 + abs(value)):  # NaN ends it too
             ratio = math.exp(-q * (2 * k + 1))
             tail = 0.5 * pref * term / (1.0 - ratio)
             return ThetaEval(value, terms, tail)
@@ -169,7 +171,8 @@ def theta_eval(bc: Bc, length: float, t: float) -> ThetaEval:
         Finite interval length L > 0 and diffusion time t > 0.
 
     The defining series is summed once pi*t/L^2 >= 1 and the modular dual
-    below that, so either route needs only a handful of terms.
+    below that, so either route needs only a handful of terms.  A dual
+    prefactor L/sqrt(pi t) past the float range raises ParameterError.
     """
     bc = check_choice(bc, Bc, "boundary condition")
     length = check_positive(length, "theta length")

@@ -116,6 +116,7 @@ def monte_carlo(
         squares = float(np.einsum("i,i->", vals, vals))  # not a threaded BLAS ddot
         m2 += squares + delta * delta * (count * rows / merged)
         count = merged
+        del vals  # free this batch before the next one is drawn
     return MCEstimate(mean=mean, stderr=math.sqrt(m2 / (n - 1) / n), n=n, seed=seed)
 
 

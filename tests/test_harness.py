@@ -2,13 +2,18 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import caslab
 from caslab import acceptance, boxint, harness
@@ -223,6 +228,9 @@ def test_module_failure_exits_one_with_report(tmp_path):
         ["stochastic", "--n-samples", "1000000000"],
         ["stochastic", "--cutoff", "1e5"],
         ["reduce", "--lam", "6.4488891409067575e+122"],
+        ["heat-trace", "--a", "3.0926043824556695e+102", "--alpha", "1.032032637714062e+158"],
+        ["heat-trace", "--a", "1.8434033198152695e+162", "--alpha", "1.0476373009526369e-129"],
+        ["heat-trace", "--a", "1.14363226447787e+92", "--alpha", "1.5056157477758994e-122"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -231,13 +239,24 @@ def test_out_of_range_parameter_fails_with_report(tmp_path, capsys, argv):
     # numpy ValueError; spectrum --alpha 1e-8 asked for about 2.4 GB first.
     # The two stochastic runs ask for 9e9 and 8.4e8 draws, which ran for 196 s
     # and 19 s before the draw budget; reduce at that lam has subnormal closed
-    # forms, which failed two checks with no failure report
+    # forms, which failed two checks with no failure report.  The first
+    # heat-trace cell overflowed a theta prefactor and its series never ended;
+    # the other two overflowed the fits' volume term and wrote NaN
     assert run_cli(argv, tmp_path) == 1
     err = capsys.readouterr().err
     assert f"{argv[0]}: FAIL (" in err
     assert "Traceback" not in err
     failure = read_report(tmp_path, argv[0])["failure"]
     assert issubclass(getattr(caslab.errors, failure["type"]), caslab.CaslabError)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", ["1e-110", "1e104", "1e114", "1e122"])
+def test_reduce_routes_hold_out_to_the_float_range(tmp_path, lam):
+    # past lam ~ 1e104 the momentum integrand underflowed: 0.0 from 1e108 on
+    # (two failed checks and no failure report), and below 1e-103 it overflowed
+    assert run_cli(["reduce", "--lam", lam], tmp_path) == 0
+    assert all(c["passed"] for c in read_report(tmp_path, "reduce")["checks"])
 
 
 @pytest.mark.filterwarnings("error")
@@ -265,7 +284,7 @@ def test_boxint_reports_the_scan_checks(tmp_path):
     report = read_report(tmp_path, "boxint")
     scan, chain = boxint.log_concavity_scan(), boxint.positivity_chain()
     own = [dataclasses.asdict(c) for c in scan.checks + chain.checks]
-    assert report["checks"][0]["name"] == "closed form vs TIntegral"
+    assert report["checks"][0]["name"] == "TIntegral vs closed form"
     assert report["checks"][1:] == own
     assert report["concavity"]["checks"] == own[:2]
     assert report["positivity"]["checks"] == own[2:]
@@ -377,3 +396,84 @@ def test_cold_commands_skip_quadrature_imports(tmp_path):
     for command, (code, *modules) in loaded.items():
         assert code == 0, command
         assert modules == [], command
+
+
+MC_CHECK = "|MC mean - trace| / (3 stderr)"  # statistical: z = 15.2 at n = 2, seed 42
+
+
+def _reject_constant(name):
+    raise AssertionError(f"report holds {name}")
+
+
+@st.composite
+def _float_flag(draw):
+    """Log-uniform over the whole double range, subnormals included, and
+    now and then negative, a signed zero or not finite."""
+    if draw(st.integers(0, 15)) == 0:
+        return draw(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0]))
+    magnitude = 2.0 ** draw(st.floats(-1074.0, 1023.999))
+    return -magnitude if draw(st.integers(0, 7)) == 0 else magnitude
+
+
+@st.composite
+def _run(draw):
+    """A command with each of its flags (and seed and format) left at its
+    default, given on the command line, or given in a config file."""
+    command = draw(st.sampled_from([c for c in COMPUTING_COMMANDS if c != "boxint"]))
+    defaults = {**harness._COMMANDS[command][1], "seed": 0, "format": "json"}
+    flags, config = {}, {}
+    for key, default in defaults.items():
+        if key == "format":
+            value = draw(st.sampled_from(["json", "csv", "both"]))
+        elif isinstance(default, int):
+            value = draw(st.integers(-1, 2**31))
+        else:
+            value = draw(_float_flag())
+        where = draw(st.sampled_from([None, flags, config]))
+        if where is not None:
+            where[key] = value
+    return command, flags, config
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_run())
+@example(("boxint", {"seed": -1}, {"format": "csv"}))  # boxint and verify-all take no
+@example(("verify-all", {"seed": 2**31, "format": "both"}, {}))  # parameters, so run once
+def test_cli_input_contract(run):
+    # exit 0, 1 or 2; an exit 1 names a CaslabError or fails a check; no
+    # report holds NaN or Infinity; and at finite inputs only the Monte Carlo
+    # z check may fail without a failure report
+    command, flags, config = run
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = [command, "--out", tmp]
+        for key, value in flags.items():
+            text = value if isinstance(value, str) else repr(value)
+            argv.append(f"--{key.replace('_', '-')}={text}")
+        if config:
+            path = Path(tmp) / "run.json"
+            path.write_text(json.dumps(config))  # non-finite floats as Infinity, NaN
+            argv += ["--config", str(path)]
+        code = harness.main(argv)
+        report_path = Path(tmp) / f"{command}.json"
+        report = (
+            json.loads(report_path.read_text(), parse_constant=_reject_constant)
+            if report_path.exists()
+            else None
+        )
+    assert code in (0, 1, 2)
+    assert (report is None) == (code == 2)
+    if code == 2:
+        return
+    values = [v for v in {**config, **flags}.values() if isinstance(v, float)]
+    assert all(math.isfinite(v) for v in values)  # a non-finite value exits 2
+    if "failure" in report:
+        assert code == 1
+        assert issubclass(getattr(caslab.errors, report["failure"]["type"]), caslab.CaslabError)
+    elif command == "verify-all":
+        assert code == 1 and not report["passed"]  # criterion 3 stays red
+    else:
+        failed = {c["name"] for c in report["checks"] if not c["passed"]}
+        assert (code == 1) == bool(failed)
+        assert failed <= {MC_CHECK}, (argv, failed)

@@ -87,8 +87,9 @@ def test_default_tau_grid_spans_a_decade():
         assert tau[-1] >= 10.0 * tau[0]
 
 
-def test_heat_fit_model_extracts_negative_constant():
-    model = plates.heat_fit_model(1.0)
+def test_heat_fit_extracts_negative_constant():
+    samples, model = plates.heat_fit(1.0)
+    assert [s.tau for s in samples] == plates.default_tau_grid(1.0).tolist()
     target = -math.pi**2 / 1440.0
     assert model.c0 == pytest.approx(target, rel=5e-3)
     assert model.exponents == plates.PLATE_EXPONENTS
@@ -97,7 +98,7 @@ def test_heat_fit_model_extracts_negative_constant():
 
 def test_casimir_routes_agree():
     for a in (0.5, 1.0, 2.0):
-        fit = plates.heat_fit_model(a).c0
+        fit = plates.heat_fit(a)[1].c0
         zeta = plates.casimir_per_area(a)
         assert fit == pytest.approx(zeta, rel=5e-3)
         assert fit < 0.0

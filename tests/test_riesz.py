@@ -159,6 +159,23 @@ def test_routes_match_quadpack_and_closed_form(m, s):
         assert sch == pytest.approx(closed, rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("lam", [1e-120, 1e-105, 1e104, 1e108, 1e114, 1e122])
+def test_momentum_route_holds_where_its_integrand_leaves_the_float_range(lam):
+    # lam^{(m-1)/2-s} under- or overflows here: the route returned 0.0 from
+    # lam ~ 1e108 up, lost digits near 1e104 and raised below 1e-103
+    for m, s in ((1, 3.0), (2, 2.0), (3, 2.5), (3, 4.0), (4, 3.0)):
+        closed = riesz.reduction_constant(m, s) * lam ** (0.5 * m - s)
+        assert riesz.momentum_integral(m, s, lam) == pytest.approx(closed, rel=1e-13, abs=0.0)
+
+
+def test_quad_checked_refuses_an_underflowed_zero():
+    # a value of 0 with no absolute tolerance is what every term underflowing
+    # to 0 gives, so the rule has certified nothing
+    with pytest.raises(QuadratureError):
+        riesz.quad_checked(lambda x: np.exp(-1e3 - x), 0.0, math.inf, epsabs=0.0)
+    assert riesz.quad_checked(lambda x: np.exp(-1e3 - x), 0.0, math.inf, epsabs=1e-300) == 0.0
+
+
 @pytest.mark.parametrize("m,s", [(3, 2.5), (1, 3.0)])
 def test_mollified_route_matches_quadpack(m, s):
     for eps in (0.2, 0.1, 0.05, 0.025):

@@ -178,6 +178,14 @@ def test_theta_rejects_bad_arguments():
                 specfun.theta_eval(kind, length, t)
 
 
+def test_theta_prefactor_past_the_float_range_is_refused():
+    # L / sqrt(pi t) = inf made the dual series' stopping test nan, and its
+    # loop never ended
+    for kind in specfun.Bc:
+        with pytest.raises(ParameterError, match="prefactor"):
+            specfun.theta_eval(kind, 3.2e260, 9e-116)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     length=st.floats(0.3, 3.0),

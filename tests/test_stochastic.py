@@ -186,6 +186,24 @@ def test_mc_batch_memory_is_bounded():
     assert (est.mean, est.stderr) == (1.5134804368654913, 0.0022706171893552445)
 
 
+def test_one_batch_is_alive_at_a_time(cube_stream):
+    # 100,000 draws are two batches of at most 65,536 rows and 140,001 are
+    # three; the peak held the previous batch's values while the next was
+    # drawn (2.0 MiB against 2.5 MiB).  Now it may differ only by the few
+    # scalars of the running merge
+    spec = stochastic.SourceSpec(stream=cube_stream, tau=0.5)
+    stochastic.mc_estimate(spec, n=1_000, seed=3)  # one-time allocations
+    peaks = {}
+    for n in (100_000, 140_001):
+        tracemalloc.start()
+        try:
+            stochastic.mc_estimate(spec, n=n, seed=3)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[140_001] <= peaks[100_000] + 1024
+
+
 def test_blocks_draw_what_whole_batches_draw(monkeypatch):
     # 1651 distinct values in 41 multiplicity classes of 1 to 195 values.
     # 64 KiB blocks hold 64 rows of a class above 64 values (195 values fill
