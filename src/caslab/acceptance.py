@@ -288,14 +288,14 @@ def criterion_10(res: CriterionResult, seed: int) -> None:
 @_criterion(11, "calibration coefficient: closed form and pipeline")
 def criterion_11(res: CriterionResult, seed: int) -> None:
     closed_delta = boxint.delta_cube_closed_form()
-    cal = plates.theta_bar(1.0, 2, plates.ThetaSource.CLOSED_FORM)
+    pipe = plates.theta_bar(1.0, 2, plates.ThetaSource.PIPELINE)
     res.add(
         "theta_bar(1, 2) vs pi^2/(720 Delta_3(-1))",
-        _rel(cal.theta_bar, math.pi**2 / (720.0 * closed_delta)),
+        _rel(pipe.closed_value, math.pi**2 / (720.0 * closed_delta)),
         1e-6,
     )
-    res.add("theta_bar(1, 2) vs quoted decimal", abs(cal.theta_bar - 0.0072824), 1e-6)
-    res.checks += pipeline_check(plates.theta_bar(1.0, 2, plates.ThetaSource.PIPELINE))
+    res.add("theta_bar(1, 2) vs quoted decimal", abs(pipe.closed_value - 0.0072824), 1e-6)
+    res.checks += pipeline_check(pipe)
     grid = (0.5, 0.75, 1.0, 1.5, 2.0)
     thetas = [
         plates.theta_bar(al, 2, plates.ThetaSource.CLOSED_FORM).theta_bar for al in grid

@@ -251,8 +251,8 @@ def _run_plates(config: RunConfig):
 def _run_calibrate(config: RunConfig):
     alpha = config.params["alpha"]
     n_channels = config.params["n_channels"]
-    closed = plates.theta_bar(alpha, n_channels, plates.ThetaSource.CLOSED_FORM)
     pipe = plates.theta_bar(alpha, n_channels, plates.ThetaSource.PIPELINE)
+    closed = dataclasses.replace(pipe, theta_bar=pipe.closed_value, pipeline_value=None)
     rows = [("alpha", "theta_bar")]
     rows += [(al, plates.theta_bar(al, n_channels).theta_bar) for al in (0.5, 0.75, 1.0, 1.5, 2.0)]
     report = {"theta_bar": pipe, "closed_form": closed, "checks": acceptance.pipeline_check(pipe)}

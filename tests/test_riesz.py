@@ -2,11 +2,14 @@
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from caslab import plates, riesz, spectrum
@@ -222,6 +225,8 @@ def test_quad_checked_too_coarse_rule_trips_guard(monkeypatch):
         riesz.schwinger_integral(3, 2.5, 0.01)
     with pytest.raises(QuadratureError):
         riesz.momentum_integral(3, 2.5, 0.01)
+    with pytest.raises(QuadratureError, match="h/2 gap"):
+        riesz.two_step_chain(2.0)
 
 
 def test_quad_checked_rejects_nan_integrand():
@@ -245,6 +250,15 @@ def test_quad_checked_raises_on_overflow():
     assert riesz.momentum_integral(3, 2.5, 1.0) == pytest.approx(
         riesz.reduction_constant(3, 2.5), rel=1e-14
     )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=st.floats(-0.95, 20.0, exclude_min=True, exclude_max=True))
+def test_quad_checked_gamma_function(a):
+    # int_0^inf x^a e^-x dx = Gamma(a+1) with the endpoint power x^a, a > -1;
+    # in log form, since x^a overflows at the window end for a above ~1.36
+    got = riesz.quad_checked(lambda x: np.exp(a * np.log(x) - x), 0.0, math.inf, epsabs=0.0)
+    assert got == pytest.approx(math.gamma(a + 1.0), rel=1e-11 if a < -0.5 else 1e-14, abs=0.0)
 
 
 def test_mollifier_width_must_be_positive():
@@ -326,6 +340,56 @@ def test_two_step_chain_triple():
         assert nested == pytest.approx(c1 * c3 / lam, rel=1e-7)
     with pytest.raises(ParameterError):
         riesz.two_step_chain(0.0)
+
+
+def full_grid_nested(lam):
+    """two_step_chain's nested value summed over the whole 833 x 833 product grid."""
+    x, w = riesz._de_nodes(0.0, math.inf)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        terms = riesz._chain_kernel(lam, x[:, None], x[None, :]) * w[:, None] * w[None, :]
+    return float(terms.sum()) / (2.0 * math.pi**3)
+
+
+def test_two_step_chain_row_blocks_match_the_full_grid():
+    # the row blocks change only numpy's summation order
+    lams = 10.0 ** np.random.default_rng(19).uniform(-12.0, 12.0, 300)
+    for lam in lams:
+        want = full_grid_nested(lam)
+        got = riesz.two_step_chain(lam)[2]
+        assert abs(got - want) <= 4.0 * np.spacing(want), lam
+
+
+@pytest.mark.parametrize("bad", ["nan", "overflow"])
+def test_two_step_chain_raises_on_a_late_block(monkeypatch, bad):
+    # the last block (p node 832 alone) fails; the blocks before it are fine
+    # and their sum alone would pass the verdict
+    kernel = riesz._chain_kernel
+    blocks = []
+
+    def spoiled(lam, u, v):
+        blocks.append(u.size)
+        late = u >= riesz._DE_Y[-1]
+        if bad == "nan":
+            return np.where(late, np.nan, kernel(lam, u, v))
+        return kernel(lam, u, v) * np.exp(np.where(late, 1e3, 0.0))
+
+    monkeypatch.setattr(riesz, "_chain_kernel", spoiled)
+    with pytest.raises(QuadratureError):
+        riesz.two_step_chain(2.0)
+    assert blocks == [64] * 13 + [1]
+
+
+def test_two_step_chain_memory_is_bounded():
+    # the whole 833 x 833 product grid and its temporaries peaked at 16.0 MiB;
+    # 64-row blocks need 1.7 MiB
+    riesz.two_step_chain(2.0)
+    tracemalloc.start()
+    try:
+        riesz.two_step_chain(2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, True], ids=["inf", "nan", "bool"])
