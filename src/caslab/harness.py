@@ -254,7 +254,10 @@ def _run_calibrate(config: RunConfig):
     pipe = plates.theta_bar(alpha, n_channels, plates.ThetaSource.PIPELINE)
     closed = dataclasses.replace(pipe, theta_bar=pipe.closed_value, pipeline_value=None)
     rows = [("alpha", "theta_bar")]
-    rows += [(al, plates.theta_bar(al, n_channels).theta_bar) for al in (0.5, 0.75, 1.0, 1.5, 2.0)]
+    rows += [
+        (al, pipe.closed_value if al == alpha else plates.theta_bar(al, n_channels).theta_bar)
+        for al in (0.5, 0.75, 1.0, 1.5, 2.0)
+    ]
     report = {"theta_bar": pipe, "closed_form": closed, "checks": acceptance.pipeline_check(pipe)}
     return report, {"theta": rows}
 

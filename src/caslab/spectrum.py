@@ -173,10 +173,16 @@ def enumerate_modes(
 
     Each axis-1 mode v1 broadcasts one slice v1 + v2 + v3, kept where
     v3 <= (cutoff - v1) - v2, and the mode cap is checked after every slice.
-    After one sort each value joins the group of the first value within 1e-12
-    relative below it, so degeneracies report a single multiplicity; the sort
-    need not be stable, since the order of exactly equal values changes
-    neither the group heads nor the integer group sums.
+    When axes 1 and 2 are equal the walk visits each index pair once: the
+    slice of v1 runs over v2 >= v1 only, and an entry counts once for each
+    order of (v1, v2) whose own test keeps it.  v1 + v2 == v2 + v1 exactly
+    in IEEE arithmetic, so the values are those of the full walk; the two
+    tests may disagree in the last bit, so each is made.  Each entry holds
+    its multiplicity in one byte (at most 2 * 2 * 1 * 2).  After the values
+    are sorted in place, each joins the group of the first value within
+    1e-12 relative below it, so degeneracies report a single multiplicity;
+    the sort need not be stable, since the order of exactly equal values
+    changes neither the group heads nor the integer group sums.
     """
     cutoff = float(cutoff)
     if math.isnan(cutoff):
@@ -198,48 +204,73 @@ def enumerate_modes(
     v1s, k1s = a1.modes_below(cutoff - m2 - m3, max_modes)
     v2s, k2s = a2.modes_below(cutoff - m1 - m3, max_modes)
     v3s, k3s = a3.modes_below(cutoff - m1 - m2, max_modes)
+    fold = a1 == a2
+    rests = cutoff - v1s
+    # the slice of v1 admits the axis-2 modes v2 <= (cutoff - v1) - m3
+    spans = np.searchsorted(v2s, rests - m3, side="right")
     values, mults = [], []
     count = 0
-    for v1, k1 in zip(v1s.tolist(), k1s.tolist()):
-        rest = cutoff - v1
-        n2 = np.searchsorted(v2s, rest - m3, side="right")
-        v2 = v2s[:n2, None]
-        keep = v3s <= rest - v2
-        values.append((v1 + v2 + v3s)[keep])
-        mults.append((k1 * k2s[:n2, None] * k3s)[keep])
+    for i, (v1, k1, rest, span) in enumerate(
+        zip(v1s.tolist(), k1s.tolist(), rests.tolist(), spans.tolist())
+    ):
+        lo, hi = 0, span
+        if fold:  # v2 >= v1 only, up to the last v2 whose own slice admits v1
+            reach = int(np.count_nonzero(spans > i))
+            lo, hi = i, max(span, reach)
+        if lo >= hi:
+            continue
+        v2 = v2s[lo:hi, None]
+        # the test of order (v1, v2) keeps v3s[:own], that of (v2, v1) v3s[:mirror]
+        own = np.searchsorted(v3s, rest - v2, "right")
+        own[max(span - lo, 0) :] = 0  # past the span of v1
+        mirror = 0
+        if fold:
+            mirror = np.searchsorted(v3s, rests[lo:hi, None] - v1, "right")
+            mirror[0] = 0  # the diagonal pair has one order
+            mirror[max(reach - lo, 0) :] = 0
+        k = np.arange(max(own.max(), np.max(mirror)))
+        times = np.add(k < own, k < mirror, dtype=np.int8)
+        keep = times > 0
+        values.append(((v1 + v2) + v3s[: k.size])[keep])
+        mults.append((times * (k1 * k2s[lo:hi, None] * k3s[: k.size]))[keep].astype(np.int8))
         count += int(mults[-1].sum())
         if count > max_modes:
             raise ResourceError(f"mode count exceeded cap {max_modes} during walk")
     if count == 0:
         raise EmptySpectrumError(f"no modes at or below cutoff {cutoff}")
+    # each list is dropped once joined, before the sort allocates its index
     found = np.concatenate(values)
-    order = np.argsort(found)
-    found, grouped = found[order], np.concatenate(mults)[order]
+    values.clear()
+    grouped = np.concatenate(mults)
+    mults.clear()
+    grouped = grouped[np.argsort(found)]
+    found.sort()
     heads = _group_heads(found)
-    return EigenStream(cutoff, found[heads], np.add.reduceat(grouped, heads), spec)
+    return EigenStream(
+        cutoff, found[heads], np.add.reduceat(grouped, heads, dtype=np.int64), spec
+    )
 
 
 def _group_heads(found: np.ndarray) -> np.ndarray:
     """Group start indices of an ascending array: walking up, each value that
     lies more than 1e-12 relative above its group's head starts a new group.
 
-    A group can only start where the value changes.  A step more than the
-    tolerance above its predecessor always starts one, because rounded
-    subtraction is monotone and the head is at most the predecessor.  When no
-    other step lies past the tolerance of the head those steps give, they are
-    the walk's heads exactly; otherwise a chain of small steps has drifted and
-    the walk itself runs.
+    A step more than the tolerance above its predecessor always starts a
+    group, because rounded subtraction is monotone and the head is at most
+    the predecessor.  Within the tolerance v - head is exact (Sterbenz), so
+    whether a value lies past its head's tolerance is monotone in the value:
+    when the last value of no group between those steps does, they are the
+    walk's heads exactly; otherwise a chain of small steps has drifted and
+    the walk itself runs over the value changes.
     """
-    steps = np.flatnonzero(found[1:] != found[:-1]) + 1
-    values = found[steps]
-    limits = _MERGE_RTOL * values
-    heads = np.concatenate(([0], steps[values - found[steps - 1] > limits]))
-    own_head = heads[np.searchsorted(heads, steps, side="right") - 1]
-    if not np.any(values - found[own_head] > limits):
+    heads = np.concatenate(([0], np.flatnonzero(np.diff(found) > _MERGE_RTOL * found[1:]) + 1))
+    lasts = found[np.append(heads[1:] - 1, found.size - 1)]
+    if not np.any(lasts - found[heads] > _MERGE_RTOL * lasts):
         return heads
     walk = [0]
     head = float(found[0])
-    for i, value in zip(steps.tolist(), values.tolist()):
+    steps = np.flatnonzero(found[1:] != found[:-1]) + 1
+    for i, value in zip(steps.tolist(), found[steps].tolist()):
         if value - head > _MERGE_RTOL * value:
             walk.append(i)
             head = value

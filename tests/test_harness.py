@@ -326,6 +326,23 @@ def test_calibrate_report_has_both_routes(tmp_path):
     assert len(rows) == 6
 
 
+def test_calibration_evaluates_each_delta_once(tmp_path, monkeypatch):
+    # the alpha-grid row at the pipeline's alpha reuses its closed value
+    calls = []
+    delta_alpha = boxint.delta_alpha
+
+    def counted(alpha, method):
+        calls.append(alpha)
+        return delta_alpha(alpha, method)
+
+    monkeypatch.setattr(boxint, "delta_alpha", counted)
+    assert run_cli(["calibrate"], tmp_path) == 0
+    assert sorted(calls) == [0.5, 0.75, 1.0, 1.5, 2.0]
+    calls.clear()
+    assert acceptance.run_criterion(11).passed
+    assert sorted(calls) == [0.5, 0.75, 1.0, 1.5, 2.0]
+
+
 @pytest.mark.parametrize("command", ["finite-part", "plates"])
 def test_separation_off_powers_of_two(tmp_path, command):
     assert run_cli([command, "--a", "1.1"], tmp_path) == 0

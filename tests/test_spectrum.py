@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,9 @@ P = spectrum.Bc.PERIODIC
         (((1.3, N), (0.7, N), (1.1, D)), 60.0),
         (((2.0, P), (1.1, N), (0.9, D)), 80.0),
         (((0.5, D), (2.5, P), (1.0, D)), 120.0),
+        # one group of this plate holds 128 modes, past the int8 range of an entry
+        (((2.0, P), (2.0, P), (1.0, D)), 3000.0),
+        (((1.2, N), (1.2, N), (0.8, D)), 90.0),
     ],
 )
 def test_enumeration_matches_brute_force(axes, cutoff):
@@ -81,6 +85,181 @@ def test_enumeration_matches_brute_force(axes, cutoff):
     for (gv, gk), (wv, wk) in zip(got, want):
         assert gv == pytest.approx(wv, rel=1e-12)
         assert gk == wk
+
+
+def enumerate_by_slices(spec, cutoff, max_modes=spectrum.DEFAULT_MODE_CAP):
+    """enumerate_modes as it was before axes 1 and 2 folded and multiplicities
+    took one byte: every axis-1 slice in full, int64 multiplicities, a gathered
+    sort, and the walk rule for the group heads."""
+    cutoff = float(cutoff)
+    if math.isnan(cutoff):
+        raise ParameterError("spectral cutoff must not be nan")
+    lam_min = spec.lambda_min
+    if cutoff <= lam_min:
+        raise EmptySpectrumError(
+            f"cutoff {cutoff} admits no modes (lowest eigenvalue {lam_min})"
+        )
+    weyl = spec.volume * cutoff * math.sqrt(cutoff) / (6.0 * math.pi**2)
+    if weyl > 4.0 * max_modes:
+        raise ResourceError(
+            f"estimated {weyl:.3e} modes below cutoff exceeds cap {max_modes}"
+        )
+    a1, a2, a3 = spec.axes
+    m1, m2, m3 = (ax.min_value for ax in spec.axes)
+    v1s, k1s = a1.modes_below(cutoff - m2 - m3, max_modes)
+    v2s, k2s = a2.modes_below(cutoff - m1 - m3, max_modes)
+    v3s, k3s = a3.modes_below(cutoff - m1 - m2, max_modes)
+    values, mults = [], []
+    count = 0
+    for v1, k1 in zip(v1s.tolist(), k1s.tolist()):
+        rest = cutoff - v1
+        n2 = np.searchsorted(v2s, rest - m3, side="right")
+        v2 = v2s[:n2, None]
+        keep = v3s <= rest - v2
+        values.append((v1 + v2 + v3s)[keep])
+        mults.append((k1 * k2s[:n2, None] * k3s)[keep])
+        count += int(mults[-1].sum())
+        if count > max_modes:
+            raise ResourceError(f"mode count exceeded cap {max_modes} during walk")
+    if count == 0:
+        raise EmptySpectrumError(f"no modes at or below cutoff {cutoff}")
+    found = np.concatenate(values)
+    order = np.argsort(found)
+    found, grouped = found[order], np.concatenate(mults)[order]
+    heads = _walk_heads(found.tolist())
+    return found[heads], np.add.reduceat(grouped, heads)
+
+
+def _oracle_case(rng):
+    """A box, a cutoff and a mode cap.  About half the boxes repeat axis 1 as
+    axis 2 (plates, cubes, square N x N x D cells and random pairs), a sixth
+    repeat another pair; a fifth of the cutoffs is an eigenvalue itself, where
+    (cutoff - v1) - v2 and (cutoff - v2) - v1 can round apart, and a sixth of
+    the runs take a small cap."""
+    def side():
+        return float(10.0 ** rng.uniform(-0.5, 0.5))
+
+    kind = rng.integers(6)
+    if kind == 0:
+        axes = [(side(), P)] * 2 + [(side(), D)]
+    elif kind == 1:
+        axes = [(side(), D)] * 3
+    elif kind == 2:
+        axes = [(side(), N)] * 2 + [(side(), D)]
+    else:
+        axes = [(side(), (D, N, P)[rng.integers(3)]) for _ in range(3)]
+        if kind == 3:
+            axes[1] = axes[0]
+        elif kind == 4:
+            pair = ((1, 2), (0, 2))[rng.integers(2)]
+            axes[pair[1]] = axes[pair[0]]
+        if all(b is not D for _, b in axes):
+            axes[rng.integers(3)] = (axes[0][0], D)
+    box = spectrum.BoxSpec(tuple(spectrum.AxisSpec(l, b) for l, b in axes))
+    # a Weyl count of 1 to 3000 modes
+    cutoff = (6.0 * math.pi**2 * 10.0 ** rng.uniform(0.0, 3.5) / box.volume) ** (2 / 3)
+    if rng.random() < 0.2 and cutoff > box.lambda_min:
+        values, _ = enumerate_by_slices(box, cutoff)
+        cutoff = float(values[rng.integers(values.size)])
+    cap = int(rng.integers(20, 2000)) if rng.random() < 1 / 6 else spectrum.DEFAULT_MODE_CAP
+    return box, cutoff, cap
+
+
+def test_enumeration_matches_the_slice_walk():
+    # byte-identical values and multiplicities, or the same error
+    rng = np.random.default_rng(20)
+    outcomes = set()
+    for _ in range(400):
+        box, cutoff, cap = _oracle_case(rng)
+        try:
+            want = enumerate_by_slices(box, cutoff, cap)
+        except (ResourceError, EmptySpectrumError) as err:
+            with pytest.raises(type(err)) as got:
+                spectrum.enumerate_modes(box, cutoff, cap)
+            assert str(got.value) == str(err)
+            outcomes.add(type(err))
+            continue
+        stream = spectrum.enumerate_modes(box, cutoff, cap)
+        assert stream.values.tobytes() == want[0].tobytes(), (box, cutoff)
+        assert stream.multiplicities.tolist() == want[1].tolist(), (box, cutoff)
+        outcomes.add(box.axes[0] == box.axes[1])
+    assert outcomes == {True, False, ResourceError, EmptySpectrumError}
+
+
+@pytest.mark.parametrize(
+    ("box", "cutoff", "limit"),
+    [
+        (plates.plate_box(6.0, 1.0), 12000.0, 4 << 20),
+        (spectrum.mixed_cell(1.5, 1.0 / 1.5, 1.0), 5e4, 6 << 20),
+    ],
+    ids=["plate", "mixed_cell"],
+)
+def test_enumeration_memory_is_bounded(box, cutoff, limit):
+    # a full slice walk held about 56 bytes per entry, 10.6 MiB for either;
+    # now an entry costs at most 26 bytes (2.5 and 4.7 MiB), and the plate
+    # walks its equal axes once, at half the entries
+    spectrum.enumerate_modes(box, cutoff)
+    tracemalloc.start()
+    try:
+        spectrum.enumerate_modes(box, cutoff)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
+
+
+_sides = st.floats(0.4, 2.5)
+_bcs = st.sampled_from([D, N, P])
+
+
+@st.composite
+def _boxes(draw):
+    axes = [(draw(_sides), draw(_bcs)) for _ in range(3)]
+    axes[draw(st.integers(0, 2))] = (axes[0][0], D)
+    box = spectrum.BoxSpec(tuple(spectrum.AxisSpec(l, b) for l, b in axes))
+    modes = draw(st.floats(1.0, 3000.0))
+    return box, (6.0 * math.pi**2 * modes / box.volume) ** (2 / 3)
+
+
+def _stream_or_error(box, cutoff):
+    try:
+        return spectrum.enumerate_modes(box, cutoff)
+    except EmptySpectrumError as err:
+        return str(err)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_boxes())
+def test_swapping_axes_1_and_2_keeps_the_stream(case):
+    box, cutoff = case
+    a1, a2, a3 = box.axes
+    got = _stream_or_error(spectrum.BoxSpec((a2, a1, a3)), cutoff)
+    want = _stream_or_error(box, cutoff)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.multiplicities.tobytes() == want.multiplicities.tobytes()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_boxes(), st.integers(-8, 8), st.floats(1e-3, 1.0))
+def test_scaling_by_a_power_of_two_scales_the_spectrum(case, k, t):
+    # lengths times c = 2^k and the cutoff times c^-2: every value is exactly
+    # c^-2 times the old one, since each operation only shifts exponents
+    box, cutoff = case
+    scaled = spectrum.BoxSpec(
+        tuple(spectrum.AxisSpec(math.ldexp(ax.length, k), ax.bc) for ax in box.axes)
+    )
+    want = _stream_or_error(box, cutoff)
+    got = _stream_or_error(scaled, math.ldexp(cutoff, -2 * k))
+    if not isinstance(want, str):
+        assert got.values.tobytes() == np.ldexp(want.values, -2 * k).tobytes()
+        assert got.multiplicities.tolist() == want.multiplicities.tolist()
+    else:
+        assert isinstance(got, str)
+    heat = box.heat_trace(t)
+    assert abs(scaled.heat_trace(math.ldexp(t, 2 * k)) - heat) <= 1e-13 * heat
 
 
 def test_unit_cube_low_modes():
