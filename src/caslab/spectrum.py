@@ -171,18 +171,21 @@ def enumerate_modes(
 ) -> EigenStream:
     """Complete sorted enumeration of box eigenvalues below the cutoff.
 
-    Each axis-1 mode v1 broadcasts one slice v1 + v2 + v3, kept where
-    v3 <= (cutoff - v1) - v2, and the mode cap is checked after every slice.
-    When axes 1 and 2 are equal the walk visits each index pair once: the
-    slice of v1 runs over v2 >= v1 only, and an entry counts once for each
-    order of (v1, v2) whose own test keeps it.  v1 + v2 == v2 + v1 exactly
-    in IEEE arithmetic, so the values are those of the full walk; the two
-    tests may disagree in the last bit, so each is made.  Each entry holds
-    its multiplicity in one byte (at most 2 * 2 * 1 * 2).  After the values
-    are sorted in place, each joins the group of the first value within
-    1e-12 relative below it, so degeneracies report a single multiplicity;
-    the sort need not be stable, since the order of exactly equal values
-    changes neither the group heads nor the integer group sums.
+    The walk runs at the raised cutoff c (1 + 4e-12): each axis-1 mode v1
+    broadcasts one slice v1 + v2 + v3, kept where v3 <= (c - v1) - v2, and the
+    mode cap, checked after every slice, counts the modes of that walk.  When
+    axes 1 and 2 are equal the slice of v1 runs over v2 >= v1 only, and the
+    entry of v2 > v1 counts once for each order of the pair (v1 + v2 ==
+    v2 + v1 exactly in IEEE arithmetic).  Each entry holds its multiplicity in
+    one byte (at most 2 * 2 * 1 * 2).  After the values are sorted in place,
+    each joins the group of the first value within 1e-12 relative below it, so
+    degeneracies report a single multiplicity; the sort need not be stable,
+    since the order of exactly equal values changes neither the group heads
+    nor the integer group sums.  The stream keeps the leading groups whose
+    head is at most the cutoff.  A group's members lie within 1e-12 of its
+    head, so each group is kept or dropped whole, and every dropped mode lies
+    above the cutoff; the walk's test can round differently for the two
+    orders of a pair only within a few ulp of c, where every group is dropped.
     """
     cutoff = float(cutoff)
     if math.isnan(cutoff):
@@ -198,41 +201,34 @@ def enumerate_modes(
         raise ResourceError(
             f"estimated {weyl:.3e} modes below cutoff exceeds cap {max_modes}"
         )
+    high = cutoff * (1.0 + 4.0 * _MERGE_RTOL)
     a1, a2, a3 = spec.axes
     m1, m2, m3 = (ax.min_value for ax in spec.axes)
     # each axis mode is a box mode, so one axis over the cap puts the box over it
-    v1s, k1s = a1.modes_below(cutoff - m2 - m3, max_modes)
-    v2s, k2s = a2.modes_below(cutoff - m1 - m3, max_modes)
-    v3s, k3s = a3.modes_below(cutoff - m1 - m2, max_modes)
+    v1s, k1s = a1.modes_below(high - m2 - m3, max_modes)
+    v2s, k2s = a2.modes_below(high - m1 - m3, max_modes)
+    v3s, k3s = a3.modes_below(high - m1 - m2, max_modes)
     fold = a1 == a2
-    rests = cutoff - v1s
-    # the slice of v1 admits the axis-2 modes v2 <= (cutoff - v1) - m3
+    rests = high - v1s
+    # the slice of v1 admits the axis-2 modes v2 <= (c - v1) - m3
     spans = np.searchsorted(v2s, rests - m3, side="right")
     values, mults = [], []
     count = 0
     for i, (v1, k1, rest, span) in enumerate(
         zip(v1s.tolist(), k1s.tolist(), rests.tolist(), spans.tolist())
     ):
-        lo, hi = 0, span
-        if fold:  # v2 >= v1 only, up to the last v2 whose own slice admits v1
-            reach = int(np.count_nonzero(spans > i))
-            lo, hi = i, max(span, reach)
-        if lo >= hi:
+        lo = i if fold else 0
+        if lo >= span:
             continue
-        v2 = v2s[lo:hi, None]
-        # the test of order (v1, v2) keeps v3s[:own], that of (v2, v1) v3s[:mirror]
-        own = np.searchsorted(v3s, rest - v2, "right")
-        own[max(span - lo, 0) :] = 0  # past the span of v1
-        mirror = 0
+        v2 = v2s[lo:span, None]
+        ends = np.searchsorted(v3s, rest - v2, "right")  # the row of v2 keeps v3s[:end]
+        k = np.arange(ends.max())
+        keep = k < ends
+        k12 = k1 * k2s[lo:span, None]
         if fold:
-            mirror = np.searchsorted(v3s, rests[lo:hi, None] - v1, "right")
-            mirror[0] = 0  # the diagonal pair has one order
-            mirror[max(reach - lo, 0) :] = 0
-        k = np.arange(max(own.max(), np.max(mirror)))
-        times = np.add(k < own, k < mirror, dtype=np.int8)
-        keep = times > 0
+            k12[1:] *= 2  # v2 > v1: both orders of the pair
         values.append(((v1 + v2) + v3s[: k.size])[keep])
-        mults.append((times * (k1 * k2s[lo:hi, None] * k3s[: k.size]))[keep].astype(np.int8))
+        mults.append((k12 * k3s[: k.size])[keep].astype(np.int8))
         count += int(mults[-1].sum())
         if count > max_modes:
             raise ResourceError(f"mode count exceeded cap {max_modes} during walk")
@@ -246,9 +242,9 @@ def enumerate_modes(
     grouped = grouped[np.argsort(found)]
     found.sort()
     heads = _group_heads(found)
-    return EigenStream(
-        cutoff, found[heads], np.add.reduceat(grouped, heads, dtype=np.int64), spec
-    )
+    kept = np.searchsorted(found[heads], cutoff, side="right")
+    sums = np.add.reduceat(grouped, heads, dtype=np.int64)
+    return EigenStream(cutoff, found[heads[:kept]], sums[:kept], spec)
 
 
 def _group_heads(found: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Cell overlap energies, the aspect-ratio grid, concavity and positivity."""
 
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -89,10 +90,19 @@ def test_t_integral_at_extreme_aspects(alpha, rel):
     assert got == pytest.approx(boxint._delta_quadrature(alpha), rel=rel, abs=0.0)
 
 
-def test_cell_energy_permutation_invariance():
-    a = boxint.cell_overlap_energy((2.0, 0.5, 1.0))
-    b = boxint.cell_overlap_energy((0.5, 1.0, 2.0))
-    assert a == pytest.approx(b, rel=1e-12)
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.tuples(*[st.floats(-3.0, 3.0)] * 3), st.floats(-3.0, 3.0))
+def test_cell_energy_permutation_invariance(log_sides, log_alpha):
+    # all six orders of random sides, and alpha <-> 1/alpha, whose sides
+    # (1/alpha, alpha) differ from (alpha, 1/alpha) in the last bit: the worst
+    # of 1,500 random draws was 6.1e-16 relative for either
+    sides = tuple(math.exp(x) for x in log_sides)
+    want = boxint.cell_overlap_energy(sides)
+    for order in itertools.permutations(sides):
+        assert boxint.cell_overlap_energy(order) == pytest.approx(want, rel=2e-15, abs=0.0)
+    alpha = math.exp(log_alpha)
+    want = boxint.delta_alpha(alpha)
+    assert boxint.delta_alpha(1.0 / alpha) == pytest.approx(want, rel=2e-15, abs=0.0)
 
 
 def test_delta_cube_closed_form_value():

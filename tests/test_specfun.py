@@ -132,6 +132,21 @@ def test_theta_dual_path_agreement():
             assert direct == pytest.approx(dual, rel=1e-12, abs=1e-15)
 
 
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(
+    st.sampled_from([specfun.Bc.DIRICHLET, specfun.Bc.NEUMANN]),
+    st.floats(-3.0, 3.0),
+    st.floats(0.5, 2.0),
+)
+def test_jacobi_duality_around_the_switch(kind, log_length, x):
+    # both routes at pi t / L^2 = x on either side of the switch, L
+    # log-uniform over six decades; the worst of 20,000 random draws was
+    # 1.4e-12 relative, from the cancellation in the Dirichlet dual's (S-1)/2
+    length = 10.0**log_length
+    direct, dual = _route_values(kind, length, x * length * length / math.pi)
+    assert dual == pytest.approx(direct, rel=3e-12, abs=0.0)
+
+
 def test_theta_auto_mode_selection():
     # the defining series from pi t / L^2 = 1 up, the modular dual below it
     length = 1.0

@@ -1,5 +1,7 @@
 """Box spectra: enumeration against brute force, Weyl count, tail bounds."""
 
+import collections
+import itertools
 import json
 import math
 import tracemalloc
@@ -40,13 +42,17 @@ def axis_modes_brute(ax, cutoff):
 
 
 def brute_enumerate(box, cutoff):
+    """Every lattice value up to the widened cutoff (1 + 1e-9) merged onto its
+    group's head, then the groups whose head is at most the cutoff: a cutoff
+    on an eigenvalue keeps its group whole, however its members round."""
+    wide = cutoff * (1.0 + 1e-9)
     found = []
-    for v1, k1 in axis_modes_brute(box.axes[0], cutoff):
-        for v2, k2 in axis_modes_brute(box.axes[1], cutoff):
-            if v1 + v2 > cutoff:
+    for v1, k1 in axis_modes_brute(box.axes[0], wide):
+        for v2, k2 in axis_modes_brute(box.axes[1], wide):
+            if v1 + v2 > wide:
                 break
-            for v3, k3 in axis_modes_brute(box.axes[2], cutoff):
-                if v1 + v2 + v3 > cutoff:
+            for v3, k3 in axis_modes_brute(box.axes[2], wide):
+                if v1 + v2 + v3 > wide:
                     break
                 found.append((v1 + v2 + v3, k1 * k2 * k3))
     found.sort()
@@ -56,7 +62,7 @@ def brute_enumerate(box, cutoff):
             merged[-1][1] += k
         else:
             merged.append([v, k])
-    return [(v, k) for v, k in merged]
+    return [(v, k) for v, k in merged if v <= cutoff]
 
 
 D = spectrum.Bc.DIRICHLET
@@ -134,8 +140,8 @@ def _oracle_case(rng):
     """A box, a cutoff and a mode cap.  About half the boxes repeat axis 1 as
     axis 2 (plates, cubes, square N x N x D cells and random pairs), a sixth
     repeat another pair; a fifth of the cutoffs is an eigenvalue itself, where
-    (cutoff - v1) - v2 and (cutoff - v2) - v1 can round apart, and a sixth of
-    the runs take a small cap."""
+    the slice walk's (cutoff - v1) - v2 and (cutoff - v2) - v1 can round
+    apart, and a sixth of the runs take a small cap."""
     def side():
         return float(10.0 ** rng.uniform(-0.5, 0.5))
 
@@ -166,11 +172,22 @@ def _oracle_case(rng):
 
 
 def test_enumeration_matches_the_slice_walk():
-    # byte-identical values and multiplicities, or the same error
+    # byte-identical values and multiplicities, or the same error, wherever
+    # no eigenvalue lies within 2e-12 of the cutoff.  On an eigenvalue the
+    # slice walk's per-order test may split its group or drop it, so there
+    # the stream must hold exactly the whole groups of brute_enumerate.
     rng = np.random.default_rng(20)
     outcomes = set()
     for _ in range(400):
         box, cutoff, cap = _oracle_case(rng)
+        if cutoff > box.lambda_min:
+            want = brute_enumerate(box, cutoff * (1.0 + 2e-12))
+            if abs(want[-1][0] - cutoff) <= 2e-12 * cutoff:
+                stream = spectrum.enumerate_modes(box, cutoff, cap)
+                got = zip(stream.values.tolist(), stream.multiplicities.tolist())
+                assert list(got) == [g for g in want if g[0] <= cutoff], (box, cutoff)
+                outcomes.add("on an eigenvalue")
+                continue
         try:
             want = enumerate_by_slices(box, cutoff, cap)
         except (ResourceError, EmptySpectrumError) as err:
@@ -183,7 +200,45 @@ def test_enumeration_matches_the_slice_walk():
         assert stream.values.tobytes() == want[0].tobytes(), (box, cutoff)
         assert stream.multiplicities.tolist() == want[1].tolist(), (box, cutoff)
         outcomes.add(box.axes[0] == box.axes[1])
-    assert outcomes == {True, False, ResourceError, EmptySpectrumError}
+    assert outcomes == {True, False, ResourceError, EmptySpectrumError, "on an eigenvalue"}
+
+
+def _cube_cutoff(n1, n2, n3, form):
+    """The eigenvalue (n1^2 + n2^2 + n3^2) pi^2 of the unit Dirichlet cube as
+    the float sum of its axis modes: each formed as modes_below forms it, or
+    as n^2 pi^2."""
+    if form == "axis":
+        v = [(math.pi / 1.0) ** 2 * n * n for n in (n1, n2, n3)]
+    else:
+        v = [n * n * math.pi**2 for n in (n1, n2, n3)]
+    return (v[0] + v[1]) + v[2]
+
+
+@pytest.mark.parametrize("form", ["axis", "n2pi2"])
+def test_cube_groups_are_whole_at_their_own_eigenvalues(form):
+    # every group against its integer lattice count of n1^2 + n2^2 + n3^2 = N,
+    # at a cutoff on the top eigenvalue, where a keep test made per order of
+    # the triple splits or drops the top group.  The n^2 pi^2 sums of 4
+    # triples round below every member of their group, which is dropped whole
+    axis = spectrum.AxisSpec(1.0, D)
+    cube = spectrum.BoxSpec((axis,) * 3)
+    counts = collections.Counter(
+        a * a + b * b + c * c for a, b, c in itertools.product(range(1, 13), repeat=3)
+    )
+    dropped = 0
+    for n1, n2, n3 in itertools.combinations_with_replacement(range(1, 8), 3):
+        if n3 == 1:
+            continue  # the lowest eigenvalue admits no cutoff at it
+        stream = spectrum.enumerate_modes(cube, _cube_cutoff(n1, n2, n3, form))
+        top = n1 * n1 + n2 * n2 + n3 * n3
+        want = [counts[s] for s in sorted(counts) if s <= top]
+        got = stream.multiplicities.tolist()
+        assert got == want[: len(got)] and len(got) >= len(want) - 1, (n1, n2, n3)
+        assert stream.values.tolist() == pytest.approx(
+            [s * math.pi**2 for s in sorted(counts)[: len(got)]], rel=1e-13
+        )
+        dropped += len(got) < len(want)
+    assert dropped == (0 if form == "axis" else 4)
 
 
 @pytest.mark.parametrize(
@@ -367,6 +422,16 @@ def test_empty_spectrum_raises():
     axis = spectrum.AxisSpec(1.0, D)
     with pytest.raises(EmptySpectrumError):
         spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), 2.0 * math.pi**2)
+
+
+def test_cutoff_one_ulp_above_the_lowest_eigenvalue_keeps_it():
+    # here (cutoff - m1) - m3 rounds below m2, so a walk at the cutoff itself
+    # found no mode at all
+    sides = (1.2226971694600952, 2.1877675679055204, 1.2226971694600952)
+    box = spectrum.BoxSpec(tuple(spectrum.AxisSpec(l, D) for l in sides))
+    stream = spectrum.enumerate_modes(box, math.nextafter(box.lambda_min, math.inf))
+    assert stream.values.tolist() == [box.lambda_min]
+    assert stream.multiplicities.tolist() == [1]
 
 
 def test_resource_guard_trips_before_walking():
