@@ -3,7 +3,7 @@ law, and the area-type coefficient against its closed form."""
 
 import math
 
-from caslab import heattrace, specfun
+from caslab import heattrace, specfun, spectrum
 
 # the trace factorizes over axes; each theta factor sums its defining series
 # from pi t / ell^2 = 1 up and its modular dual below, so the value must not
@@ -31,25 +31,21 @@ for t in (1e-4, 1e-3, 1e-2, 1e-1):
 # coefficient has a closed form from the per-axis expansions
 # Theta_N ~ l/sqrt(4 pi t) + 1/2 and Theta_D ~ a/sqrt(4 pi t) - 1/2
 coef = heattrace.short_time_coefficients(l1, l2, a)
-vol_term = l1 * l2 * a / (8.0 * math.pi**1.5)
-area_term = (a * (l1 + l2) - l1 * l2) / (8.0 * math.pi)
-edge_term = (a - l1 - l2) / (8.0 * math.sqrt(math.pi))
+closed = spectrum.mixed_cell(l1, l2, a).heat_coefficients()
 print()
 print("fitted small-t coefficients vs closed forms")
-print(f"  t^-3/2: fit {coef['t^-3/2']:+.12e}  closed {vol_term:+.12e}")
-print(f"  t^-1  : fit {coef['t^-1']:+.12e}  closed {area_term:+.12e}")
-print(f"  t^-1/2: fit {coef['t^-1/2']:+.12e}  closed {edge_term:+.12e}")
-print(f"  const : fit {coef['1']:+.12e}  closed {-0.125:+.12e}")
+for key, label in zip(closed, ("t^-3/2", "t^-1  ", "t^-1/2", "const ")):
+    print(f"  {label}: fit {coef[key]:+.12e}  closed {closed[key]:+.12e}")
 
 # volume law: t^{3/2} K -> V / (8 pi^{3/2}) as t -> 0
 t = 1e-7
 k = heattrace.mixed_cell_heat_trace(l1, l2, a, t)
 print()
 print(f"volume law at t={t}: t^1.5 K = {t**1.5 * k:.10e}")
-print(f"V/(8 pi^1.5)            = {vol_term:.10e}")
+print(f"V/(8 pi^1.5)            = {closed['t^-3/2']:.10e}")
 
-# area coefficient on the constrained family l1 l2 = a^2 (here a = 1):
-# returned value is the closed form, cross-checked internally by a fit
+# area coefficient on the constrained family l1 l2 = a^2 (here a = 1): the
+# t^-1 entry of the closed forms, least at the cube
 print()
 print("B coefficient on the fixed-cross-section family (a = 1)")
 for alpha in (0.5, 1.0, 2.0):

@@ -162,12 +162,11 @@ def _run_heat_trace(config: RunConfig):
     rows = [("t", "trace")]
     rows += [(float(t), heattrace.mixed_cell_heat_trace(l1, l2, a, float(t))) for t in grid]
     coeffs = heattrace.short_time_coefficients(l1, l2, a)
-    b_closed = heattrace.b_coefficient(l1, l2, a)  # raises if the fit disagrees
     report = {
         "cell": {"l1": l1, "l2": l2, "a": a},
         "coefficients": coeffs,
-        "b_closed_form": b_closed,
-        "checks": acceptance.short_time_checks(a, config.params["alpha"], coeffs, b_closed),
+        "b_closed_form": heattrace.b_coefficient(l1, l2, a),
+        "checks": acceptance.short_time_checks(a, config.params["alpha"], coeffs),
     }
     return report, {"trace": rows}
 

@@ -2,12 +2,13 @@
 
 The regulated trace (1/2) sum lambda^{1/2} e^{-tau lambda} carries a certified
 truncation remainder from its eigenvalue stream.  Mixed rectangular cells
-factorize into one-dimensional theta sums, whose short-time expansion has
-computable volume, area, edge, and corner coefficients.  One weighted,
+factorize into one-dimensional theta sums; BoxSpec.heat_coefficients holds
+their short-time coefficients in closed form.  One weighted,
 column-equilibrated power-law fit with a condition-number guard serves both
-those coefficients and the finite part of a divergent small-tau expansion;
-the finite part adds an explicit window-stability guard.  The finite part
-subtracts pure power divergences only: a flat box has no log tau term.
+the fitted coefficients and the finite part of a divergent small-tau
+expansion; the finite part adds an explicit window-stability guard.  The
+finite part subtracts pure power divergences only: a flat box has no log tau
+term.
 """
 
 from __future__ import annotations
@@ -19,14 +20,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    ConvergenceError,
     CutoffError,
     FitConditionError,
     FitInstabilityError,
     ParameterError,
     check_positive,
 )
-from .spectrum import EigenStream, mixed_cell, saturation_check
+from .spectrum import EigenStream, mixed_cell
 
 _TAIL_TARGET = 1e-6  # tail bound must stay below this fraction of the value
 _STABILITY_TOL = 5e-3  # allowed relative move of c0 between nested windows
@@ -92,55 +92,30 @@ def short_time_grid(length: float, points: int = 16) -> np.ndarray:
     return np.geomspace(lo, 10.0 * lo, points)
 
 
-def _cell_window(l1: float, l2: float, a: float) -> tuple[np.ndarray, float]:
-    """short_time_grid of the cell's shortest side and its volume coefficient
-    l1 l2 a / (8 pi^3/2).  The volume term leads the trace at the window's
-    smallest t, so ParameterError is raised when twice that term leaves the
-    float range."""
-    t = short_time_grid(min(l1, l2, a))
-    vol = l1 * l2 * a / (8.0 * math.pi**1.5)
-    if not 2.0 * vol * float(t[0]) ** -1.5 < math.inf:
-        raise ParameterError(f"volume term of the cell ({l1!r}, {l2!r}, {a!r}) overflows")
-    return t, vol
-
-
 def short_time_coefficients(l1: float, l2: float, a: float) -> dict[str, float]:
     """Fit the four-term small-t law of the mixed-cell heat trace.
 
     Model: K(t) = c32 t^{-3/2} + c1 t^{-1} + c12 t^{-1/2} + c0 on
     short_time_grid of the shortest side, fitted by the power-law fit behind
-    finite_part, weights t^{3/2}.  Returns the fitted coefficients keyed by
-    the exponent they multiply.
+    finite_part, weights t^{3/2}, keyed as BoxSpec.heat_coefficients.  The
+    volume term leads the trace at the window's smallest t, so ParameterError
+    is raised when twice that term leaves the float range.
     """
-    t, _ = _cell_window(l1, l2, a)
+    t = short_time_grid(min(l1, l2, a))
     cell = mixed_cell(l1, l2, a)
+    closed = cell.heat_coefficients()
+    if not 2.0 * closed["t^-3/2"] * float(t[0]) ** -1.5 < math.inf:
+        raise ParameterError(f"volume term of the cell ({l1!r}, {l2!r}, {a!r}) overflows")
     k = np.array([cell.heat_trace(ti) for ti in t])
     coef, _, _ = _power_law_fit(t, k, (1.5, 1.0, 0.5))
-    return dict(zip(("t^-3/2", "t^-1", "t^-1/2", "1"), map(float, coef)))
+    return dict(zip(closed, map(float, coef)))
 
 
 def b_coefficient(l1: float, l2: float, a: float) -> float:
-    """Area-type coefficient B = (a (l1 + l2) - a^2) / (8 pi) on the
-    fixed-cross-section family l1 l2 = a^2.
-
-    Before returning, the closed form is checked against a companion fit of
-    the t^{-1} term of the mixed-cell trace.  The fit removes the exact
-    volume term first and keeps the two lower-order columns in the basis so
-    they cannot leak into the t^{-1} coefficient; agreement within 1% is
-    enforced.
-    """
-    saturation_check(l1, l2, a)  # raises ConstraintError when l1 l2 != a^2
-    closed = (a * (l1 + l2) - a * a) / (8.0 * math.pi)
-    t, vol = _cell_window(l1, l2, a)
-    cell = mixed_cell(l1, l2, a)
-    resid = np.array([cell.heat_trace(ti) - vol * ti**-1.5 for ti in t])
-    coef, _, _ = _power_law_fit(t, resid, (1.0, 0.5))
-    fitted = float(coef[0])
-    if abs(fitted - closed) > 0.01 * abs(closed):
-        raise ConvergenceError(
-            f"companion fit {fitted!r} disagrees with closed form {closed!r}"
-        )
-    return closed
+    """Area-type coefficient B = (a (l1 + l2) - l1 l2) / (8 pi) of any mixed
+    cell, the t^{-1} entry of BoxSpec.heat_coefficients.  On the family
+    l1 l2 = a^2 it is a^2 (alpha + 1/alpha - 1) / (8 pi), least at the cube."""
+    return mixed_cell(l1, l2, a).heat_coefficients()["t^-1"]
 
 
 @dataclass(frozen=True)

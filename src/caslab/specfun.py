@@ -107,6 +107,10 @@ class Bc(str, enum.Enum):
     PERIODIC = "periodic"    # (2 pi k / L)^2, k in Z
 
 
+# axis heat sum = L / (2 sqrt(pi t)) + HEAT_OFFSET[bc] + O(exp(-L^2 / t)), by the dual
+HEAT_OFFSET = {Bc.DIRICHLET: -0.5, Bc.NEUMANN: 0.5, Bc.PERIODIC: 0.0}
+
+
 @dataclass(frozen=True)
 class ThetaEval:
     """Result of a theta evaluation with truncation accounting."""
@@ -148,7 +152,7 @@ def _theta_dual(bc: Bc, length: float, t: float) -> ThetaEval:
     k = 1
     while True:
         term = 2.0 * math.exp(-q * k * k)
-        value = 0.5 * (pref * dual + (1.0 if bc is Bc.NEUMANN else -1.0))
+        value = 0.5 * (pref * dual) + HEAT_OFFSET[bc]
         if not 0.5 * pref * term >= _SERIES_RTOL * (1.0 + abs(value)):  # NaN ends it too
             ratio = math.exp(-q * (2 * k + 1))
             tail = 0.5 * pref * term / (1.0 - ratio)

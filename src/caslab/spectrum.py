@@ -109,6 +109,19 @@ class BoxSpec:
         factorizes into the product of the three axis heat sums."""
         return math.prod(ax.heat_sum(t) for ax in self.axes)
 
+    def heat_coefficients(self) -> dict[str, float]:
+        """The small-t law K(t) ~ c32 t^-3/2 + c1 t^-1 + c12 t^-1/2 + c0 in
+        closed form, keyed by the power of t.  Each axis heat sum is
+        L x + specfun.HEAT_OFFSET[bc] with x = 1 / (2 sqrt(pi t)), up to
+        exponentially small terms, so their product's powers of x are exact."""
+        poly = [1.0]  # ascending powers of x
+        for ax in self.axes:
+            b = specfun.HEAT_OFFSET[ax.bc]
+            poly = [b * lo + ax.length * hi for lo, hi in zip(poly + [0.0], [0.0] + poly)]
+        scales = (8.0 * math.pi**1.5, 4.0 * math.pi, 2.0 * math.sqrt(math.pi), 1.0)
+        values = (c / s for c, s in zip(reversed(poly), scales))
+        return dict(zip(("t^-3/2", "t^-1", "t^-1/2", "1"), values))
+
 
 def mixed_cell(l1: float, l2: float, a: float) -> BoxSpec:
     """The Neumann x Neumann x Dirichlet cell: lateral sides l1, l2, width a."""

