@@ -56,7 +56,7 @@ print()
 print("lateral-gap saturation across aspect ratios (a = 1)")
 for frac in (Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(4, 3), Fraction(2)):
     alpha = float(frac)
-    res = spectrum.saturation_check(alpha, 1.0 / alpha, 1.0)
+    res = spectrum.saturation_check(*spectrum.aspect_sides(1.0, alpha))
     ref = min(alpha, 1.0 / alpha) ** 2
     mark = "  <- saturated" if res.saturated else ""
     print(f"  alpha={str(frac):>4}: ratio {res.ratio:.12f}  reference {ref:.12f}{mark}")

@@ -49,5 +49,5 @@ print(f"V/(8 pi^1.5)            = {closed['t^-3/2']:.10e}")
 print()
 print("B coefficient on the fixed-cross-section family (a = 1)")
 for alpha in (0.5, 1.0, 2.0):
-    b = heattrace.b_coefficient(alpha, 1.0 / alpha, 1.0)
+    b = heattrace.b_coefficient(*spectrum.aspect_sides(1.0, alpha))
     print(f"  alpha={alpha:<4} B = {b:.12e}")

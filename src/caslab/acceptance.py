@@ -25,6 +25,9 @@ from .errors import CheckReport
 
 CUBE_CUTOFF = 200.0
 TEN_MODE_CUTOFF = 11.5 * math.pi**2  # unit Dirichlet cube: 10 modes in total
+# aspect ratios a command shares with a criterion: boxint's with 12, calibrate's with 11
+RATIONAL_ALPHAS = (0.5, 2.0 / 3.0, 0.75, 1.0, 4.0 / 3.0, 1.5, 2.0)
+THETA_ALPHAS = (0.5, 0.75, 1.0, 1.5, 2.0)
 
 
 @dataclass
@@ -98,14 +101,14 @@ def chain_checks(lam: float, c1: float, c3: float, nested: float) -> list[CheckR
 
 
 def short_time_checks(a: float, alpha: float, coeffs: dict) -> list[CheckReport]:
-    """Fitted coefficients of the cell (alpha a, a / alpha, a) vs the closed
+    """Fitted coefficients of the cell aspect_sides(a, alpha) vs the closed
     forms of BoxSpec.heat_coefficients: t^-3/2 and t^-1 relative, at 1e-3 and
     1e-2.  A long thin cell's window cannot resolve the t^-1/2 and constant
     terms, so each of those deviates by its share of the volume term at the
     window's top, at 2e-11."""
-    l1, l2 = alpha * a, a / alpha
-    closed = spectrum.mixed_cell(l1, l2, a).heat_coefficients()
-    t = float(heattrace.short_time_grid(min(l1, l2, a))[-1])
+    sides = spectrum.aspect_sides(a, alpha)
+    closed = spectrum.mixed_cell(*sides).heat_coefficients()
+    t = float(heattrace.short_time_grid(min(sides))[-1])
     where = f"(a={a}, alpha={alpha})"
     return [CheckReport.measure(f"t^-3/2 coefficient vs volume {where}",
                                 _rel(coeffs["t^-3/2"], closed["t^-3/2"]), 1e-3),
@@ -146,11 +149,6 @@ def pipeline_check(cal: plates.CalibrationResult) -> list[CheckReport]:
                                 plates.PIPELINE_TOLERANCE)]
 
 
-def _cube_stream(cutoff: float) -> spectrum.EigenStream:
-    axis = spectrum.AxisSpec(1.0, spectrum.Bc.DIRICHLET)
-    return spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), cutoff)
-
-
 @_criterion(1, "reduction constants and the combined chain")
 def criterion_1(res: CriterionResult, seed: int) -> None:
     # hand-derived closed forms: 1/(6 pi^2 lam) at (3, 5/2), 3/16 at (1, 3, 1)
@@ -189,13 +187,13 @@ def criterion_3(res: CriterionResult, seed: int) -> None:
 
 @_criterion(4, "stochastic trace identity: mean and variance")
 def criterion_4(res: CriterionResult, seed: int) -> None:
-    stream = _cube_stream(CUBE_CUTOFF)
+    stream = spectrum.enumerate_modes(spectrum.UNIT_CUBE, CUBE_CUTOFF)
     tau = 0.5
     trace = heattrace.regulated_trace(stream, tau).value
     spec = stochastic.SourceSpec(stream=stream, tau=tau)
     est = stochastic.mc_estimate(spec, n=100_000, seed=seed)
     res.checks += trace_identity_check(trace, est)
-    small = _cube_stream(TEN_MODE_CUTOFF)
+    small = spectrum.enumerate_modes(spectrum.UNIT_CUBE, TEN_MODE_CUTOFF)
     res.add_flag("10-mode spectrum has 10 modes", small.mode_count == 10)
     est2 = stochastic.mc_estimate(
         stochastic.SourceSpec(stream=small, tau=tau), n=1_000_000, seed=seed + 1
@@ -208,7 +206,7 @@ def criterion_4(res: CriterionResult, seed: int) -> None:
 
 @_criterion(5, "exact cancellation of the normalization g")
 def criterion_5(res: CriterionResult, seed: int) -> None:
-    stream = _cube_stream(CUBE_CUTOFF)
+    stream = spectrum.enumerate_modes(spectrum.UNIT_CUBE, CUBE_CUTOFF)
     worst = 0.0
     for k in range(10):
         rng_a = np.random.Generator(np.random.Philox(seed + k))
@@ -244,9 +242,9 @@ def criterion_7(res: CriterionResult, seed: int) -> None:
     grid = np.geomspace(0.25, 4.0, 17)
     b_vals = []
     for al in grid.tolist():
-        coeffs = heattrace.short_time_coefficients(al * a, a / al, a)
-        res.checks += short_time_checks(a, al, coeffs)
-        b_vals.append(heattrace.b_coefficient(al * a, a / al, a))
+        sides = spectrum.aspect_sides(a, al)
+        res.checks += short_time_checks(a, al, heattrace.short_time_coefficients(*sides))
+        b_vals.append(heattrace.b_coefficient(*sides))
     idx = int(np.argmin(b_vals))
     res.add_flag("B minimized at the cube on the alpha grid", abs(grid[idx] - 1.0) < 1e-12)
     b_cube = heattrace.b_coefficient(1.0, 1.0, 1.0)
@@ -302,37 +300,19 @@ def criterion_11(res: CriterionResult, seed: int) -> None:
     )
     res.add("theta_bar(1, 2) vs quoted decimal", abs(pipe.closed_value - 0.0072824), 1e-6)
     res.checks += pipeline_check(pipe)
-    grid = (0.5, 0.75, 1.0, 1.5, 2.0)
-    thetas = [
-        pipe.closed_value if al == 1.0 else plates.theta_bar(al, 2).theta_bar for al in grid
-    ]
-    res.add_flag("alpha-grid minimum at alpha=1", grid[int(np.argmin(thetas))] == 1.0)
+    thetas = [pipe.closed_value if al == 1.0 else plates.theta_bar(al, 2).theta_bar
+              for al in THETA_ALPHAS]
+    res.add_flag("alpha-grid minimum at alpha=1", THETA_ALPHAS[int(np.argmin(thetas))] == 1.0)
 
 
 @_criterion(12, "lateral gap ratio is exactly min(a^2, a^-2)")
 def criterion_12(res: CriterionResult, seed: int) -> None:
-    from fractions import Fraction
-
-    grid = [
-        Fraction(1, 2),
-        Fraction(2, 3),
-        Fraction(3, 4),
-        Fraction(1),
-        Fraction(4, 3),
-        Fraction(3, 2),
-        Fraction(2),
-    ]
-    a = 1.0
-    exact = True
-    saturation_ok = True
-    for fr in grid:
-        alpha = float(fr)
-        check = spectrum.saturation_check(alpha * a, a / alpha, a)
-        target = min(alpha, 1.0 / alpha) ** 2
-        exact = exact and (check.ratio == target)
-        saturation_ok = saturation_ok and (check.saturated == (fr == 1))
-    res.add_flag("ratio bit-exact on the rational grid", exact)
-    res.add_flag("saturation exactly at alpha = 1", saturation_ok)
+    checks = {al: spectrum.saturation_check(*spectrum.aspect_sides(1.0, al))
+              for al in RATIONAL_ALPHAS}
+    res.add_flag("ratio bit-exact on the rational grid",
+                 all(c.ratio == min(al, 1.0 / al) ** 2 for al, c in checks.items()))
+    res.add_flag("saturation exactly at alpha = 1",
+                 all(c.saturated == (al == 1.0) for al, c in checks.items()))
 
 
 def run_criterion(number: int, seed: int = 42) -> CriterionResult:

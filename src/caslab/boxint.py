@@ -32,6 +32,7 @@ from .errors import (
     check_positive,
 )
 from .riesz import quad_checked
+from .spectrum import aspect_sides
 from .stochastic import MCEstimate, monte_carlo
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -58,11 +59,6 @@ class DeltaMethod(str, enum.Enum):
     T_INTEGRAL = "t_integral"
     QUADRATURE_3D = "quadrature_3d"
     MONTE_CARLO = "monte_carlo"
-
-
-def _aspect_lengths(alpha: float) -> tuple[float, float, float]:
-    alpha = check_positive(alpha, "aspect ratio")
-    return (alpha, 1.0 / alpha, 1.0)
 
 
 def cell_overlap_energy(lengths: tuple[float, float, float]) -> float:
@@ -164,7 +160,7 @@ def _delta_quadrature(alpha: float) -> float:
     against the 10-node rule on the same panels; their relative gap stays
     below 2e-14 for alpha in [1e-6, 1e6].
     """
-    lengths = _aspect_lengths(alpha)
+    lengths = aspect_sides(1.0, alpha)
 
     def f(p, r2):
         return _exit_profile(lengths, p) / np.sqrt(r2)
@@ -202,7 +198,7 @@ def _inverse_distances(
 
 
 def _delta_monte_carlo(alpha: float, budget: int, seed: int) -> MCEstimate:
-    lengths = np.array(_aspect_lengths(alpha))
+    lengths = np.array(aspect_sides(1.0, alpha))
     return monte_carlo(
         functools.partial(_inverse_distances, lengths), budget, seed, draws_per_row=3
     )
@@ -214,14 +210,14 @@ def delta_alpha(
     budget: int = 1_000_000,
     seed: int = 1234,
 ):
-    """Delta(alpha) for the unit-volume aspect cell by the chosen method.
+    """Delta(alpha) of the unit-volume cell aspect_sides(1, alpha) by the chosen method.
 
     Deterministic methods return a float; MONTE_CARLO returns an MCEstimate
     whose budget is the number of point pairs.
     """
     method = check_choice(method, DeltaMethod, "Delta method")
     if method is DeltaMethod.T_INTEGRAL:
-        return cell_overlap_energy(_aspect_lengths(alpha))
+        return cell_overlap_energy(aspect_sides(1.0, alpha))
     if method is DeltaMethod.QUADRATURE_3D:
         return _delta_quadrature(alpha)
     return _delta_monte_carlo(alpha, budget, seed)

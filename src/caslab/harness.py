@@ -123,18 +123,12 @@ def _run_reduce(config: RunConfig):
     return report, {"constants": rows}
 
 
-def _cell_sides(params: dict) -> tuple[float, float, float]:
-    """Sides (alpha a, a / alpha, a) of the fixed-cross-section cell."""
-    a, alpha = params["a"], check_positive(params["alpha"], "aspect ratio alpha")
-    return alpha * a, a / alpha, a
-
-
 @_command(
     "spectrum", "enumerate a mixed cell and report the lateral gap",
     a=1.0, alpha=1.0, cutoff=100.0,
 )
 def _run_spectrum(config: RunConfig):
-    l1, l2, a = _cell_sides(config.params)
+    l1, l2, a = spectrum.aspect_sides(config.params["a"], config.params["alpha"])
     stream = spectrum.enumerate_modes(
         spectrum.mixed_cell(l1, l2, a), config.params["cutoff"]
     )
@@ -157,7 +151,7 @@ def _run_spectrum(config: RunConfig):
     "heat-trace", "mixed-cell trace table and short-time coefficients", a=1.0, alpha=1.0
 )
 def _run_heat_trace(config: RunConfig):
-    l1, l2, a = _cell_sides(config.params)
+    l1, l2, a = spectrum.aspect_sides(config.params["a"], config.params["alpha"])
     grid = heattrace.short_time_grid(min(l1, l2, a))
     rows = [("t", "trace")]
     rows += [(float(t), heattrace.mixed_cell_heat_trace(l1, l2, a, float(t))) for t in grid]
@@ -188,8 +182,7 @@ def _run_stochastic(config: RunConfig):
     tau = config.params["tau"]
     cutoff = config.params["cutoff"]
     n = config.params["n_samples"]
-    axis = spectrum.AxisSpec(1.0, spectrum.Bc.DIRICHLET)
-    stream = spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), cutoff)
+    stream = spectrum.enumerate_modes(spectrum.UNIT_CUBE, cutoff)
     trace = heattrace.regulated_trace(stream, tau)
     est = stochastic.mc_estimate(
         stochastic.SourceSpec(stream=stream, tau=tau), n=n, seed=config.seed
@@ -208,10 +201,9 @@ def _run_stochastic(config: RunConfig):
 
 @_command("boxint", "Delta(alpha) table, concavity scan, positivity chain")
 def _run_boxint(config: RunConfig):
-    alphas = (0.5, 2.0 / 3.0, 0.75, 1.0, 4.0 / 3.0, 1.5, 2.0)
     delta_rows = [("alpha", "delta")]
     deltas = {}
-    for al in alphas:
+    for al in acceptance.RATIONAL_ALPHAS:
         deltas[al] = boxint.delta_alpha(al, boxint.DeltaMethod.T_INTEGRAL)
         delta_rows.append((al, deltas[al]))
     scan = boxint.log_concavity_scan()
@@ -255,7 +247,7 @@ def _run_calibrate(config: RunConfig):
     rows = [("alpha", "theta_bar")]
     rows += [
         (al, pipe.closed_value if al == alpha else plates.theta_bar(al, n_channels).theta_bar)
-        for al in (0.5, 0.75, 1.0, 1.5, 2.0)
+        for al in acceptance.THETA_ALPHAS
     ]
     report = {"theta_bar": pipe, "closed_form": closed, "checks": acceptance.pipeline_check(pipe)}
     return report, {"theta": rows}

@@ -114,7 +114,7 @@ def short_time_coefficients(l1: float, l2: float, a: float) -> dict[str, float]:
 def b_coefficient(l1: float, l2: float, a: float) -> float:
     """Area-type coefficient B = (a (l1 + l2) - l1 l2) / (8 pi) of any mixed
     cell, the t^{-1} entry of BoxSpec.heat_coefficients.  On the family
-    l1 l2 = a^2 it is a^2 (alpha + 1/alpha - 1) / (8 pi), least at the cube."""
+    aspect_sides(a, alpha) it is a^2 (alpha + 1/alpha - 1) / (8 pi), least at the cube."""
     return mixed_cell(l1, l2, a).heat_coefficients()["t^-1"]
 
 

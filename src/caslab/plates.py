@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boxint, specfun
-from .errors import check_choice, check_count, check_positive
+from .errors import ResourceError, check_choice, check_count, check_positive
 from .heattrace import (
     FinitePartModel,
     HeatTraceSample,
@@ -30,6 +30,7 @@ from .spectrum import AxisSpec, Bc, BoxSpec, enumerate_modes
 
 PLATE_EXPONENTS = (2.0, 1.5)
 PIPELINE_TOLERANCE = 7.5e-3  # fit bias bound (0.5%) plus margin for Delta
+_TERM_CAP = 1_000_000  # terms of the per-area series, about 1.1 s of summing
 
 
 @dataclass(frozen=True)
@@ -69,11 +70,16 @@ def per_area_trace(a: float, tau: float) -> HeatTraceSample:
     Integrating the lateral continuum modes gives
     (1/(8 pi)) tau^{-3/2} sum_{n>=1} Gamma(3/2, tau pi^2 n^2 / a^2); the sum
     is truncated once the certified exponential tail drops below 1e-16 of the
-    running value.
+    running value.  The sum runs at least until c n^2 >= 40, c = tau pi^2 / a^2,
+    so ResourceError is raised up front when that takes more than 10^6 terms.
     """
     a = check_positive(a, "a")
     tau = check_positive(tau, "tau")
     c = tau * (math.pi / a) ** 2
+    if not c * _TERM_CAP * _TERM_CAP >= 40.0:
+        raise ResourceError(
+            f"per-area trace at a={a!r}, tau={tau!r} needs more than {_TERM_CAP} terms"
+        )
     pref = tau**-1.5 / (8.0 * math.pi)
     total = 0.0
     n = 1

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 # Module scope loads numpy alone, as `import caslab` does; the quadrature rule below is numpy.
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -48,14 +49,23 @@ def _check_s(m: int, s: float, what: str) -> float:
     return s
 
 
+def _check_normal(value: float, what: str) -> float:
+    """value if it is a normal float; ParameterError otherwise."""
+    if not sys.float_info.min <= value < math.inf:
+        raise ParameterError(f"{what} = {value!r} leaves the normal float range")
+    return value
+
+
 def reduction_constant(m: int, s: float) -> float:
-    """C_{m,s} = (4 pi)^{-m/2} Gamma(s - m/2) / Gamma(s) for s > m/2."""
+    """C_{m,s} = (4 pi)^{-m/2} Gamma(s - m/2) / Gamma(s) for s > m/2, through
+    math.lgamma where Gamma overflows (s past 171.6), there to about
+    1e-16 lgamma(s) relative; ParameterError unless the result is a normal float."""
     s = _check_s(m, s, "reduction constant")
-    return (
-        (4.0 * math.pi) ** (-0.5 * m)
-        * specfun.gamma(s - 0.5 * m)
-        / specfun.gamma(s)
-    )
+    try:
+        value = (4.0 * math.pi) ** (-0.5 * m) * specfun.gamma(s - 0.5 * m) / specfun.gamma(s)
+    except OverflowError:
+        value = math.exp(math.lgamma(s - m / 2) - math.lgamma(s) - m / 2 * math.log(4 * math.pi))
+    return _check_normal(value, f"reduction constant at m={m}, s={s}")
 
 
 def critical_exponent(m: int) -> float:
@@ -65,9 +75,14 @@ def critical_exponent(m: int) -> float:
 
 
 def sphere_area(m: int) -> float:
-    """Surface area of the unit (m-1)-sphere, 2 pi^{m/2} / Gamma(m/2)."""
+    """Surface area of the unit (m-1)-sphere, 2 pi^{m/2} / Gamma(m/2), through
+    math.lgamma from m = 344 on, as in reduction_constant."""
     _check_m(m)
-    return 2.0 * math.pi ** (0.5 * m) / specfun.gamma(0.5 * m)
+    try:
+        value = 2.0 * math.pi ** (0.5 * m) / specfun.gamma(0.5 * m)
+    except OverflowError:
+        value = 2.0 * math.exp(0.5 * m * math.log(math.pi) - math.lgamma(0.5 * m))
+    return _check_normal(value, f"sphere area at m={m}")
 
 
 @dataclass(frozen=True)

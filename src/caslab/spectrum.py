@@ -55,18 +55,18 @@ class AxisSpec:
             return (math.pi / self.length) ** 2
         return 0.0
 
-    def modes_below(self, cutoff: float, max_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    def modes_below(self, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
         """Ascending values <= cutoff (float64) and their multiplicities (int64);
-        ResourceError, before allocating, past max_modes + 1 indices (one spare
-        for the rounding of the square root)."""
+        ResourceError, before allocating, past DEFAULT_MODE_CAP + 1 indices (one
+        spare for the rounding of the square root)."""
         scale = 2.0 if self.bc is Bc.PERIODIC else 1.0
         base = (scale * math.pi / self.length) ** 2
         start = 1 if self.bc is Bc.DIRICHLET else 0
         top = math.sqrt(max(cutoff, 0.0) / base)
-        if top - start > max_modes + 1:
+        if top - start > DEFAULT_MODE_CAP + 1:
             raise ResourceError(
                 f"axis of length {self.length!r} has {top:.3e} modes below {cutoff!r},"
-                f" cap {max_modes}"
+                f" cap {DEFAULT_MODE_CAP}"
             )
         n = np.arange(start, int(top) + 2)
         n = n[base * n * n <= cutoff]
@@ -130,6 +130,17 @@ def mixed_cell(l1: float, l2: float, a: float) -> BoxSpec:
     )
 
 
+def aspect_sides(a: float, alpha: float) -> tuple[float, float, float]:
+    """Sides (alpha a, a / alpha, a) of the plate-compatible aspect family,
+    whose cross-section l1 l2 = a^2 is fixed; the cube is alpha = 1.  Every
+    aspect ratio in the package is checked here."""
+    alpha = check_positive(alpha, "aspect ratio alpha")
+    return alpha * a, a / alpha, a
+
+
+UNIT_CUBE = BoxSpec((AxisSpec(1.0, Bc.DIRICHLET),) * 3)
+
+
 @dataclass(frozen=True, eq=False)
 class EigenStream:
     """Complete spectrum below a cutoff, with a heat-tail envelope.
@@ -179,9 +190,7 @@ class EigenStream:
         return envelope * self.box.heat_trace(half)
 
 
-def enumerate_modes(
-    spec: BoxSpec, cutoff: float, max_modes: int = DEFAULT_MODE_CAP
-) -> EigenStream:
+def enumerate_modes(spec: BoxSpec, cutoff: float) -> EigenStream:
     """Complete sorted enumeration of box eigenvalues below the cutoff.
 
     The walk runs at the raised cutoff c (1 + 4e-12): each axis-1 mode v1
@@ -210,17 +219,17 @@ def enumerate_modes(
         )
     # cutoff * sqrt(cutoff) runs to inf where cutoff**1.5 would raise OverflowError
     weyl = spec.volume * cutoff * math.sqrt(cutoff) / (6.0 * math.pi**2)
-    if weyl > 4.0 * max_modes:
+    if weyl > 4.0 * DEFAULT_MODE_CAP:
         raise ResourceError(
-            f"estimated {weyl:.3e} modes below cutoff exceeds cap {max_modes}"
+            f"estimated {weyl:.3e} modes below cutoff exceeds cap {DEFAULT_MODE_CAP}"
         )
     high = cutoff * (1.0 + 4.0 * _MERGE_RTOL)
     a1, a2, a3 = spec.axes
     m1, m2, m3 = (ax.min_value for ax in spec.axes)
     # each axis mode is a box mode, so one axis over the cap puts the box over it
-    v1s, k1s = a1.modes_below(high - m2 - m3, max_modes)
-    v2s, k2s = a2.modes_below(high - m1 - m3, max_modes)
-    v3s, k3s = a3.modes_below(high - m1 - m2, max_modes)
+    v1s, k1s = a1.modes_below(high - m2 - m3)
+    v2s, k2s = a2.modes_below(high - m1 - m3)
+    v3s, k3s = a3.modes_below(high - m1 - m2)
     fold = a1 == a2
     rests = high - v1s
     # the slice of v1 admits the axis-2 modes v2 <= (c - v1) - m3
@@ -243,8 +252,8 @@ def enumerate_modes(
         values.append(((v1 + v2) + v3s[: k.size])[keep])
         mults.append((k12 * k3s[: k.size])[keep].astype(np.int8))
         count += int(mults[-1].sum())
-        if count > max_modes:
-            raise ResourceError(f"mode count exceeded cap {max_modes} during walk")
+        if count > DEFAULT_MODE_CAP:
+            raise ResourceError(f"mode count exceeded cap {DEFAULT_MODE_CAP} during walk")
     if count == 0:
         raise EmptySpectrumError(f"no modes at or below cutoff {cutoff}")
     # each list is dropped once joined, before the sort allocates its index
@@ -301,9 +310,9 @@ class SaturationResult:
 def saturation_check(l1: float, l2: float, a: float) -> SaturationResult:
     """Gap ratio of a constrained cell against the square cross-section.
 
-    For l1 l2 = a^2 the ratio of lateral_gap(l1, l2) to pi^2/a^2 reduces to
-    (a / max(l1, l2))^2 = min(alpha^2, alpha^-2); the cell is saturated
-    exactly when that ratio is 1.
+    On the family l1 l2 = a^2 of aspect_sides(a, alpha) the ratio of
+    lateral_gap(l1, l2) to pi^2/a^2 reduces to (a / max(l1, l2))^2 =
+    min(alpha^2, alpha^-2); the cell is saturated exactly when that ratio is 1.
     """
     l1, l2, a = (check_positive(x, "cell side") for x in (l1, l2, a))
     target = a * a

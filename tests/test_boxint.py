@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from caslab import boxint
+from caslab import boxint, spectrum
 from caslab.errors import CheckReport, ParameterError, QuadratureError, ResourceError
 
 
@@ -431,3 +431,12 @@ def test_interval_overlap_scaling_property(c, L, t):
     left = boxint.interval_overlap(c * L, t)
     right = c * c * boxint.interval_overlap(L, c * c * t)
     assert left == pytest.approx(right, rel=1e-11)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(log_a=st.floats(-3.0, 3.0), log_alpha=st.floats(-1.5, 1.5))
+def test_aspect_family_has_one_cell(log_a, log_alpha):
+    # aspect_sides is the only place the family's cell is written out
+    a, alpha = 10.0**log_a, 10.0**log_alpha
+    assert spectrum.aspect_sides(a, alpha) == (alpha * a, a / alpha, a)
+    assert boxint.delta_alpha(alpha) == boxint.cell_overlap_energy((alpha, 1.0 / alpha, 1.0))

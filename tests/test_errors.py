@@ -3,10 +3,11 @@ and the non-finite inputs that used to slip past ad-hoc checks."""
 
 import dataclasses
 import math
+import time
 
 import pytest
 
-from caslab import boxint, heattrace, plates, riesz, specfun, spectrum, stochastic
+from caslab import acceptance, boxint, heattrace, plates, riesz, specfun, spectrum, stochastic
 from caslab.errors import CheckReport, ParameterError, ResourceError
 
 _AXIS = spectrum.AxisSpec(1.0, spectrum.Bc.DIRICHLET)
@@ -45,6 +46,35 @@ _POSITIVE_REAL_CALLS = {
 def test_positive_reals_reject_non_finite_and_bool(call, bad):
     with pytest.raises(ParameterError):
         call(bad)
+
+
+_ASPECT_RATIO_CALLS = {
+    "aspect_sides": lambda x: spectrum.aspect_sides(1.0, x),
+    "delta_alpha": boxint.delta_alpha,
+    "delta_alpha_quadrature_3d": lambda x: boxint.delta_alpha(x, "quadrature_3d"),
+    "delta_alpha_monte_carlo": lambda x: boxint.delta_alpha(x, "monte_carlo", budget=10),
+    "theta_bar": plates.theta_bar,
+    "short_time_checks": lambda x: acceptance.short_time_checks(1.0, x, {}),
+}
+
+
+@pytest.mark.parametrize(
+    "bad", [0.0, -1.0, math.inf, math.nan, True], ids=["zero", "negative", "inf", "nan", "bool"]
+)
+@pytest.mark.parametrize("call", list(_ASPECT_RATIO_CALLS.values()), ids=list(_ASPECT_RATIO_CALLS))
+def test_aspect_ratios_pass_the_one_validator(call, bad):
+    with pytest.raises(ParameterError, match="aspect ratio alpha must be finite and > 0"):
+        call(bad)
+
+
+@pytest.mark.parametrize("a, tau", [(1.0, 1e-12), (1e200, 1e-300)], ids=["tiny_tau", "c_is_0"])
+def test_per_area_trace_fails_fast_past_its_term_cap(a, tau):
+    # the series runs until tau pi^2 n^2 / a^2 >= 40: 2e6 terms (about 2 s)
+    # at tau = 1e-12, and never where that coefficient underflows to 0
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="terms"):
+        plates.per_area_trace(a, tau)
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize(

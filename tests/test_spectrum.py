@@ -93,7 +93,7 @@ def test_enumeration_matches_brute_force(axes, cutoff):
         assert gk == wk
 
 
-def enumerate_by_slices(spec, cutoff, max_modes=spectrum.DEFAULT_MODE_CAP):
+def enumerate_by_slices(spec, cutoff):
     """enumerate_modes as it was before axes 1 and 2 folded and multiplicities
     took one byte: every axis-1 slice in full, int64 multiplicities, a gathered
     sort, and the walk rule for the group heads."""
@@ -105,6 +105,7 @@ def enumerate_by_slices(spec, cutoff, max_modes=spectrum.DEFAULT_MODE_CAP):
         raise EmptySpectrumError(
             f"cutoff {cutoff} admits no modes (lowest eigenvalue {lam_min})"
         )
+    max_modes = spectrum.DEFAULT_MODE_CAP
     weyl = spec.volume * cutoff * math.sqrt(cutoff) / (6.0 * math.pi**2)
     if weyl > 4.0 * max_modes:
         raise ResourceError(
@@ -112,9 +113,9 @@ def enumerate_by_slices(spec, cutoff, max_modes=spectrum.DEFAULT_MODE_CAP):
         )
     a1, a2, a3 = spec.axes
     m1, m2, m3 = (ax.min_value for ax in spec.axes)
-    v1s, k1s = a1.modes_below(cutoff - m2 - m3, max_modes)
-    v2s, k2s = a2.modes_below(cutoff - m1 - m3, max_modes)
-    v3s, k3s = a3.modes_below(cutoff - m1 - m2, max_modes)
+    v1s, k1s = a1.modes_below(cutoff - m2 - m3)
+    v2s, k2s = a2.modes_below(cutoff - m1 - m3)
+    v3s, k3s = a3.modes_below(cutoff - m1 - m2)
     values, mults = [], []
     count = 0
     for v1, k1 in zip(v1s.tolist(), k1s.tolist()):
@@ -171,7 +172,7 @@ def _oracle_case(rng):
     return box, cutoff, cap
 
 
-def test_enumeration_matches_the_slice_walk():
+def test_enumeration_matches_the_slice_walk(monkeypatch):
     # byte-identical values and multiplicities, or the same error, wherever
     # no eigenvalue lies within 2e-12 of the cutoff.  On an eigenvalue the
     # slice walk's per-order test may split its group or drop it, so there
@@ -179,24 +180,26 @@ def test_enumeration_matches_the_slice_walk():
     rng = np.random.default_rng(20)
     outcomes = set()
     for _ in range(400):
+        monkeypatch.undo()  # _oracle_case enumerates at the default cap
         box, cutoff, cap = _oracle_case(rng)
+        monkeypatch.setattr(spectrum, "DEFAULT_MODE_CAP", cap)
         if cutoff > box.lambda_min:
             want = brute_enumerate(box, cutoff * (1.0 + 2e-12))
             if abs(want[-1][0] - cutoff) <= 2e-12 * cutoff:
-                stream = spectrum.enumerate_modes(box, cutoff, cap)
+                stream = spectrum.enumerate_modes(box, cutoff)
                 got = zip(stream.values.tolist(), stream.multiplicities.tolist())
                 assert list(got) == [g for g in want if g[0] <= cutoff], (box, cutoff)
                 outcomes.add("on an eigenvalue")
                 continue
         try:
-            want = enumerate_by_slices(box, cutoff, cap)
+            want = enumerate_by_slices(box, cutoff)
         except (ResourceError, EmptySpectrumError) as err:
             with pytest.raises(type(err)) as got:
-                spectrum.enumerate_modes(box, cutoff, cap)
+                spectrum.enumerate_modes(box, cutoff)
             assert str(got.value) == str(err)
             outcomes.add(type(err))
             continue
-        stream = spectrum.enumerate_modes(box, cutoff, cap)
+        stream = spectrum.enumerate_modes(box, cutoff)
         assert stream.values.tobytes() == want[0].tobytes(), (box, cutoff)
         assert stream.multiplicities.tolist() == want[1].tolist(), (box, cutoff)
         outcomes.add(box.axes[0] == box.axes[1])
@@ -465,14 +468,12 @@ def test_resource_guard_trips_on_one_long_axis():
         spectrum.enumerate_modes(spectrum.mixed_cell(1e-8, 1e8, 1.0), 100.0)
 
 
-def test_resource_guard_trips_during_walk():
+def test_resource_guard_trips_during_walk(monkeypatch):
     # the Weyl estimate (1510 modes) passes the pre-check; the 1277 modes the
     # walk finds exceed the cap
-    axis = spectrum.AxisSpec(1.0, D)
+    monkeypatch.setattr(spectrum, "DEFAULT_MODE_CAP", 1000)
     with pytest.raises(ResourceError, match="during walk"):
-        spectrum.enumerate_modes(
-            spectrum.BoxSpec((axis, axis, axis)), 2000.0, max_modes=1000
-        )
+        spectrum.enumerate_modes(spectrum.UNIT_CUBE, 2000.0)
 
 
 def test_box_requires_dirichlet_axis():
