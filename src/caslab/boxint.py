@@ -52,7 +52,7 @@ def interval_overlap(L: float, t: float) -> float:
     L = check_positive(L, "interval length L")
     t = check_positive(t, "interval_overlap t")
     r = L * math.sqrt(t)
-    return L * math.sqrt(math.pi / t) * specfun.erf(r) + math.expm1(-r * r) / t
+    return L * math.sqrt(math.pi / t) * math.erf(r) + math.expm1(-r * r) / t
 
 
 class DeltaMethod(str, enum.Enum):
@@ -68,7 +68,7 @@ def cell_overlap_energy(lengths: tuple[float, float, float]) -> float:
     nodes crowd toward t = 0, where the integrand goes like t^{-1/2}, and
     spread double exponentially toward the t^{-2} tail, so neither needs a
     split or an analytic tail.  I_L is interval_overlap's closed form over
-    the node array, with math.erf at each node.
+    the node array, with specfun.erf over the nodes.
     """
     ls = tuple(check_positive(x, "side length") for x in lengths)
     if len(ls) != 3:
@@ -79,8 +79,7 @@ def cell_overlap_energy(lengths: tuple[float, float, float]) -> float:
         out = 1.0 / root_t
         for L in ls:
             r = L * root_t
-            erf = np.fromiter(map(math.erf, r), float, count=r.size)
-            out *= L * np.sqrt(math.pi / t) * erf + np.expm1(-r * r) / t
+            out *= L * np.sqrt(math.pi / t) * specfun.erf(r) + np.expm1(-r * r) / t
         return out
 
     return quad_checked(f, 0.0, math.inf, epsabs=1e-13, epsrel=1e-12) / _SQRT_PI
@@ -266,8 +265,7 @@ def log_overlap_curvature(s: np.ndarray) -> np.ndarray:
     s = -8, 3e-5 at s = -12 and 5e-8 at s = 20.
     """
     r = np.exp(s)
-    erf = np.fromiter(map(math.erf, r.ravel()), float, count=r.size).reshape(r.shape)
-    i1 = _SQRT_PI * erf
+    i1 = _SQRT_PI * specfun.erf(r)
     i = r * i1 + np.expm1(-r * r)
     slope = r * i1 / i
     return (r * i1 + 2.0 * r * r * np.exp(-r * r)) / i - slope * slope

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boxint, specfun
-from .errors import ResourceError, check_choice, check_count, check_positive
+from .errors import ParameterError, ResourceError, check_choice, check_count, check_positive
 from .heattrace import (
     FinitePartModel,
     HeatTraceSample,
@@ -71,16 +71,22 @@ def per_area_trace(a: float, tau: float) -> HeatTraceSample:
     (1/(8 pi)) tau^{-3/2} sum_{n>=1} Gamma(3/2, tau pi^2 n^2 / a^2); the sum
     is truncated once the certified exponential tail drops below 1e-16 of the
     running value.  The sum runs at least until c n^2 >= 40, c = tau pi^2 / a^2,
-    so ResourceError is raised up front when that takes more than 10^6 terms.
+    so ResourceError is raised up front when that takes more than 10^6 terms,
+    and ParameterError where (pi/a)^2 or tau^{-3/2} overflows.
     """
     a = check_positive(a, "a")
     tau = check_positive(tau, "tau")
-    c = tau * (math.pi / a) ** 2
-    if not c * _TERM_CAP * _TERM_CAP >= 40.0:
-        raise ResourceError(
-            f"per-area trace at a={a!r}, tau={tau!r} needs more than {_TERM_CAP} terms"
-        )
-    pref = tau**-1.5 / (8.0 * math.pi)
+    try:
+        c = tau * (math.pi / a) ** 2
+        if not c * _TERM_CAP * _TERM_CAP >= 40.0:
+            raise ResourceError(
+                f"per-area trace at a={a!r}, tau={tau!r} needs more than {_TERM_CAP} terms"
+            )
+        pref = tau**-1.5 / (8.0 * math.pi)
+    except OverflowError:
+        raise ParameterError(
+            f"per-area trace at a={a!r}, tau={tau!r} leaves the float range"
+        ) from None
     total = 0.0
     n = 1
     while True:
@@ -111,13 +117,18 @@ def casimir_per_area(a: float, n_channels: int = 1) -> float:
     The analytic continuation
     (1/(8 pi)) (Gamma(-3/2)/Gamma(-1/2)) (pi/a)^3 zeta(-3) reduces to
     -pi^2/(1440 a^3) per channel; the c0 of heat_fit(a) is the independent
-    numerical route to the same constant.
+    numerical route to the same constant.  ParameterError where (pi/a)^3
+    overflows.
     """
     check_positive(a, "a")
     check_count(n_channels, "channel count")
     ratio = specfun.gamma(-1.5) / specfun.gamma(-0.5)
     zeta = float(specfun.zeta_negative_odd(3))
-    return n_channels * (1.0 / (8.0 * math.pi)) * ratio * (math.pi / a) ** 3 * zeta
+    try:
+        cube = (math.pi / a) ** 3
+    except OverflowError:
+        raise ParameterError(f"plate energy at a={a!r}: (pi/a)^3 leaves the float range") from None
+    return n_channels * (1.0 / (8.0 * math.pi)) * ratio * cube * zeta
 
 
 def normalized_energy(n: int, a: float, n_channels: int = 1) -> float:

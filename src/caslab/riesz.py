@@ -205,16 +205,27 @@ def _radial_integral(m: int, s: float, lam: float, damp_eps: float = 0.0) -> flo
     return quad_checked(f, 0.0, math.inf, epsabs=0.0) * half * half
 
 
+def _radial_route(m: int, s: float, lam: float, damp_eps: float, what: str) -> float:
+    """sphere_area(m) / (2 pi)^m times _radial_integral; ParameterError
+    unless the product is a normal float."""
+    where = f"{what} at m={m}, s={s}, lam={lam!r}"
+    try:
+        value = sphere_area(m) / (2.0 * math.pi) ** m * _radial_integral(m, s, lam, damp_eps)
+    except OverflowError:
+        raise ParameterError(f"{where} leaves the float range") from None
+    return _check_normal(value, where)
+
+
 def momentum_integral(m: int, s: float, lam: float) -> float:
     """integral d^m q / (2 pi)^m  (lam + |q|^2)^{-s} by radial quadrature.
 
     Measured against reduction_constant(m, s) * lam^{m/2 - s} for the (m, s)
     pairs of the reduce command at 2,000 log-spaced lam: within 4.1e-14
     relative on [1e-100, 1e100], and within 9e-14 out to 1e-123 and 1e123.
+    ParameterError unless the result is a normal float.
     """
     s, lam = _check_domain(m, s, lam, "momentum integral")
-    pref = sphere_area(m) / (2.0 * math.pi) ** m
-    return pref * _radial_integral(m, s, lam)
+    return _radial_route(m, s, lam, 0.0, "momentum integral")
 
 
 def schwinger_integral(m: int, s: float, lam: float) -> float:
@@ -222,7 +233,9 @@ def schwinger_integral(m: int, s: float, lam: float) -> float:
 
     The double-exponential rule takes the endpoint power t^a, a = s-1-m/2,
     without a weight function down to about a = -0.95; closer to the
-    integrable limit a = -1 its rim guard raises QuadratureError.
+    integrable limit a = -1 its rim guard raises QuadratureError, and
+    ParameterError where Gamma(s) overflows (s past 171.6) or the result is
+    not a normal float.
     """
     s, lam = _check_domain(m, s, lam, "schwinger integral")
     a = s - 1.0 - 0.5 * m
@@ -231,8 +244,12 @@ def schwinger_integral(m: int, s: float, lam: float) -> float:
         # t = u / lam puts the nodes on the integrand's own scale
         return np.exp(a * (np.log(u) - math.log(lam)) - u) / lam
 
-    pref = (4.0 * math.pi) ** (-0.5 * m) / specfun.gamma(s)
-    return pref * quad_checked(f, 0.0, math.inf, epsabs=0.0)
+    where = f"schwinger integral at m={m}, s={s}, lam={lam!r}"
+    try:
+        pref = (4.0 * math.pi) ** (-0.5 * m) / specfun.gamma(s)
+    except OverflowError:
+        raise ParameterError(f"{where}: Gamma(s) leaves the float range") from None
+    return _check_normal(pref * quad_checked(f, 0.0, math.inf, epsabs=0.0), where)
 
 
 def mollified_reduction(
@@ -241,13 +258,12 @@ def mollified_reduction(
     """Momentum integral smeared by |eta_hat(eps q)|^2.
 
     Monotone nonincreasing in the width and converges to momentum_integral as
-    the width shrinks.
+    the width shrinks.  ParameterError unless the result is a normal float.
     """
     if not isinstance(mollifier, MollifierSpec):
         raise ParameterError("mollifier must be a MollifierSpec")
     s, lam = _check_domain(m, s, lam, "mollified integral")
-    pref = sphere_area(m) / (2.0 * math.pi) ** m
-    return pref * _radial_integral(m, s, lam, damp_eps=mollifier.eps)
+    return _radial_route(m, s, lam, mollifier.eps, "mollified integral")
 
 
 def richardson_limit(

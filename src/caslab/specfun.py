@@ -1,22 +1,24 @@
-"""Special-function layer: gamma with reflection, error function, boundary
-theta sums, and exact zeta values at negative odd integers.
+"""Special-function layer: gamma, error function, boundary theta sums, and
+exact zeta values at negative odd integers.
 
-The gamma and error functions wrap the C library implementations but pin down
-the behavior the rest of the package relies on: explicit pole detection, a
-reflection formula for the left half line, exact oddness of erf, and stated
-accuracy targets (relative 1e-12 for gamma on |x| <= 30, absolute 1e-13 for
-erf).  The theta sums are evaluated by the defining series or by its modular
-dual, chosen automatically by pi t / L^2, with certified truncation tails.
+gamma is math.gamma, which reflects x < 0.5 itself, with the package's errors:
+PoleError at the non-positive integers and ParameterError for nan.  erf is
+math.erf elementwise over a numpy array, which numpy lacks.  Both routes of a
+theta sum, the defining series and its modular dual (chosen automatically by
+pi t / L^2), sum one Gaussian series with a certified truncation tail.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParameterError, PoleError, check_choice, check_positive
+import numpy as np
+
+from .errors import ParameterError, PoleError, check_choice, check_count, check_positive
 
 _SERIES_RTOL = 1e-14
 
@@ -29,46 +31,24 @@ _BERNOULLI = {
 }
 
 
-def _sinpi(x: float) -> float:
-    """sin(pi*x) with argument reduction so large x stays accurate."""
-    n = math.floor(x)
-    f = x - n
-    s = math.sin(math.pi * f)
-    return -s if n % 2 else s
-
-
 def gamma(x: float) -> float:
     """Gamma function on the real line.
 
-    Uses the library routine for x >= 0.5 and the reflection formula
-    pi / (sin(pi x) Gamma(1-x)) for x < 0.5.  Raises PoleError at
-    non-positive integers and lets OverflowError propagate when the result
-    exceeds the double range.
+    Raises PoleError at non-positive integers and ParameterError for nan, and
+    lets OverflowError propagate when the result exceeds the double range.
     """
     x = float(x)
     if x != x:
         raise ParameterError("gamma: nan argument")
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"gamma: pole at {x}")
-    if x >= 0.5:
-        return math.gamma(x)
-    s = _sinpi(x)
-    try:
-        return math.pi / (s * math.gamma(1.0 - x))
-    except OverflowError:
-        # Gamma(1-x) overflowed, so |Gamma(x)| underflows; recover the
-        # magnitude through log-gamma instead of failing.
-        log_mag = math.log(math.pi) - math.log(abs(s)) - math.lgamma(1.0 - x)
-        mag = math.exp(log_mag)
-        return math.copysign(mag, s)
+    return math.gamma(x)
 
 
-def erf(x: float) -> float:
-    """Error function, odd by construction: erf(-x) == -erf(x) exactly."""
-    x = float(x)
-    if x == 0.0:
-        return 0.0
-    return math.copysign(math.erf(abs(x)), x)
+def erf(x: np.ndarray) -> np.ndarray:
+    """Error function elementwise over an array of any shape."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.erf, x.ravel()), float, count=x.size).reshape(x.shape)
 
 
 def upper_gamma_three_halves(y: float) -> float:
@@ -91,9 +71,8 @@ def zeta_negative_odd(n: int) -> Fraction:
     zeta(-n) = -B_{n+1} / (n+1) with B the Bernoulli numbers.  Restricting to
     the tabulated range keeps the result exact; anything else raises.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ParameterError("zeta_negative_odd: n must be an int")
-    if n % 2 == 0 or n < 1 or n > 7:
+    check_count(n, "zeta_negative_odd: n")
+    if n % 2 == 0 or n > 7:
         raise ParameterError("zeta_negative_odd: supported n are 1, 3, 5, 7")
     return -_BERNOULLI[n + 1] / (n + 1)
 
@@ -120,46 +99,38 @@ class ThetaEval:
     tail_bound: float
 
 
+def _gauss_series(q: float, first: float, weight: float, scale: float, offset: float) -> ThetaEval:
+    """offset + scale (first + weight sum_{k>=1} exp(-q k^2)), summed until a
+    scaled term drops below _SERIES_RTOL (1 + |value|); a nonzero first counts
+    as a term."""
+    acc = first
+    k = 1
+    while True:
+        term = weight * math.exp(-q * k * k)
+        value = scale * acc + offset
+        if not scale * term >= _SERIES_RTOL * (1.0 + abs(value)):  # a NaN ends the loop too
+            # geometric domination: successive ratios are exp(-q(2k+1)),
+            # decreasing in k, so the tail is below term / (1 - ratio)
+            ratio = math.exp(-q * (2 * k + 1))
+            return ThetaEval(value, k - 1 + (first != 0.0), scale * term / (1.0 - ratio))
+        acc += term
+        k += 1
+
+
 def _theta_direct(bc: Bc, length: float, t: float) -> ThetaEval:
     # Dirichlet: sum_{r>=1} exp(-c r^2); Neumann adds the r=0 term.
     c = math.pi * math.pi * t / (length * length)
-    total = 1.0 if bc is Bc.NEUMANN else 0.0
-    terms = 1 if bc is Bc.NEUMANN else 0
-    r = 1
-    while True:
-        term = math.exp(-c * r * r)
-        if not term >= _SERIES_RTOL * (1.0 + total):  # a NaN ends the loop too
-            # geometric domination: successive ratios are exp(-c(2k+1)),
-            # decreasing in k, so the tail is below term / (1 - ratio)
-            ratio = math.exp(-c * (2 * r + 1))
-            tail = term / (1.0 - ratio)
-            return ThetaEval(total, terms, tail)
-        total += term
-        terms += 1
-        r += 1
+    return _gauss_series(c, 1.0 if bc is Bc.NEUMANN else 0.0, 1.0, 1.0, 0.0)
 
 
 def _theta_dual(bc: Bc, length: float, t: float) -> ThetaEval:
     # Modular image: sum_{m in Z} exp(-pi^2 m^2 t / L^2)
     #              = (L / sqrt(pi t)) sum_{k in Z} exp(-L^2 k^2 / t),
     # then Neumann = (S+1)/2 and Dirichlet = (S-1)/2.
-    q = length * length / t
     pref = length / math.sqrt(math.pi * t)
     if pref == math.inf:
         raise ParameterError(f"theta prefactor L/sqrt(pi t) at L={length!r}, t={t!r} overflows")
-    dual = 1.0
-    terms = 1
-    k = 1
-    while True:
-        term = 2.0 * math.exp(-q * k * k)
-        value = 0.5 * (pref * dual) + HEAT_OFFSET[bc]
-        if not 0.5 * pref * term >= _SERIES_RTOL * (1.0 + abs(value)):  # NaN ends it too
-            ratio = math.exp(-q * (2 * k + 1))
-            tail = 0.5 * pref * term / (1.0 - ratio)
-            return ThetaEval(value, terms, tail)
-        dual += term
-        terms += 1
-        k += 1
+    return _gauss_series(length * length / t, 1.0, 2.0, 0.5 * pref, HEAT_OFFSET[bc])
 
 
 def theta_eval(bc: Bc, length: float, t: float) -> ThetaEval:
@@ -175,8 +146,9 @@ def theta_eval(bc: Bc, length: float, t: float) -> ThetaEval:
         Finite interval length L > 0 and diffusion time t > 0.
 
     The defining series is summed once pi*t/L^2 >= 1 and the modular dual
-    below that, so either route needs only a handful of terms.  A dual
-    prefactor L/sqrt(pi t) past the float range raises ParameterError.
+    below that, so either route needs only a handful of terms.  A length
+    whose square is not a normal float, or a dual prefactor L/sqrt(pi t) past
+    the float range, raises ParameterError.
     """
     bc = check_choice(bc, Bc, "boundary condition")
     length = check_positive(length, "theta length")
@@ -186,6 +158,9 @@ def theta_eval(bc: Bc, length: float, t: float) -> ThetaEval:
         # periodic modes are the Dirichlet modes of the half interval, each
         # twice, plus the zero mode
         bc, length = Bc.DIRICHLET, 0.5 * length
+    if not length * length >= sys.float_info.min:
+        side = "half length" if periodic else "length"
+        raise ParameterError(f"theta {side} {length!r} is too short: its square underflows")
     route = _theta_direct if math.pi * t / (length * length) >= 1.0 else _theta_dual
     ev = route(bc, length, t)
     if periodic:

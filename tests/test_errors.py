@@ -92,6 +92,67 @@ def test_non_finite_grid_and_exponent_rejected(call, bad):
         call(bad)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: riesz.schwinger_integral(1, 200.0, 1.0),
+        lambda: riesz.schwinger_integral(3, 172.0, 1.0),
+        lambda: riesz.momentum_integral(1, 200.0, 1e-200),
+        lambda: riesz.mollified_reduction(1, 200.0, 1e-200, riesz.MollifierSpec(0.1)),
+        lambda: riesz.momentum_integral(387, 200.0, 1.0),
+        lambda: riesz.mollified_reduction(387, 200.0, 1.0, riesz.MollifierSpec(0.1)),
+        lambda: riesz.momentum_integral(386, 194.0, 1.0),
+    ],
+    ids=[
+        "schwinger_gamma_s",
+        "schwinger_gamma_s_m3",
+        "momentum_shift",
+        "mollified_shift",
+        "momentum_2pi_power",
+        "mollified_2pi_power",
+        "momentum_underflow",
+    ],
+)
+def test_reduction_routes_past_the_float_range_are_refused(call):
+    # Gamma(s) overflows from s = 171.7, e^(shift/2) past lam^(1/2 - s) = 1e39900,
+    # (2 pi)^m from m = 387; at m = 386 the prefactor underflows to 0
+    with pytest.raises(ParameterError, match="float range"):
+        call()
+
+
+def test_reduction_routes_keep_their_values_at_large_s():
+    assert riesz.momentum_integral(1, 200.0, 1.0) == 0.01998461251317941
+    assert riesz.momentum_integral(3, 172.0, 1.0) == 1.0061096144533287e-05
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: plates.per_area_trace(1e-200, 1.0),
+        lambda: plates.per_area_trace(1e-150, 1e-250),
+        lambda: plates.casimir_per_area(1e-103),
+        lambda: plates.normalized_energy(1, 1e-103),
+    ],
+    ids=["per_area_trace_a", "per_area_trace_tau", "casimir_per_area", "normalized_energy"],
+)
+def test_plate_values_past_the_float_range_are_refused(call):
+    # (pi/a)^2, tau^-1.5 and (pi/a)^3 each overflow
+    with pytest.raises(ParameterError, match="float range"):
+        call()
+
+
+@pytest.mark.parametrize("bc", list(specfun.Bc), ids=[bc.value for bc in specfun.Bc])
+def test_theta_refuses_lengths_whose_square_underflows(bc):
+    # at L = 1e-300, L * L is 0.0 and the route test pi t / L^2 would divide
+    # by zero; a periodic axis sums over half its length
+    short = 2e-154 if bc is specfun.Bc.PERIODIC else 1e-154
+    for length in (1e-300, short):
+        with pytest.raises(ParameterError, match="too short"):
+            specfun.theta_eval(bc, length, 1.0)
+    # the shortest length an AxisSpec takes still evaluates
+    assert math.isfinite(specfun.theta_eval(bc, 4.7e-154, 1.0).value)
+
+
 @pytest.mark.parametrize("field", ["tau", "value"])
 @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
 def test_finite_part_rejects_non_finite_samples(field, bad):

@@ -1,10 +1,11 @@
-"""Special-function layer: gamma with reflection, erf, incomplete gamma,
-negative odd zeta values, and the two theta evaluation paths."""
+"""Special-function layer: gamma, array erf, incomplete gamma, negative odd
+zeta values, and the two theta evaluation paths."""
 
 import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,11 +39,19 @@ def test_gamma_reflection_identity():
         assert prod == pytest.approx(math.pi / math.sin(math.pi * x), rel=1e-13)
 
 
-def test_gamma_deep_negative_uses_log_path():
-    # Gamma(1 - x) overflows float64 here; the log route must still deliver
+def test_gamma_deep_negative_is_mpmaths_subnormal():
+    # Gamma(1 - x) overflows float64 here, and Gamma(x) is a subnormal
     got = specfun.gamma(-171.5)
-    want = float(mpmath.gamma(mpmath.mpf("-171.5")))
-    assert got == pytest.approx(want, rel=1e-11)
+    assert got == float(mpmath.gamma(mpmath.mpf("-171.5")))
+
+
+@pytest.mark.parametrize("x", [-2.0007100646086258, -37.00015917006024, -86.00001603673142])
+def test_gamma_just_above_negative_poles_against_mpmath(x):
+    # with f = x - floor(x) near 1, sin(pi f) loses the digits of pi (1 - f),
+    # so a reflection built on it misses by up to 5.5e-12 relative here
+    with mpmath.workdps(40):
+        want = float(mpmath.gamma(mpmath.mpf(x)))
+    assert specfun.gamma(x) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_gamma_poles():
@@ -52,10 +61,13 @@ def test_gamma_poles():
 
 
 def test_erf_frozen_and_odd():
-    assert specfun.erf(1.0) == pytest.approx(0.8427007929497149, rel=1e-15)
-    for x in (0.1, 0.7, 2.3, 5.0):
-        assert specfun.erf(-x) == -specfun.erf(x)  # bitwise oddness
-    assert specfun.erf(0.0) == 0.0
+    assert specfun.erf(np.array([1.0]))[0] == pytest.approx(0.8427007929497149, rel=1e-15)
+    x = np.array([[0.1, 0.7], [2.3, 5.0]])
+    got = specfun.erf(x)
+    assert got.shape == x.shape
+    assert np.array_equal(specfun.erf(-x), -got)  # bitwise oddness
+    assert [math.erf(v) for v in x.ravel()] == got.ravel().tolist()
+    assert specfun.erf(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_upper_gamma_three_halves_against_mpmath():
@@ -161,6 +173,36 @@ def test_theta_auto_mode_selection():
         periodic = specfun.theta_eval(specfun.Bc.PERIODIC, length, t / 4.0)
         assert periodic.value == 1.0 + 2.0 * half.value
         assert periodic.terms == half.terms
+
+
+# (route, bc, L, t) -> (value, terms, tail_bound), floats as float.hex; recorded
+# from separate direct and dual loops, which the shared series reproduces bit for bit
+_PINNED_THETA = {
+    ("_theta_direct", "DIRICHLET", 1.3, 0.15): ("0x1.c9a007e94c341p-2", 6, "0x1.0d6c7baa1a60dp-62"),
+    ("_theta_direct", "DIRICHLET", 0.7, 0.4): ("0x1.4c54133a3264ep-12", 2, "0x1.4f0a6dcbc409cp-105"),
+    ("_theta_direct", "DIRICHLET", 2.0, 3.0): ("0x1.3fc4651a550e6p-11", 2, "0x1.d9b944bf6b00bp-97"),
+    ("_theta_direct", "NEUMANN", 1.3, 0.15): ("0x1.726801fa53076p+0", 6, "0x1.6ad5773f3ebc4p-46"),
+    ("_theta_direct", "NEUMANN", 0.7, 0.4): ("0x1.0014c54133a05p+0", 2, "0x1.6b8358971dc7bp-47"),
+    ("_theta_direct", "NEUMANN", 2.0, 3.0): ("0x1.0027f88ca34aap+0", 3, "0x1.d9b944bf6b00bp-97"),
+    ("_theta_dual", "DIRICHLET", 1.3, 0.15): ("0x1.c9a007e94c340p-2", 2, "0x1.def82e3ca742ap-65"),
+    ("_theta_dual", "DIRICHLET", 0.7, 0.4): ("0x1.4c54133a32800p-12", 6, "0x1.9f3cb546a2fb1p-65"),
+    ("_theta_dual", "DIRICHLET", 2.0, 3.0): ("0x1.3fc4651a50000p-11", 5, "0x1.396a95834ff7ep-49"),
+    ("_theta_dual", "NEUMANN", 1.3, 0.15): ("0x1.726801fa530d0p+0", 2, "0x1.def82e3ca742ap-65"),
+    ("_theta_dual", "NEUMANN", 0.7, 0.4): ("0x1.0014c54133a32p+0", 6, "0x1.9f3cb546a2fb1p-65"),
+    ("_theta_dual", "NEUMANN", 2.0, 3.0): ("0x1.0027f88ca34a0p+0", 5, "0x1.396a95834ff7ep-49"),
+    ("theta_eval", "PERIODIC", 1.3, 0.15): ("0x1.0f6655004ecadp+0", 3, "0x1.1591fc2e7fc3dp-80"),
+    ("theta_eval", "PERIODIC", 0.7, 0.4): ("0x1.000000000005bp+0", 1, "0x1.04321e2ceac89p-185"),
+    ("theta_eval", "PERIODIC", 4.0, 0.5): ("0x1.98ca7da0ce734p+0", 3, "0x1.bdc9558403b05p-103"),
+    ("theta_eval", "PERIODIC", 1.3, 0.05): ("0x1.a40763998e796p+0", 2, "0x1.eec6f6e2ab6ebp-48"),
+}
+
+
+@pytest.mark.parametrize("key", list(_PINNED_THETA), ids=lambda k: "-".join(map(str, k)))
+def test_theta_routes_are_pinned_bit_for_bit(key):
+    route, bc, length, t = key
+    ev = getattr(specfun, route)(specfun.Bc[bc], length, t)
+    value, terms, tail = _PINNED_THETA[key]
+    assert (ev.value.hex(), ev.terms, ev.tail_bound.hex()) == (value, terms, tail)
 
 
 def test_theta_term_counts_at_crossover():
