@@ -6,7 +6,7 @@ import numpy as np
 
 from caslab import boxint
 
-# Delta(alpha) for the cell (alpha^2/3, alpha^-1/3, alpha^-1/3) * scale:
+# Delta(alpha) for the unit-volume cell (alpha, 1/alpha, 1):
 # a one-dimensional t-integral, a 3D quadrature, and pair-sampling MC, each
 # alpha with its own seed so the MC column holds five independent agreements
 print("Delta(alpha) by three methods")

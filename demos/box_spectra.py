@@ -9,13 +9,7 @@ import numpy as np
 from caslab import spectrum
 
 # unit Dirichlet cube: lowest modes and multiplicities
-cube = spectrum.BoxSpec(
-    axes=(
-        spectrum.AxisSpec(1.0, "dirichlet"),
-        spectrum.AxisSpec(1.0, "dirichlet"),
-        spectrum.AxisSpec(1.0, "dirichlet"),
-    )
-)
+cube = spectrum.UNIT_CUBE
 stream = spectrum.enumerate_modes(cube, cutoff=160.0)
 print("unit Dirichlet cube, eigenvalues below 160")
 print(f"{'lambda':>14} {'lambda/pi^2':>12} {'mult':>5}")

@@ -24,8 +24,9 @@ print(f"  Richardson limit {limit:.12e}   exact 3/16 = {3.0 / 16.0:.12e}")
 print(f"  residual {abs(limit - 3.0 / 16.0):.2e}")
 
 # critical pair (m=3, s=5/2): an extra eps^2 * log(1/eps) term contaminates
-# the ladder, the ratios drift away from 4 and plain power-law extrapolation
-# stalls around 1e-5 instead of converging
+# the ladder and the ratios drift away from 4; orders (2, 2) model eps^2 and
+# eps^2 log eps, but eps^4 and eps^4 log eps remain, so three widths stop
+# near 8.5e-6 (four widths with (2, 2, 4) reach 2.7e-7)
 print()
 print("critical ladder (m=3, s=5/2, lambda=1)")
 exact = riesz.momentum_integral(3, 2.5, 1.0)

@@ -5,14 +5,7 @@ import numpy as np
 
 from caslab import heattrace, spectrum, stochastic
 
-cube = spectrum.BoxSpec(
-    axes=(
-        spectrum.AxisSpec(1.0, "dirichlet"),
-        spectrum.AxisSpec(1.0, "dirichlet"),
-        spectrum.AxisSpec(1.0, "dirichlet"),
-    )
-)
-stream = spectrum.enumerate_modes(cube, cutoff=200.0)
+stream = spectrum.enumerate_modes(spectrum.UNIT_CUBE, cutoff=200.0)
 tau = 0.5
 target = heattrace.regulated_trace(stream, tau).value
 print(f"unit cube, tau = {tau}: regulated trace = {target:.12e}")

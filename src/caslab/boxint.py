@@ -29,6 +29,7 @@ from .errors import (
     ResourceError,
     check_choice,
     check_count,
+    check_normal,
     check_positive,
 )
 from .riesz import quad_checked
@@ -48,11 +49,13 @@ def interval_overlap(L: float, t: float) -> float:
     Closed antiderivative: L sqrt(pi/t) erf(L sqrt(t)) + expm1(-t L^2)/t.
     The reduction is certified against direct 2D quadrature in the test
     suite; expm1 keeps the t -> 0 limit (I -> L^2) fully accurate.
+    ParameterError unless the value is a normal float.
     """
     L = check_positive(L, "interval length L")
     t = check_positive(t, "interval_overlap t")
     r = L * math.sqrt(t)
-    return L * math.sqrt(math.pi / t) * math.erf(r) + math.expm1(-r * r) / t
+    value = L * math.sqrt(math.pi / t) * math.erf(r) + math.expm1(-r * r) / t
+    return check_normal(value, f"interval overlap at L={L!r}, t={t!r}")
 
 
 class DeltaMethod(str, enum.Enum):
@@ -68,7 +71,8 @@ def cell_overlap_energy(lengths: tuple[float, float, float]) -> float:
     nodes crowd toward t = 0, where the integrand goes like t^{-1/2}, and
     spread double exponentially toward the t^{-2} tail, so neither needs a
     split or an analytic tail.  I_L is interval_overlap's closed form over
-    the node array, with specfun.erf over the nodes.
+    the node array, with specfun.erf over the nodes.  ParameterError unless
+    the value is a normal float.
     """
     ls = tuple(check_positive(x, "side length") for x in lengths)
     if len(ls) != 3:
@@ -82,7 +86,8 @@ def cell_overlap_energy(lengths: tuple[float, float, float]) -> float:
             out *= L * np.sqrt(math.pi / t) * specfun.erf(r) + np.expm1(-r * r) / t
         return out
 
-    return quad_checked(f, 0.0, math.inf, epsabs=1e-13, epsrel=1e-12) / _SQRT_PI
+    value = quad_checked(f, 0.0, math.inf, epsabs=1e-13, epsrel=1e-12) / _SQRT_PI
+    return check_normal(value, f"cell overlap energy of {ls}")
 
 
 @functools.lru_cache(maxsize=None)

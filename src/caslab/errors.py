@@ -5,7 +5,8 @@ catch one base type at module boundaries.  Subclasses carry enough state to
 report what went wrong without re-running the computation.  check_count is
 the one validator for integer counts (sample sizes, seeds, channels, cells),
 check_choice the one for method and boundary-condition names, and
-check_positive the one for lengths, times and spectral values.  CheckReport
+check_positive the one for lengths, times and spectral values;
+check_normal is the one for computed results.  CheckReport
 is the one record of a measured check: the acceptance battery, the
 command-line reports and the boxint scans all build theirs from it.
 """
@@ -13,6 +14,7 @@ command-line reports and the boxint scans all build theirs from it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 
@@ -116,6 +118,13 @@ def check_positive(value, what: str) -> float:
     if not ok:
         raise ParameterError(f"{what} must be finite and > 0, got {value!r}")
     return float(value)
+
+
+def check_normal(value: float, what: str) -> float:
+    """Return value if it is a normal float of either sign; ParameterError otherwise."""
+    if not sys.float_info.min <= abs(value) < math.inf:
+        raise ParameterError(f"{what} = {value!r} leaves the normal float range")
+    return value
 
 
 @dataclass(frozen=True)

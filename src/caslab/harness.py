@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__, acceptance, boxint, heattrace, plates, riesz, spectrum, stochastic
-from .errors import CaslabError, ConfigError, ParameterError, check_positive
+from .errors import CaslabError, ConfigError, check_normal, check_positive
 
 OUT_ENV_VAR = "CASLAB_OUT"
 _FORMATS = ("json", "csv", "both")
@@ -105,10 +105,7 @@ def _run_reduce(config: RunConfig):
         except OverflowError:
             closed = math.inf
         # a subnormal closed form has lost digits the 1e-10 route checks need
-        if not sys.float_info.min <= closed < math.inf:
-            raise ParameterError(
-                f"closed form at lam={lam!r}, m={m}, s={s} leaves the float range"
-            )
+        closed = check_normal(closed, f"closed form at lam={lam!r}, m={m}, s={s}")
         mom = riesz.momentum_integral(m, s, lam)
         sch = riesz.schwinger_integral(m, s, lam)
         rows.append((float(m), s, closed, mom, sch))

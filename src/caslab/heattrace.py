@@ -3,12 +3,12 @@
 The regulated trace (1/2) sum lambda^{1/2} e^{-tau lambda} carries a certified
 truncation remainder from its eigenvalue stream.  Mixed rectangular cells
 factorize into one-dimensional theta sums; BoxSpec.heat_coefficients holds
-their short-time coefficients in closed form.  One weighted,
-column-equilibrated power-law fit with a condition-number guard serves both
-the fitted coefficients and the finite part of a divergent small-tau
-expansion; the finite part adds an explicit window-stability guard.  The
-finite part subtracts pure power divergences only: a flat box has no log tau
-term.
+their short-time coefficients in closed form.  fit_columns is the one
+extrapolation model: a weighted, column-equilibrated least-squares fit over
+columns x^p log(x)^k and a constant, whose constant is the fitted c0, the
+finite part (with a nested-window stability guard) and riesz.richardson_limit's
+width-0 limit.  A flat box has no log tau term, so the finite part models
+pure power divergences.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .errors import (
     FitConditionError,
     FitInstabilityError,
     ParameterError,
+    check_normal,
     check_positive,
 )
 from .spectrum import EigenStream, mixed_cell
@@ -48,13 +49,12 @@ def regulated_trace(stream: EigenStream, tau: float) -> HeatTraceSample:
     The stream's heat-tail envelope at tau (halved like the sum) is attached
     as the sample's tail bound; if that bound exceeds 1e-6 of the value the
     cutoff was too low for this tau and a CutoffError is raised.  A tau so
-    large that every weight underflows to 0 raises ParameterError.
+    large that the trace is not a normal float raises ParameterError.
     """
     tau = check_positive(tau, "regulated trace tau")
     lam = stream.values
     total = 0.5 * float(np.sum(stream.multiplicities * np.sqrt(lam) * np.exp(-tau * lam)))
-    if total == 0.0:
-        raise ParameterError(f"tau {tau!r} is so large that the trace underflows to 0")
+    total = check_normal(total, f"regulated trace at tau={tau!r}")
     tail = 0.5 * stream.tail_bound(tau)
     if tail > _TAIL_TARGET * total:
         raise CutoffError(
@@ -76,7 +76,7 @@ def mixed_cell_heat_trace(l1: float, l2: float, a: float, t: float) -> float:
 
 
 def short_time_grid(length: float, points: int = 16) -> np.ndarray:
-    """Fit window of every power-law fit: points in [1e-4, 1e-3] length^2.
+    """Fit window of every small-t fit: points in [1e-4, 1e-3] length^2.
 
     length is the shortest side of the geometry, so the window sits low
     enough that the first power correction beyond the modeled terms stays
@@ -96,7 +96,7 @@ def short_time_coefficients(l1: float, l2: float, a: float) -> dict[str, float]:
     """Fit the four-term small-t law of the mixed-cell heat trace.
 
     Model: K(t) = c32 t^{-3/2} + c1 t^{-1} + c12 t^{-1/2} + c0 on
-    short_time_grid of the shortest side, fitted by the power-law fit behind
+    short_time_grid of the shortest side, fitted by fit_columns as in
     finite_part, weights t^{3/2}, keyed as BoxSpec.heat_coefficients.  The
     volume term leads the trace at the window's smallest t, so ParameterError
     is raised when twice that term leaves the float range.
@@ -107,7 +107,7 @@ def short_time_coefficients(l1: float, l2: float, a: float) -> dict[str, float]:
     if not 2.0 * closed["t^-3/2"] * float(t[0]) ** -1.5 < math.inf:
         raise ParameterError(f"volume term of the cell ({l1!r}, {l2!r}, {a!r}) overflows")
     k = np.array([cell.heat_trace(ti) for ti in t])
-    coef, _, _ = _power_law_fit(t, k, (1.5, 1.0, 0.5))
+    coef, _, _ = fit_columns(t, k, [(-1.5, 0), (-1.0, 0), (-0.5, 0)])
     return dict(zip(closed, map(float, coef)))
 
 
@@ -137,22 +137,25 @@ class FinitePartModel:
     stability_tol: float
 
 
-def _power_law_fit(
-    tau: np.ndarray,
-    values: np.ndarray,
-    exponents: tuple[float, ...],
+def fit_columns(
+    x: np.ndarray, values: np.ndarray, columns: Sequence[tuple[float, int]]
 ) -> tuple[np.ndarray, float, float]:
-    """Fit values = sum_b c_b tau^{-b} + c0.
+    """Fit values = sum c_pk x^p log(x)^k + c0 over the columns (p, k).
 
-    Least squares with weights tau^{max b} and equilibrated columns; returns
-    (coef, weighted rms residual, condition number), coef ordered as the
-    exponents, then c0.  A FitConditionError is raised when the condition
-    number exceeds 1e10.
+    Least squares with weights x^{max(0, -min p)} and equilibrated columns;
+    returns (coef, weighted rms residual, condition number), coef ordered as
+    the columns, then c0.  ParameterError unless every x is finite and > 0,
+    every value finite and no coefficient outnumbers the samples;
+    FitConditionError when the condition number exceeds 1e10.
     """
-    cols = [tau ** (-b) for b in exponents]
-    cols.append(np.ones_like(tau))
+    if not (np.all((x > 0.0) & (x < math.inf)) and np.all(np.isfinite(values))):
+        raise ParameterError("fit abscissae must be finite and > 0, values finite")
+    if x.size < len(columns) + 1:
+        raise ParameterError(f"need at least {len(columns) + 1} samples for columns {columns}")
+    cols = [x**p * np.log(x) ** k if k else x**p for p, k in columns]
+    cols.append(np.ones_like(x))
     design = np.column_stack(cols)
-    w = tau ** max(exponents)
+    w = x ** max(0.0, -min((p for p, _ in columns), default=0.0))
     aw = design * w[:, None]
     bw = values * w
     scale = np.max(np.abs(aw), axis=0)
@@ -183,23 +186,19 @@ def finite_part(
     """Extract the constant term of value(tau) = sum_b a_b tau^{-b} + c0 from
     trace samples.
 
-    The fit is linear least squares with weights tau^{max b}, repeated on the
-    nested window [tau_min, tau_max/2]; the two constant terms must agree
-    within 5e-3 (relative) or a FitInstabilityError is raised.
+    The fit is fit_columns over the columns tau^{-b}, weights tau^{max b},
+    repeated on the nested window [tau_min, tau_max/2]; the two constant
+    terms must agree within 5e-3 (relative) or a FitInstabilityError is raised.
     """
     exps = {check_positive(b, "divergent exponent") for b in exponents}
     exps = tuple(sorted(exps, reverse=True))
     if not exps:
         raise ParameterError("need at least one divergent exponent")
     if len(samples) < len(exps) + 2:
-        raise ParameterError(
-            f"need at least {len(exps) + 2} samples for exponents {exps}"
-        )
+        raise ParameterError(f"need at least {len(exps) + 2} samples for exponents {exps}")
     ordered = sorted(samples, key=lambda s: s.tau)
     tau = np.array([s.tau for s in ordered], dtype=float)
     values = np.array([s.value for s in ordered], dtype=float)
-    if not (np.all((tau > 0.0) & (tau < math.inf)) and np.all(np.isfinite(values))):
-        raise ParameterError("sample tau values must be finite and > 0, sample values finite")
     if tau[-1] < 10.0 * tau[0]:
         raise ParameterError("samples must span at least one decade of tau")
     for s in ordered:
@@ -209,11 +208,12 @@ def finite_part(
                 "above the fit's accuracy target"
             )
 
-    coef, resid, cond = _power_law_fit(tau, values, exps)
+    columns = [(-b, 0) for b in exps]
+    coef, resid, cond = fit_columns(tau, values, columns)
     half = tau <= tau[-1] / 2.0
     if int(half.sum()) < len(exps) + 2:
         raise ParameterError("too few samples in the nested half window")
-    coef_half, _, _ = _power_law_fit(tau[half], values[half], exps)
+    coef_half, _, _ = fit_columns(tau[half], values[half], columns)
     c0_full = float(coef[-1])
     c0_half = float(coef_half[-1])
     drift = abs(c0_full - c0_half)

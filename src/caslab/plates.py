@@ -18,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boxint, specfun
-from .errors import ParameterError, ResourceError, check_choice, check_count, check_positive
+from .errors import (
+    ParameterError, ResourceError, check_choice, check_count, check_normal, check_positive
+)
 from .heattrace import (
     FinitePartModel,
     HeatTraceSample,
@@ -72,7 +74,8 @@ def per_area_trace(a: float, tau: float) -> HeatTraceSample:
     is truncated once the certified exponential tail drops below 1e-16 of the
     running value.  The sum runs at least until c n^2 >= 40, c = tau pi^2 / a^2,
     so ResourceError is raised up front when that takes more than 10^6 terms,
-    and ParameterError where (pi/a)^2 or tau^{-3/2} overflows.
+    and ParameterError where (pi/a)^2 or tau^{-3/2} overflows or the value
+    is not a normal float.
     """
     a = check_positive(a, "a")
     tau = check_positive(tau, "tau")
@@ -94,7 +97,8 @@ def per_area_trace(a: float, tau: float) -> HeatTraceSample:
         # bound on sum_{m>n}: sqrt(y) e^{-y} (1 + 1/(2y)) summed by integral
         bound = (1.0 + 0.5 / (c * n * n)) * math.exp(-c * n * n) / (2.0 * math.sqrt(c))
         if c * n * n >= 40.0 and bound <= 1e-16 * total:
-            return HeatTraceSample(tau=tau, value=pref * total, tail_bound=pref * bound)
+            value = check_normal(pref * total, f"per-area trace at a={a!r}, tau={tau!r}")
+            return HeatTraceSample(tau=tau, value=value, tail_bound=pref * bound)
         n += 1
 
 
@@ -118,7 +122,7 @@ def casimir_per_area(a: float, n_channels: int = 1) -> float:
     (1/(8 pi)) (Gamma(-3/2)/Gamma(-1/2)) (pi/a)^3 zeta(-3) reduces to
     -pi^2/(1440 a^3) per channel; the c0 of heat_fit(a) is the independent
     numerical route to the same constant.  ParameterError where (pi/a)^3
-    overflows.
+    overflows or the energy is not a normal float.
     """
     check_positive(a, "a")
     check_count(n_channels, "channel count")
@@ -128,7 +132,8 @@ def casimir_per_area(a: float, n_channels: int = 1) -> float:
         cube = (math.pi / a) ** 3
     except OverflowError:
         raise ParameterError(f"plate energy at a={a!r}: (pi/a)^3 leaves the float range") from None
-    return n_channels * (1.0 / (8.0 * math.pi)) * ratio * cube * zeta
+    value = n_channels * (1.0 / (8.0 * math.pi)) * ratio * cube * zeta
+    return check_normal(value, f"plate energy at a={a!r}")
 
 
 def normalized_energy(n: int, a: float, n_channels: int = 1) -> float:

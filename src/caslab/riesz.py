@@ -19,7 +19,6 @@ from __future__ import annotations
 
 # Module scope loads numpy alone, as `import caslab` does; the quadrature rule below is numpy.
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -31,8 +30,11 @@ from .errors import (
     ParameterError,
     QuadratureError,
     check_count,
+    check_normal,
     check_positive,
 )
+from .heattrace import fit_columns
+
 
 def _check_m(m: int) -> int:
     return check_count(m, "transverse dimension m")
@@ -49,13 +51,6 @@ def _check_s(m: int, s: float, what: str) -> float:
     return s
 
 
-def _check_normal(value: float, what: str) -> float:
-    """value if it is a normal float; ParameterError otherwise."""
-    if not sys.float_info.min <= value < math.inf:
-        raise ParameterError(f"{what} = {value!r} leaves the normal float range")
-    return value
-
-
 def reduction_constant(m: int, s: float) -> float:
     """C_{m,s} = (4 pi)^{-m/2} Gamma(s - m/2) / Gamma(s) for s > m/2, through
     math.lgamma where Gamma overflows (s past 171.6), there to about
@@ -65,7 +60,7 @@ def reduction_constant(m: int, s: float) -> float:
         value = (4.0 * math.pi) ** (-0.5 * m) * specfun.gamma(s - 0.5 * m) / specfun.gamma(s)
     except OverflowError:
         value = math.exp(math.lgamma(s - m / 2) - math.lgamma(s) - m / 2 * math.log(4 * math.pi))
-    return _check_normal(value, f"reduction constant at m={m}, s={s}")
+    return check_normal(value, f"reduction constant at m={m}, s={s}")
 
 
 def critical_exponent(m: int) -> float:
@@ -82,7 +77,7 @@ def sphere_area(m: int) -> float:
         value = 2.0 * math.pi ** (0.5 * m) / specfun.gamma(0.5 * m)
     except OverflowError:
         value = 2.0 * math.exp(0.5 * m * math.log(math.pi) - math.lgamma(0.5 * m))
-    return _check_normal(value, f"sphere area at m={m}")
+    return check_normal(value, f"sphere area at m={m}")
 
 
 @dataclass(frozen=True)
@@ -213,7 +208,7 @@ def _radial_route(m: int, s: float, lam: float, damp_eps: float, what: str) -> f
         value = sphere_area(m) / (2.0 * math.pi) ** m * _radial_integral(m, s, lam, damp_eps)
     except OverflowError:
         raise ParameterError(f"{where} leaves the float range") from None
-    return _check_normal(value, where)
+    return check_normal(value, where)
 
 
 def momentum_integral(m: int, s: float, lam: float) -> float:
@@ -249,7 +244,7 @@ def schwinger_integral(m: int, s: float, lam: float) -> float:
         pref = (4.0 * math.pi) ** (-0.5 * m) / specfun.gamma(s)
     except OverflowError:
         raise ParameterError(f"{where}: Gamma(s) leaves the float range") from None
-    return _check_normal(pref * quad_checked(f, 0.0, math.inf, epsabs=0.0), where)
+    return check_normal(pref * quad_checked(f, 0.0, math.inf, epsabs=0.0), where)
 
 
 def mollified_reduction(
@@ -271,31 +266,19 @@ def richardson_limit(
 ) -> float:
     """Extrapolate width-dependent values to width 0.
 
-    Performs one elimination sweep per entry of orders, each sweep assuming the
-    current leading error scales like eps**order.  Repeating the same order
-    (the default) is deliberate: it also cancels a leading term of the form
-    eps^2 * log(eps) exactly on a geometric width sequence, which plain
-    polynomial extrapolation does not.
+    The constant of heattrace.fit_columns, unweighted, with one column per
+    order: the j-th order p is eps^p log(eps)^k, k the number of earlier
+    entries equal to p, so (2, 2) models eps^2 and eps^2 log eps, and (2, 4)
+    eps^2 and eps^4.  With one sample per coefficient it is the exact solve.
     """
     if len(eps) != len(values) or len(eps) < 2:
         raise ParameterError("need matching eps/value sequences of length >= 2")
-    if len(orders) > len(eps) - 1:
-        raise ParameterError("too many elimination sweeps for the data")
-    e = [float(x) for x in eps]
-    v = [float(x) for x in values]
-    if any(e[i + 1] >= e[i] for i in range(len(e) - 1)):
+    e = np.array(eps, dtype=float)
+    if np.any(e[1:] >= e[:-1]):
         raise ParameterError("eps must be strictly decreasing")
-    for p in orders:
-        nxt = []
-        for i in range(len(v) - 1):
-            r = e[i + 1] / e[i]
-            w = r ** (-p)
-            nxt.append((w * v[i + 1] - v[i]) / (w - 1.0))
-        v = nxt
-        e = e[1:]
-        if len(v) == 1:
-            break
-    return v[0]
+    columns = [(p, orders[:j].count(p)) for j, p in enumerate(orders)]
+    coef, _, _ = fit_columns(e, np.array(values, dtype=float), columns)
+    return float(coef[-1])
 
 
 # Rows of the nested rule summed at once: an even count keeps the h rule's

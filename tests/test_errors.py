@@ -3,12 +3,13 @@ and the non-finite inputs that used to slip past ad-hoc checks."""
 
 import dataclasses
 import math
+import sys
 import time
 
 import pytest
 
 from caslab import acceptance, boxint, heattrace, plates, riesz, specfun, spectrum, stochastic
-from caslab.errors import CheckReport, ParameterError, ResourceError
+from caslab.errors import CheckReport, ParameterError, ResourceError, check_normal
 
 _AXIS = spectrum.AxisSpec(1.0, spectrum.Bc.DIRICHLET)
 _STREAM = spectrum.enumerate_modes(spectrum.BoxSpec((_AXIS, _AXIS, _AXIS)), 60.0)
@@ -139,6 +140,37 @@ def test_plate_values_past_the_float_range_are_refused(call):
     # (pi/a)^2, tau^-1.5 and (pi/a)^3 each overflow
     with pytest.raises(ParameterError, match="float range"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: plates.casimir_per_area(1e120),
+        lambda: plates.per_area_trace(1.0, 1e300),
+        lambda: boxint.cell_overlap_energy((1e-200, 1.0, 1.0)),
+        lambda: boxint.interval_overlap(1e-200, 1.0),
+        lambda: heattrace.regulated_trace(_STREAM, 24.0),
+    ],
+    ids=[
+        "casimir_per_area", "per_area_trace", "cell_overlap_energy", "interval_overlap",
+        "regulated_trace",
+    ],
+)
+def test_values_that_underflow_are_refused(call):
+    # the first four used to return a silent 0: -0.0 where (pi/a)^3
+    # underflows, 0.0 with tail bound 0.0 where every Gamma(3/2, c n^2) does,
+    # 0.0 from a quadrature certified by its absolute tolerance alone, and 0.0
+    # where I_L ~ L^2 does; the trace refused only 0, and returned 6.6e-309
+    with pytest.raises(ParameterError, match="normal float range"):
+        call()
+
+
+def test_check_normal_takes_either_sign_and_refuses_the_rest():
+    for value in (1.0, -2.5e-308, sys.float_info.max, -sys.float_info.min):
+        assert check_normal(value, "x") == value
+    for value in (0.0, -0.0, 5e-324, -1e-310, math.inf, -math.inf, math.nan):
+        with pytest.raises(ParameterError, match="x = .* leaves the normal float range"):
+            check_normal(value, "x")
 
 
 @pytest.mark.parametrize("bc", list(specfun.Bc), ids=[bc.value for bc in specfun.Bc])

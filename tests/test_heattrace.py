@@ -120,14 +120,17 @@ def test_b_coefficient_closed_form():
 
 
 def test_lstsq_is_called_only_by_the_fit_helper():
-    # every least-squares solve goes through the one condition-checked fit
+    # every least-squares solve and its condition guard go through fit_columns
     sites = []
     for path in sorted(Path(heattrace.__file__).parent.glob("*.py")):
         text = path.read_text()
-        for call in re.finditer(r"lstsq\(", text):
+        for call in re.finditer(r"\b(lstsq|cond)\(", text):
             enclosing = re.findall(r"^def (\w+)", text[: call.start()], re.M)
-            sites.append((path.name, enclosing[-1] if enclosing else None))
-    assert sites == [("heattrace.py", "_power_law_fit")]
+            sites.append((path.name, enclosing[-1] if enclosing else None, call[1]))
+    assert sites == [
+        ("heattrace.py", "fit_columns", "cond"),
+        ("heattrace.py", "fit_columns", "lstsq"),
+    ]
 
 
 def test_b_coefficient_off_the_family():
@@ -156,7 +159,7 @@ def test_heat_coefficients_match_the_four_term_fit(bcs, l1, l2, a):
     box = spectrum.BoxSpec(tuple(spectrum.AxisSpec(x, bc) for x, bc in zip((l1, l2, a), bcs)))
     t = heattrace.short_time_grid(min(l1, l2, a))
     trace = np.array([box.heat_trace(x) for x in t])
-    fit, _, _ = heattrace._power_law_fit(t, trace, (1.5, 1.0, 0.5))
+    fit, _, _ = heattrace.fit_columns(t, trace, [(-1.5, 0), (-1.0, 0), (-0.5, 0)])
     closed = box.heat_coefficients()
     if bcs == (N, N, D):
         assert heattrace.short_time_coefficients(l1, l2, a) == dict(zip(closed, fit.tolist()))

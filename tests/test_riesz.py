@@ -358,7 +358,7 @@ def test_richardson_exact_on_polynomial_data():
 
 
 def test_richardson_annihilates_squared_log_term():
-    # repeated order-2 sweeps on a halving grid also remove eps^2 log eps
+    # a repeated order 2 is the eps^2 log eps column
     a, b, c = 1.3, 4.0, -2.0
     eps = (0.2, 0.1, 0.05)
     vals = [a + b * e * e * math.log(1.0 / e) + c * e * e for e in eps]
@@ -373,6 +373,42 @@ def test_richardson_input_validation():
         riesz.richardson_limit((0.1, 0.2), (1.0, 2.0))
     with pytest.raises(ParameterError):
         riesz.richardson_limit((0.2, 0.1), (1.0, 2.0), orders=(2.0, 2.0))
+
+
+def test_richardson_refuses_a_negative_width():
+    with pytest.raises(ParameterError, match="finite and > 0"):
+        riesz.richardson_limit((0.2, 0.1, -0.05), (1.0, 2.0, 3.0))
+
+
+def test_richardson_removes_the_log_term_on_any_ladder():
+    # the column solve is exact off a geometric ladder too; repeated-order
+    # elimination sweeps, exact for the log column only on a geometric ladder,
+    # miss a by 4.4e-3 here
+    a, b, c = 1.3, 4.0, -2.0
+    eps = (0.2, 0.13, 0.05)
+    vals = [a + b * e * e * math.log(e) + c * e * e for e in eps]
+    assert abs(riesz.richardson_limit(eps, vals, orders=(2.0, 2.0)) - a) < 1e-12
+
+
+def test_richardson_on_a_non_geometric_critical_ladder():
+    # columns eps^2, eps^2 log eps, eps^4, eps^4 log eps: measured 1.2e-8
+    eps = (0.2, 0.13, 0.08, 0.05, 0.03)
+    vals = [riesz.mollified_reduction(3, 2.5, 1.0, riesz.MollifierSpec(eps=e)) for e in eps]
+    lim = riesz.richardson_limit(eps, vals, orders=(2.0, 2.0, 4.0, 4.0))
+    assert abs(lim - riesz.momentum_integral(3, 2.5, 1.0)) < 1e-7
+
+
+@pytest.mark.parametrize(
+    "orders, bound", [((2.0, 2.0, 4.0), 1e-6), ((2.0, 2.0, 4.0, 4.0), 1e-8)], ids=["4", "5"]
+)
+def test_criterion_3_longer_ladders_reach_the_target(orders, bound):
+    # criterion 3's three widths stop at 8.48e-6 because eps^4 and eps^4 log eps
+    # remain; modelling them on halving ladders of 4 and 5 widths measured
+    # 2.727e-7 and 8.682e-10
+    eps = tuple(0.2 / 2**k for k in range(len(orders) + 1))
+    vals = [riesz.mollified_reduction(3, 2.5, 1.0, riesz.MollifierSpec(eps=e)) for e in eps]
+    lim = riesz.richardson_limit(eps, vals, orders)
+    assert abs(lim - riesz.momentum_integral(3, 2.5, 1.0)) < bound
 
 
 def test_two_step_chain_triple():
