@@ -101,14 +101,15 @@ class ThetaEval:
 
 def _gauss_series(q: float, first: float, weight: float, scale: float, offset: float) -> ThetaEval:
     """offset + scale (first + weight sum_{k>=1} exp(-q k^2)), summed until a
-    scaled term drops below _SERIES_RTOL (1 + |value|); a nonzero first counts
-    as a term."""
+    scaled term drops below _SERIES_RTOL (1 + |value|), but past a value of 0
+    while the term is not 0; a nonzero first counts as a term."""
     acc = first
     k = 1
     while True:
         term = weight * math.exp(-q * k * k)
         value = scale * acc + offset
-        if not scale * term >= _SERIES_RTOL * (1.0 + abs(value)):  # a NaN ends the loop too
+        small = not scale * term >= _SERIES_RTOL * (1.0 + abs(value))  # so is a NaN
+        if small and (value != 0.0 or term == 0.0):
             # geometric domination: successive ratios are exp(-q(2k+1)),
             # decreasing in k, so the tail is below term / (1 - ratio)
             ratio = math.exp(-q * (2 * k + 1))

@@ -21,6 +21,7 @@ from .errors import (
     ParameterError,
     ResourceError,
     check_choice,
+    check_normal,
     check_positive,
 )
 from .specfun import Bc
@@ -106,20 +107,28 @@ class BoxSpec:
 
     def heat_trace(self, t: float) -> float:
         """K(t) = sum over every mode of exp(-t lambda), which separability
-        factorizes into the product of the three axis heat sums."""
-        return math.prod(ax.heat_sum(t) for ax in self.axes)
+        factorizes into the product of the three axis heat sums.  A t so small
+        that K overflows, or so large that it underflows, raises ParameterError."""
+        value = math.prod(ax.heat_sum(t) for ax in self.axes)
+        return check_normal(value, f"box heat trace at t={t!r}")
 
     def heat_coefficients(self) -> dict[str, float]:
         """The small-t law K(t) ~ c32 t^-3/2 + c1 t^-1 + c12 t^-1/2 + c0 in
         closed form, keyed by the power of t.  Each axis heat sum is
         L x + specfun.HEAT_OFFSET[bc] with x = 1 / (2 sqrt(pi t)), up to
-        exponentially small terms, so their product's powers of x are exact."""
+        exponentially small terms, so their product's powers of x are exact.
+        ParameterError is raised when the volume term is not a normal float or
+        another term is not finite; the others may be exactly 0."""
         poly = [1.0]  # ascending powers of x
         for ax in self.axes:
             b = specfun.HEAT_OFFSET[ax.bc]
             poly = [b * lo + ax.length * hi for lo, hi in zip(poly + [0.0], [0.0] + poly)]
         scales = (8.0 * math.pi**1.5, 4.0 * math.pi, 2.0 * math.sqrt(math.pi), 1.0)
-        values = (c / s for c, s in zip(reversed(poly), scales))
+        values = [c / s for c, s in zip(reversed(poly), scales)]
+        sides = tuple(ax.length for ax in self.axes)
+        check_normal(values[0], f"volume term of the box {sides}")
+        if not all(map(math.isfinite, values)):
+            raise ParameterError(f"heat coefficients of the box {sides} overflow: {values}")
         return dict(zip(("t^-3/2", "t^-1", "t^-1/2", "1"), values))
 
 
@@ -296,9 +305,10 @@ def _group_heads(found: np.ndarray) -> np.ndarray:
 
 
 def lateral_gap(l1: float, l2: float) -> float:
-    """First positive lateral mode scale pi^2 / max(l1, l2)^2."""
+    """First positive lateral mode scale pi^2 / max(l1, l2)^2; ParameterError
+    where it leaves the normal float range."""
     longest = max(check_positive(l1, "l1"), check_positive(l2, "l2"))
-    return (math.pi / longest) ** 2
+    return check_normal((math.pi / longest) ** 2, f"lateral gap of ({l1!r}, {l2!r})")
 
 
 @dataclass(frozen=True)

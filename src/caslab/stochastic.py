@@ -4,14 +4,18 @@ A regulated real Gaussian source (units with hbar c = 1) has independent mode
 components sigma_j = sqrt(1 / g) lambda_j^{3/4} e^{-tau lambda_j / 2} xi_j,
 and the quadratic energy U = (g/2) sum sigma_j^2 / lambda_j collapses to
 (1/2) sum lambda_j^{1/2} e^{-tau lambda_j} xi_j^2, so its expectation is the
-regulated half trace.  Monte Carlo estimation draws from one SFC64 stream per
-seed and merges its batches in a fixed order with numpy's own reductions, so
-results are bit-reproducible for a fixed seed at any BLAS thread count.
+regulated half trace.  Monte Carlo estimation draws in batches of at most
+512 KiB, each from its own SFC64 stream keyed by the seed and the batch index,
+runs them on two threads and merges them in batch order with numpy's own
+reductions, so results are bit-identical for a fixed seed however the batches
+are scheduled and at any BLAS thread count.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,10 +24,8 @@ import numpy as np
 from .errors import ResourceError, check_count, check_positive
 from .spectrum import EigenStream
 
-_BATCH_ROWS = 1 << 16
-_BATCH_DRAWS = 1 << 23  # draws per batch; the partition fixes the stream layout
-_BLOCK_BYTES = 1 << 20  # size of one block of draws within a batch, or 64 rows
-_DRAW_BUDGET = 1 << 28  # draws one run may ask for; 8.7 s of chi^2 on a 2-vCPU Xeon
+_BATCH_DRAWS = 1 << 16  # draws per batch, 512 KiB; the partition fixes the streams
+_DRAW_BUDGET = 1 << 28  # draws one run may ask for; 3.5 s of chi^2 on a 2-vCPU Xeon
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,22 @@ def sample_U(spec: SourceSpec, rng: np.random.Generator) -> float:
     return float(0.5 * spec.g * np.sum(sigma**2 / lam))
 
 
+def _batch(
+    sample: Callable[[np.random.Generator, int], np.ndarray],
+    seed: int,
+    index: int,
+    rows: int,
+) -> tuple[int, float, float]:
+    """(rows, mean, M2) of batch index, drawn from its own SFC64 stream."""
+    rng = np.random.Generator(
+        np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0, index)))
+    )
+    vals = sample(rng, rows)
+    mean = float(np.mean(vals))
+    vals -= mean
+    return rows, mean, float(np.einsum("i,i->", vals, vals))  # not a threaded BLAS ddot
+
+
 def monte_carlo(
     sample: Callable[[np.random.Generator, int], np.ndarray],
     n: int,
@@ -78,18 +96,21 @@ def monte_carlo(
     """Mean and standard error of n draws of sample(rng, rows) values.
 
     sample returns a new float64 array of rows values, which the merge reuses
-    as scratch.  The draws come from one SFC64 stream keyed by the seed, in
-    batches of min(65536, 2^23 // draws_per_row) rows.  That partition fixes
-    which draws of the stream land on which row, so it is part of every
-    pinned estimate; the sampler bounds its memory by drawing a batch in
-    blocks.  Each batch contributes its own (mean, M2), the sum of squared
-    deviations from its mean, and these are merged in batch order by the
-    pairwise update of Chan, Golub and LeVeque (1979), so the variance keeps
-    its digits when the mean is large.  The sum of squared deviations is
-    numpy's own reduction, not a BLAS dot product that splits its sum across
-    threads, so the estimate is bit-identical for a fixed seed at any BLAS
-    thread count.  A request for more than 2^28 draws in all raises
-    ResourceError at once.
+    as scratch.  The draws come in batches of max(1, 2^16 // draws_per_row)
+    rows, so a batch holds at most 512 KiB of draws (or one row), and batch b
+    draws from its own SFC64 stream keyed by SeedSequence(seed, spawn_key=(0,
+    b)).  A helper thread runs the odd batches while the caller runs the even
+    ones; the helper starts in a copy of the caller's context, so numpy's
+    errstate is the same in both.  Each batch contributes its own (mean, M2),
+    the sum of squared deviations from its mean, and these are merged in batch
+    order by the pairwise update of Chan, Golub and LeVeque (1979), so the
+    variance keeps its digits when the mean is large.  Every batch's draws
+    depend only on its key and its sums are numpy's own reductions, not a
+    BLAS dot product that splits its sum across threads, so the estimate is
+    bit-identical for a fixed seed whichever thread runs a batch and at any
+    BLAS thread count.  An exception raised in a batch is re-raised once both
+    threads are done.  A request for more than 2^28 draws in all raises
+    ResourceError before any batch starts.
     """
     check_count(n, "Monte Carlo sample count", minimum=2)
     check_count(seed, "seed", minimum=0)
@@ -97,26 +118,36 @@ def monte_carlo(
         raise ResourceError(
             f"{n} samples of {draws_per_row} draws exceed the draw budget {_DRAW_BUDGET}"
         )
-    batch_rows = max(1, min(_BATCH_ROWS, _BATCH_DRAWS // draws_per_row))
-    # spawn_key (0,) is SeedSequence(seed).spawn(1)[0], the pinned estimates' key
-    rng = np.random.Generator(
-        np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0,)))
-    )
+    batch_rows = max(1, _BATCH_DRAWS // draws_per_row)
+    sizes = [min(batch_rows, n - start) for start in range(0, n, batch_rows)]
+    results = [None] * len(sizes)
+    failed: list[BaseException] = []
+
+    def run(first: int) -> None:
+        # a failure in either thread stops both before their next batch
+        try:
+            for index in range(first, len(sizes), 2):
+                if failed:
+                    return
+                results[index] = _batch(sample, seed, index, sizes[index])
+        except BaseException as exc:  # re-raised by the caller after the join
+            failed.append(exc)
+
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(run, 1))
+    helper.start()
+    run(0)
+    helper.join()
+    if failed:
+        raise failed[0]
     count = 0
     mean = 0.0
     m2 = 0.0
-    while count < n:
-        rows = min(batch_rows, n - count)
-        vals = sample(rng, rows)
-        batch_mean = float(np.mean(vals))
-        vals -= batch_mean
+    for rows, batch_mean, squares in results:
         delta = batch_mean - mean
         merged = count + rows
         mean += delta * (rows / merged)
-        squares = float(np.einsum("i,i->", vals, vals))  # not a threaded BLAS ddot
         m2 += squares + delta * delta * (count * rows / merged)
         count = merged
-        del vals  # free this batch before the next one is drawn
     return MCEstimate(mean=mean, stderr=math.sqrt(m2 / (n - 1) / n), n=n, seed=seed)
 
 
@@ -149,16 +180,11 @@ def mc_estimate(spec: SourceSpec, n: int, seed: int) -> MCEstimate:
         return xi2
 
     def sample(rng: np.random.Generator, rows: int) -> np.ndarray:
-        # one class after another in ascending k, each drawn row-major in
-        # blocks of rows.  A block holds at most 1 MiB of draws or 64 rows and
-        # is a multiple of 64 rows, so each row takes the same BLAS kernel
-        # path as in one (rows x n_k) product, which unrolls over rows.
+        # one (rows x n_k) product per class, in ascending k; a batch bounds
+        # each class's draws to 512 KiB
         vals = np.zeros(rows)
         for k, w in classes:
-            step = max(64, (_BLOCK_BYTES // (8 * w.size)) & -64)
-            for start in range(0, rows, step):
-                stop = min(start + step, rows)
-                vals[start:stop] += draw(rng, k, stop - start, w.size) @ w
+            vals += draw(rng, k, rows, w.size) @ w
         return vals
 
     return monte_carlo(sample, n, seed, draws_per_row=lam.size)

@@ -150,19 +150,47 @@ def test_plate_values_past_the_float_range_are_refused(call):
         lambda: boxint.cell_overlap_energy((1e-200, 1.0, 1.0)),
         lambda: boxint.interval_overlap(1e-200, 1.0),
         lambda: heattrace.regulated_trace(_STREAM, 24.0),
+        lambda: spectrum.lateral_gap(1e160, 1.0),
+        lambda: heattrace.mixed_cell_heat_trace(1.0, 1.0, 1.0, 1e20),
+        lambda: spectrum.mixed_cell(1e-140, 1e-140, 1e-140).heat_coefficients(),
     ],
     ids=[
         "casimir_per_area", "per_area_trace", "cell_overlap_energy", "interval_overlap",
-        "regulated_trace",
+        "regulated_trace", "lateral_gap", "mixed_cell_heat_trace", "heat_coefficients",
     ],
 )
 def test_values_that_underflow_are_refused(call):
     # the first four used to return a silent 0: -0.0 where (pi/a)^3
     # underflows, 0.0 with tail bound 0.0 where every Gamma(3/2, c n^2) does,
     # 0.0 from a quadrature certified by its absolute tolerance alone, and 0.0
-    # where I_L ~ L^2 does; the trace refused only 0, and returned 6.6e-309
+    # where I_L ~ L^2 does; the trace refused only 0, and returned 6.6e-309.
+    # The gap returned 9.87e-320, the box trace and the volume term 0.0
     with pytest.raises(ParameterError, match="normal float range"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: spectrum.UNIT_CUBE.heat_trace(1e-300),
+        lambda: heattrace.b_coefficient(1e160, 1e160, 1e160),
+        lambda: spectrum.mixed_cell(1e300, 1e-150, 1e150).heat_coefficients(),
+    ],
+    ids=["heat_trace", "b_coefficient", "heat_coefficients"],
+)
+def test_box_values_past_the_float_range_are_refused(call):
+    # these returned inf, nan (inf - inf in the t^-1 term) and a t^-1 term
+    # of inf beside a normal volume term
+    with pytest.raises(ParameterError, match="normal float range|overflow"):
+        call()
+
+
+def test_exact_zero_heat_coefficients_are_kept():
+    # B vanishes at (2, 2, 1), and the periodic offset 0 zeroes the plate
+    # box's t^-1/2 and constant terms; only the volume term must be normal
+    assert heattrace.b_coefficient(2.0, 2.0, 1.0) == 0.0
+    coeffs = plates.plate_box(3.0, 1.0).heat_coefficients()
+    assert (coeffs["t^-1/2"], coeffs["1"]) == (0.0, 0.0)
 
 
 def test_check_normal_takes_either_sign_and_refuses_the_rest():

@@ -225,6 +225,17 @@ def test_theta_tail_bound_reported():
     assert 0.0 <= ev.tail_bound < 1e-12 * (1.0 + ev.value)
 
 
+def test_dirichlet_sum_below_the_absolute_tolerance_is_kept():
+    # past c = pi^2 t / L^2 = 32 the first term e^-c is below the stop rule's
+    # 1e-14 and the direct route returned 0.0, which a box heat trace then
+    # refused (criterion 6 at seed 2024); the sum is e^-c until that underflows
+    for t in (4.0, 30.0, 70.0):
+        ev = specfun.theta_eval(specfun.Bc.DIRICHLET, 1.0, t)
+        assert (ev.value, ev.terms) == (math.exp(-math.pi * math.pi * t), 1)
+        assert 0.0 <= ev.tail_bound <= 1e-14 * ev.value
+    assert specfun.theta_eval(specfun.Bc.DIRICHLET, 1.0, 80.0).value == 0.0
+
+
 def test_theta_rejects_bad_arguments():
     # a non-finite argument turns the stopping test into 0 * inf = nan
     bad = ((1.0, 0.0), (0.0, 1.0), (-1.0, 1.0), (1.0, -0.5))

@@ -1,12 +1,15 @@
 """Gaussian source draws and the Monte Carlo trace estimator."""
 
+import collections
 import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -88,11 +91,88 @@ def test_mc_bit_reproducible(cube_stream):
 
 
 def test_mc_frozen_across_batches(cube_stream):
-    # 140001 draws span three 65536-row batches; these values pin the stream,
-    # the batch order and the reduction order
+    # 140001 rows of 9 draws span twenty batches of at most 7281 rows, ten on
+    # each thread; these values pin the batch keys, the batch partition and
+    # the merge order.  They lie 1.82 standard errors below the trace
     spec = stochastic.SourceSpec(stream=cube_stream, tau=0.5)
     est = stochastic.mc_estimate(spec, n=140_001, seed=42)
-    assert (est.mean, est.stderr) == (1.0048941318178257e-06, 3.787758413038303e-09)
+    assert (est.mean, est.stderr) == (1.005143604808762e-06, 3.810276588471723e-09)
+
+
+def _merged(sample, n, seed, batch_rows):
+    """The estimate of monte_carlo, its batches drawn and merged in one thread."""
+    count, mean, m2 = 0, 0.0, 0.0
+    for index, start in enumerate(range(0, n, batch_rows)):
+        rows, batch_mean, squares = stochastic._batch(
+            sample, seed, index, min(batch_rows, n - start)
+        )
+        delta = batch_mean - mean
+        merged = count + rows
+        mean += delta * (rows / merged)
+        m2 += squares + delta * delta * (count * rows / merged)
+        count = merged
+    return mean, math.sqrt(m2 / (n - 1) / n)
+
+
+@pytest.mark.parametrize(("n", "draws_per_row"), [(2, 1), (140_001, 1), (10_001, 9), (7, 70_000)])
+def test_threads_give_the_one_thread_estimate(n, draws_per_row):
+    # batches of max(1, 2^16 // draws_per_row) rows: one batch, three
+    # batches, batches of 2^16 // 9 = 7281 rows, and batches of one row
+    def sample(rng, rows):
+        vals = rng.random(rows)
+        vals *= vals
+        return vals
+
+    est = stochastic.monte_carlo(sample, n, seed=5, draws_per_row=draws_per_row)
+    want = _merged(sample, n, 5, max(1, (1 << 16) // draws_per_row))
+    assert (est.mean, est.stderr) == want
+
+
+def test_mc_estimate_is_its_one_thread_merge(monkeypatch):
+    # twelve batches of 445 rows of 147 chi^2 classes, each a BLAS product
+    axis = spectrum.AxisSpec(1.0, D)
+    stream = spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), 2000.0)
+    spec = stochastic.SourceSpec(stream=stream, tau=0.05)
+    est = stochastic.mc_estimate(spec, n=5000, seed=3)
+    samplers = []
+    monkeypatch.setattr(
+        stochastic, "monte_carlo", lambda sample, *args, **kw: samplers.append(sample)
+    )
+    stochastic.mc_estimate(spec, n=5000, seed=3)
+    assert (est.mean, est.stderr) == _merged(samplers[0], 5000, 3, (1 << 16) // 147)
+
+
+class _OddBatchFailed(Exception):
+    """Raised by a sampler in the last, odd, batch."""
+
+
+def test_a_failing_batch_is_raised_after_the_join():
+    # 65,536 + 10 rows are two batches, and the helper thread runs the second
+    def sample(rng, rows):
+        if rows == 10:
+            raise _OddBatchFailed(threading.get_ident())
+        return rng.random(rows)
+
+    before = threading.active_count()
+    with pytest.raises(_OddBatchFailed) as failed:
+        stochastic.monte_carlo(sample, (1 << 16) + 10, seed=0, draws_per_row=1)
+    assert failed.value.args[0] != threading.get_ident()
+    assert threading.active_count() == before
+
+
+def test_both_threads_see_the_callers_errstate():
+    seen = {}
+
+    def sample(rng, rows):
+        seen[threading.get_ident()] = np.geterr()
+        return rng.random(rows)
+
+    with np.errstate(over="raise"):
+        want = np.geterr()
+        stochastic.monte_carlo(sample, 4 << 16, seed=0, draws_per_row=1)
+    assert len(seen) == 2
+    assert all(state == want for state in seen.values())
+    assert want["over"] == "raise"
 
 
 def test_variance_merge_keeps_digits_under_a_large_mean():
@@ -169,9 +249,9 @@ def test_samplers_match_exact_mean_and_variance(box):
 
 
 def test_mc_batch_memory_is_bounded():
-    # 1277 modes in 147 distinct values: a batch of 57065 rows would hold
-    # 67 MB of draws at once; 1 MiB blocks bound the working set instead,
-    # and the estimate over four batches is the one drawn as whole batches
+    # 1277 modes in 147 distinct values: 65536 rows would hold 67 MB of
+    # draws at once; batches of 445 rows bound each thread's draws to 512 KiB.
+    # The estimate lies 0.31 standard errors above the trace
     axis = spectrum.AxisSpec(1.0, D)
     stream = spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), 2000.0)
     assert (stream.mode_count, stream.values.size) == (1277, 147)
@@ -183,33 +263,36 @@ def test_mc_batch_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
-    assert (est.mean, est.stderr) == (1.5134804368654913, 0.0022706171893552445)
+    assert (est.mean, est.stderr) == (1.5134845213816013, 0.002269689071614576)
 
 
-def test_one_batch_is_alive_at_a_time(cube_stream):
-    # 100,000 draws are two batches of at most 65,536 rows and 140,001 are
-    # three; the peak held the previous batch's values while the next was
-    # drawn (2.0 MiB against 2.5 MiB).  Now it may differ only by the few
-    # scalars of the running merge
-    spec = stochastic.SourceSpec(stream=cube_stream, tau=0.5)
-    stochastic.mc_estimate(spec, n=1_000, seed=3)  # one-time allocations
-    peaks = {}
-    for n in (100_000, 140_001):
-        tracemalloc.start()
-        try:
-            stochastic.mc_estimate(spec, n=n, seed=3)
-            peaks[n] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peaks[140_001] <= peaks[100_000] + 1024
+def test_one_batch_per_thread_is_alive_at_a_time():
+    # each thread frees a batch's values before it draws its next batch
+    alive = collections.Counter()
+    most = collections.Counter()
+    lock = threading.Lock()
+
+    def release(ident):
+        with lock:
+            alive[ident] -= 1
+
+    def sample(rng, rows):
+        ident = threading.get_ident()
+        vals = rng.random(rows)
+        with lock:
+            alive[ident] += 1
+            most[ident] = max(most[ident], alive[ident])
+        weakref.finalize(vals, release, ident)
+        return vals
+
+    stochastic.monte_carlo(sample, 1000, seed=3, draws_per_row=1 << 10)  # 16 batches
+    assert sorted(most.values()) == [1, 1]
+    assert sum(alive.values()) == 0
 
 
-def test_blocks_draw_what_whole_batches_draw(monkeypatch):
-    # 1651 distinct values in 41 multiplicity classes of 1 to 195 values.
-    # 64 KiB blocks hold 64 rows of a class above 64 values (195 values fill
-    # 42 rows, rounded up to 64) and 128 or more of the others, so 200 rows
-    # span several blocks; no block ends inside the BLAS row unroll, which
-    # moved some rows by 1 ulp
+def test_sampler_draws_one_product_per_class(monkeypatch):
+    # 1651 distinct values in 41 multiplicity classes of 1 to 195 values; the
+    # sampler draws each class as one (rows x n_k) matrix, in ascending k
     axis = spectrum.AxisSpec(1.0, D)
     stream = spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), 2e4)
     tau = 0.002
@@ -229,12 +312,11 @@ def test_blocks_draw_what_whole_batches_draw(monkeypatch):
         return vals
 
     samplers = []
-    monkeypatch.setattr(stochastic, "_BLOCK_BYTES", 1 << 16)
     monkeypatch.setattr(
         stochastic, "monte_carlo", lambda sample, *args, **kw: samplers.append(sample)
     )
     stochastic.mc_estimate(stochastic.SourceSpec(stream=stream, tau=tau), n=2, seed=0)
-    for rows in (200, 50):  # widest blocks of 64, 64, 64 and 8 rows; of 50 rows
+    for rows in (1, 39, 200):  # 39 rows are 2^16 // 1651, the batch of this spectrum
         rng_a, rng_b = (np.random.Generator(np.random.SFC64(7)) for _ in range(2))
         assert np.array_equal(samplers[0](rng_a, rows), whole_batch(rng_b, rows))
         assert rng_a.random() == rng_b.random()  # the same draws were used up
