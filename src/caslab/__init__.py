@@ -7,35 +7,9 @@ integrals with concavity and positivity checks, and the parallel-plate
 pipeline that ties them together.
 """
 
-from .errors import (
-    CaslabError,
-    ConfigError,
-    ConstraintError,
-    ConvergenceError,
-    CutoffError,
-    EmptySpectrumError,
-    FitConditionError,
-    FitInstabilityError,
-    ParameterError,
-    PoleError,
-    QuadratureError,
-    ResourceError,
-)
+from . import errors
+from .errors import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CaslabError",
-    "ConfigError",
-    "ConstraintError",
-    "ConvergenceError",
-    "CutoffError",
-    "EmptySpectrumError",
-    "FitConditionError",
-    "FitInstabilityError",
-    "ParameterError",
-    "PoleError",
-    "QuadratureError",
-    "ResourceError",
-    "__version__",
-]
+__all__ = [*errors.__all__, "__version__"]

@@ -1,8 +1,8 @@
 """Exception hierarchy and the checks shared across the package.
 
 Every error raised by library code derives from CaslabError so callers can
-catch one base type at module boundaries.  Subclasses carry enough state to
-report what went wrong without re-running the computation.  check_count is
+catch one base type at module boundaries.  An error's message carries the
+numbers that tripped it; the types hold no other state.  check_count is
 the one validator for integer counts (sample sizes, seeds, channels, cells),
 check_choice the one for method and boundary-condition names, and
 check_positive the one for lengths, times and spectral values;
@@ -16,6 +16,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+
+# the error types, which the package root re-exports
+__all__ = [
+    "CaslabError", "ConfigError", "ConstraintError", "ConvergenceError",
+    "CutoffError", "EmptySpectrumError", "FitConditionError", "FitInstabilityError",
+    "ParameterError", "PoleError", "QuadratureError", "ResourceError",
+]
 
 
 class CaslabError(Exception):
@@ -43,37 +50,15 @@ class ConstraintError(ParameterError):
 
 
 class CutoffError(CaslabError):
-    """A spectral truncation bound exceeds the accuracy target.
-
-    Attributes
-    ----------
-    tail_bound : float
-        Certified bound on the discarded part.
-    target : float
-        Accuracy budget that was exceeded.
-    """
-
-    def __init__(self, message: str, tail_bound: float, target: float):
-        super().__init__(message)
-        self.tail_bound = tail_bound
-        self.target = target
+    """A spectral truncation bound exceeds the accuracy target."""
 
 
 class FitConditionError(CaslabError):
     """Least-squares design matrix is too ill conditioned to trust."""
 
-    def __init__(self, message: str, condition_number: float):
-        super().__init__(message)
-        self.condition_number = condition_number
-
 
 class FitInstabilityError(CaslabError):
     """Extracted coefficient moves too much between nested fit windows."""
-
-    def __init__(self, message: str, drift: float, tolerance: float):
-        super().__init__(message)
-        self.drift = drift
-        self.tolerance = tolerance
 
 
 class ResourceError(CaslabError):

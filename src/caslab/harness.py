@@ -23,7 +23,7 @@ from . import __version__, acceptance, boxint, heattrace, plates, riesz, spectru
 from .errors import CaslabError, ConfigError, check_normal, check_positive
 
 OUT_ENV_VAR = "CASLAB_OUT"
-_FORMATS = ("json", "csv", "both")
+_FORMATS = ("json", "both")
 _DEFAULT_SEED = 42
 _DEFAULT_FORMAT = "json"
 
@@ -84,7 +84,7 @@ def _write_report(config: RunConfig, report: dict, tables: dict[str, list]) -> N
     # result dataclasses (checks, estimates, fits) serialize as their fields
     text = json.dumps(body, indent=2, sort_keys=True, default=dataclasses.asdict)
     path.write_text(text + "\n")
-    if config.fmt in ("csv", "both"):
+    if config.fmt == "both":
         for name, rows in tables.items():
             header, data = rows[0], rows[1:]
             lines = [",".join(header)]
@@ -163,12 +163,19 @@ def _run_heat_trace(config: RunConfig):
 
 
 @_command("finite-part", "per-area plate trace fit and finite part", a=1.0)
-def _run_finite_part(config: RunConfig):
+def _run_plates(config: RunConfig):
+    # one runner for both plate commands: they decide criterion 8's one claim
     a = config.params["a"]
     samples, model = plates.heat_fit(a)
-    checks = acceptance.plate_checks(a, model.c0, plates.casimir_per_area(a))
-    rows = [("tau", "value"), *((s.tau, s.value) for s in samples)]
-    return {"a": a, "model": model, "checks": checks}, {"samples": rows}
+    zeta = plates.casimir_per_area(a)
+    report = {
+        "a": a,
+        "model": model,
+        "casimir_heat_fit": model.c0,
+        "casimir_zeta_route": zeta,
+        "checks": acceptance.plate_checks(a, model.c0, zeta),
+    }
+    return report, {"samples": [("tau", "value"), *((s.tau, s.value) for s in samples)]}
 
 
 @_command(
@@ -218,18 +225,7 @@ def _run_boxint(config: RunConfig):
     return report, {"delta": delta_rows, "concavity": margin_rows}
 
 
-@_command("plates", "plate pipeline: HeatFit vs ZetaRoute", a=1.0)
-def _run_plates(config: RunConfig):
-    a = config.params["a"]
-    samples, model = plates.heat_fit(a)
-    zeta = plates.casimir_per_area(a)
-    report = {
-        "a": a,
-        "casimir_heat_fit": model.c0,
-        "casimir_zeta_route": zeta,
-        "checks": acceptance.plate_checks(a, model.c0, zeta),
-    }
-    return report, {"trace": [("tau", "trace"), *((s.tau, s.value) for s in samples)]}
+_command("plates", "plate pipeline: HeatFit vs ZetaRoute", a=1.0)(_run_plates)
 
 
 @_command(
@@ -348,7 +344,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help=f"RNG seed (default {_DEFAULT_SEED})")
     common.add_argument("--out", default=None, help=f"output directory (or ${OUT_ENV_VAR})")
     common.add_argument("--format", choices=_FORMATS, default=None,
-                        help=f"report format: json, csv, or both (default {_DEFAULT_FORMAT})")
+                        help="report format: json, or both to add CSV tables "
+                        f"(default {_DEFAULT_FORMAT})")
     parser = argparse.ArgumentParser(
         prog="caslab",
         description="Spectral heat-kernel laboratory: verified runs with JSON/CSV reports",

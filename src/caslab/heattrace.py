@@ -59,9 +59,7 @@ def regulated_trace(stream: EigenStream, tau: float) -> HeatTraceSample:
     if tail > _TAIL_TARGET * total:
         raise CutoffError(
             f"truncation tail {tail:.3e} exceeds {_TAIL_TARGET:.0e} of value "
-            f"{total:.6e}; raise the cutoff or tau",
-            tail_bound=tail,
-            target=_TAIL_TARGET * total,
+            f"{total:.6e}; raise the cutoff or tau"
         )
     return HeatTraceSample(tau=tau, value=total, tail_bound=tail)
 
@@ -166,8 +164,7 @@ def fit_columns(
         raise FitConditionError(
             f"fit design matrix condition number {cond:.3e} exceeds "
             f"{_COND_LIMIT:.0e}; choose better-separated exponents or a wider "
-            "window",
-            condition_number=cond,
+            "window"
         )
     coef_eq, *_ = np.linalg.lstsq(aeq, bw, rcond=None)
     coef = coef_eq / scale
@@ -222,9 +219,7 @@ def finite_part(
     if drift > allowed:
         raise FitInstabilityError(
             f"finite part moved by {drift:.3e} between nested windows "
-            f"(allowed {allowed:.3e}); the model is missing a term",
-            drift=drift,
-            tolerance=allowed,
+            f"(allowed {allowed:.3e}); the model is missing a term"
         )
     return FinitePartModel(
         exponents=exps,

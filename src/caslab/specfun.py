@@ -18,7 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParameterError, PoleError, check_choice, check_count, check_positive
+from .errors import (
+    ParameterError, PoleError, check_choice, check_count, check_normal, check_positive
+)
 
 _SERIES_RTOL = 1e-14
 
@@ -148,8 +150,8 @@ def theta_eval(bc: Bc, length: float, t: float) -> ThetaEval:
 
     The defining series is summed once pi*t/L^2 >= 1 and the modular dual
     below that, so either route needs only a handful of terms.  A length
-    whose square is not a normal float, or a dual prefactor L/sqrt(pi t) past
-    the float range, raises ParameterError.
+    whose square is not a normal float, a dual prefactor L/sqrt(pi t) past
+    the float range, or a sum that is not a normal float raises ParameterError.
     """
     bc = check_choice(bc, Bc, "boundary condition")
     length = check_positive(length, "theta length")
@@ -166,4 +168,5 @@ def theta_eval(bc: Bc, length: float, t: float) -> ThetaEval:
     ev = route(bc, length, t)
     if periodic:
         return ThetaEval(1.0 + 2.0 * ev.value, ev.terms, 2.0 * ev.tail_bound)
+    check_normal(ev.value, f"theta sum at L={length!r}, t={t!r}")
     return ev

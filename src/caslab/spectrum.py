@@ -74,10 +74,6 @@ class AxisSpec:
         mults = np.where(n > 0, 2, 1) if self.bc is Bc.PERIODIC else np.ones_like(n)
         return base * n * n, mults
 
-    def heat_sum(self, t: float) -> float:
-        """Full heat sum over every axis mode, sum_j mult_j exp(-t value_j)."""
-        return specfun.theta_eval(self.bc, self.length, t).value
-
 
 @dataclass(frozen=True)
 class BoxSpec:
@@ -109,7 +105,7 @@ class BoxSpec:
         """K(t) = sum over every mode of exp(-t lambda), which separability
         factorizes into the product of the three axis heat sums.  A t so small
         that K overflows, or so large that it underflows, raises ParameterError."""
-        value = math.prod(ax.heat_sum(t) for ax in self.axes)
+        value = math.prod(specfun.theta_eval(ax.bc, ax.length, t).value for ax in self.axes)
         return check_normal(value, f"box heat trace at t={t!r}")
 
     def heat_coefficients(self) -> dict[str, float]:

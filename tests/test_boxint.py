@@ -342,6 +342,28 @@ def test_log_overlap_curvature_against_mpmath():
         assert abs(g - w) <= 1e-9 * abs(w)
 
 
+# the float form's relative error against mpmath, as its docstring states it
+_CURVATURE_RTOL = {-8.0: 1e-8, 12.0: 1.5e-12, 20.0: 5.2e-8}
+
+
+@pytest.mark.parametrize("s", [-8.0, -5.31, -2.0, 0.0, 2.0, 5.31, 12.0, 20.0])
+def test_curvature_is_minus_2rh_over_i_squared(s):
+    # phi'' = -2 r h / I^2 with the positivity chain's h, so phi'' < 0 on the
+    # reals exactly when h > 0 on (0, inf), which h(0) = 0 and h' = 2 E k > 0 give
+    import mpmath
+
+    with mpmath.workdps(50):
+        r = mpmath.exp(mpmath.mpf(s))
+        a, _, h = boxint.chain_terms(r, mpmath)
+        i = 2 * r * a + mpmath.expm1(-r * r)
+        want = -2 * r * h / i**2
+        i1, i2 = 2 * a, 2 * mpmath.exp(-r * r)
+        closed = (r * i1 + r * r * i2) / i - (r * i1 / i) ** 2
+        assert abs(closed / want - 1) <= mpmath.mpf("1e-30")
+        got = boxint.log_overlap_curvature(np.array([s]))[0]
+        assert abs(got / want - 1) <= _CURVATURE_RTOL.get(s, 5.4e-11)
+
+
 def test_log_overlap_curvature_against_second_differences():
     # the scan's whole grid, against the centered differences it replaced
     t_vals, u_vals = np.geomspace(1e-2, 1e2, 25), np.linspace(-3.0, 3.0, 61)

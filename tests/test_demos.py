@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package sources."""
+"""Every demo script runs to completion against the package sources and
+prints its pinned output."""
 
 import os
 import subprocess
@@ -16,7 +17,7 @@ def test_all_demos_found():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(demo, tmp_path):
+def test_demo_runs(demo, tmp_path, golden):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(demo)],
@@ -27,3 +28,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    golden.compare(f"demos/{demo.stem}.stdout", {f"demos/{demo.stem}.stdout": proc.stdout})

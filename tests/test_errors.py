@@ -8,8 +8,11 @@ import time
 
 import pytest
 
-from caslab import acceptance, boxint, heattrace, plates, riesz, specfun, spectrum, stochastic
-from caslab.errors import CheckReport, ParameterError, ResourceError, check_normal
+import caslab
+from caslab import (
+    acceptance, boxint, errors, heattrace, plates, riesz, specfun, spectrum, stochastic
+)
+from caslab.errors import CaslabError, CheckReport, ParameterError, ResourceError, check_normal
 
 _AXIS = spectrum.AxisSpec(1.0, spectrum.Bc.DIRICHLET)
 _STREAM = spectrum.enumerate_modes(spectrum.BoxSpec((_AXIS, _AXIS, _AXIS)), 60.0)
@@ -153,10 +156,12 @@ def test_plate_values_past_the_float_range_are_refused(call):
         lambda: spectrum.lateral_gap(1e160, 1.0),
         lambda: heattrace.mixed_cell_heat_trace(1.0, 1.0, 1.0, 1e20),
         lambda: spectrum.mixed_cell(1e-140, 1e-140, 1e-140).heat_coefficients(),
+        lambda: spectrum.UNIT_CUBE.heat_trace(80.0),
     ],
     ids=[
         "casimir_per_area", "per_area_trace", "cell_overlap_energy", "interval_overlap",
         "regulated_trace", "lateral_gap", "mixed_cell_heat_trace", "heat_coefficients",
+        "axis_theta_sum",
     ],
 )
 def test_values_that_underflow_are_refused(call):
@@ -164,7 +169,8 @@ def test_values_that_underflow_are_refused(call):
     # underflows, 0.0 with tail bound 0.0 where every Gamma(3/2, c n^2) does,
     # 0.0 from a quadrature certified by its absolute tolerance alone, and 0.0
     # where I_L ~ L^2 does; the trace refused only 0, and returned 6.6e-309.
-    # The gap returned 9.87e-320, the box trace and the volume term 0.0
+    # The gap returned 9.87e-320, the box trace and the volume term 0.0, and
+    # a Dirichlet axis sum 0.0 (the box trace then refused it as its own)
     with pytest.raises(ParameterError, match="normal float range"):
         call()
 
@@ -209,8 +215,13 @@ def test_theta_refuses_lengths_whose_square_underflows(bc):
     for length in (1e-300, short):
         with pytest.raises(ParameterError, match="too short"):
             specfun.theta_eval(bc, length, 1.0)
-    # the shortest length an AxisSpec takes still evaluates
-    assert math.isfinite(specfun.theta_eval(bc, 4.7e-154, 1.0).value)
+    # the shortest length an AxisSpec takes still evaluates, but its Dirichlet
+    # sum underflows to 0.0, which is refused
+    if bc is specfun.Bc.DIRICHLET:
+        with pytest.raises(ParameterError, match="leaves the normal float range"):
+            specfun.theta_eval(bc, 4.7e-154, 1.0)
+    else:
+        assert math.isfinite(specfun.theta_eval(bc, 4.7e-154, 1.0).value)
 
 
 @pytest.mark.parametrize("field", ["tau", "value"])
@@ -279,3 +290,14 @@ def test_method_names_are_checked(call, name, member):
         assert got is member
     with pytest.raises(ParameterError):
         call("bogus")
+
+
+def test_every_error_type_is_exported_from_one_list():
+    types = [
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, CaslabError)
+    ]
+    assert sorted(errors.__all__) == sorted(types)
+    assert caslab.__all__ == [*errors.__all__, "__version__"]
+    for name in types:
+        assert getattr(caslab, name) is getattr(errors, name)

@@ -233,7 +233,10 @@ def test_dirichlet_sum_below_the_absolute_tolerance_is_kept():
         ev = specfun.theta_eval(specfun.Bc.DIRICHLET, 1.0, t)
         assert (ev.value, ev.terms) == (math.exp(-math.pi * math.pi * t), 1)
         assert 0.0 <= ev.tail_bound <= 1e-14 * ev.value
-    assert specfun.theta_eval(specfun.Bc.DIRICHLET, 1.0, 80.0).value == 0.0
+    # past that it is refused, not returned as a subnormal (t = 72) or 0.0
+    for t in (72.0, 80.0):
+        with pytest.raises(ParameterError, match="theta sum .* leaves the normal float range"):
+            specfun.theta_eval(specfun.Bc.DIRICHLET, 1.0, t)
 
 
 def test_theta_rejects_bad_arguments():
