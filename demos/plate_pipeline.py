@@ -59,10 +59,11 @@ for alpha in (0.5, 1.0, 2.0):
     print(f"  alpha={alpha:<4} theta_bar = {res.theta_bar:.12f}"
           f"   (Delta = {res.delta_used:.10f})")
 
-pipe = plates.theta_bar(1.0, source=plates.ThetaSource.PIPELINE)
+cal = plates.theta_bar(1.0)
+pipeline = plates.pipeline_theta_bar(cal)
 print()
 print("pipeline route at the cube (fitted energy / reference energy)")
-print(f"  closed   {pipe.closed_value:.12f}")
-print(f"  pipeline {pipe.pipeline_value:.12f}")
-print(f"  deviation {abs(pipe.pipeline_value - pipe.closed_value) / pipe.closed_value:.2e}"
-      f"  (tolerance {pipe.tolerance})")
+print(f"  closed   {cal.theta_bar:.12f}")
+print(f"  pipeline {pipeline:.12f}")
+print(f"  deviation {abs(pipeline - cal.theta_bar) / cal.theta_bar:.2e}"
+      f"  (tolerance {plates.PIPELINE_TOLERANCE})")

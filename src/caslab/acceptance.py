@@ -142,11 +142,10 @@ def delta_cube_check(t_integral: float, closed: float) -> list[CheckReport]:
     return [CheckReport.measure("TIntegral vs closed form", abs(t_integral - closed), 1e-6)]
 
 
-def pipeline_check(cal: plates.CalibrationResult) -> list[CheckReport]:
+def pipeline_check(cal: plates.CalibrationResult, pipeline: float) -> list[CheckReport]:
     """Pipeline calibration vs its closed form: relative, PIPELINE_TOLERANCE."""
     return [CheckReport.measure(f"pipeline vs closed form (alpha={cal.alpha}, N={cal.n_channels})",
-                                _rel(cal.pipeline_value, cal.closed_value),
-                                plates.PIPELINE_TOLERANCE)]
+                                _rel(pipeline, cal.theta_bar), plates.PIPELINE_TOLERANCE)]
 
 
 @_criterion(1, "reduction constants and the combined chain")
@@ -292,16 +291,15 @@ def criterion_10(res: CriterionResult, seed: int) -> None:
 @_criterion(11, "calibration coefficient: closed form and pipeline")
 def criterion_11(res: CriterionResult, seed: int) -> None:
     closed_delta = boxint.delta_cube_closed_form()
-    pipe = plates.theta_bar(1.0, 2, plates.ThetaSource.PIPELINE)
+    cal = plates.theta_bar(1.0, 2)
     res.add(
         "theta_bar(1, 2) vs pi^2/(720 Delta_3(-1))",
-        _rel(pipe.closed_value, math.pi**2 / (720.0 * closed_delta)),
+        _rel(cal.theta_bar, math.pi**2 / (720.0 * closed_delta)),
         1e-6,
     )
-    res.add("theta_bar(1, 2) vs quoted decimal", abs(pipe.closed_value - 0.0072824), 1e-6)
-    res.checks += pipeline_check(pipe)
-    thetas = [pipe.closed_value if al == 1.0 else plates.theta_bar(al, 2).theta_bar
-              for al in THETA_ALPHAS]
+    res.add("theta_bar(1, 2) vs quoted decimal", abs(cal.theta_bar - 0.0072824), 1e-6)
+    res.checks += pipeline_check(cal, plates.pipeline_theta_bar(cal))
+    thetas = [(cal if al == 1.0 else plates.theta_bar(al, 2)).theta_bar for al in THETA_ALPHAS]
     res.add_flag("alpha-grid minimum at alpha=1", THETA_ALPHAS[int(np.argmin(thetas))] == 1.0)
 
 

@@ -403,9 +403,13 @@ def reference_energy(q_strength: float, n: int, a: float, delta: float) -> float
 
     Q is the quadratic source strength in the inverse-distance normalization;
     with an operator normalization lam the same energy uses Q = lam q^2/(4 pi).
-    """
+    ParameterError unless the energy is a normal float."""
     q_strength = check_positive(q_strength, "q_strength")
     a = check_positive(a, "a")
     delta = check_positive(delta, "delta")
     check_count(n, "cell count n")
-    return -(n * n / a) * q_strength * delta
+    try:
+        energy = -(n * n / a) * q_strength * delta
+    except OverflowError:
+        energy = -math.inf
+    return check_normal(energy, f"reference energy at Q={q_strength!r}, a={a!r}, delta={delta!r}")

@@ -4,11 +4,11 @@ Every error raised by library code derives from CaslabError so callers can
 catch one base type at module boundaries.  An error's message carries the
 numbers that tripped it; the types hold no other state.  check_count is
 the one validator for integer counts (sample sizes, seeds, channels, cells),
-check_choice the one for method and boundary-condition names, and
-check_positive the one for lengths, times and spectral values;
-check_normal is the one for computed results.  CheckReport
-is the one record of a measured check: the acceptance battery, the
-command-line reports and the boxint scans all build theirs from it.
+check_float_count for counts that enter float arithmetic, check_choice for
+method and boundary-condition names, check_positive for lengths, times and
+spectral values, and check_normal for computed results.  CheckReport is the
+one record of a measured check: the acceptance battery, the command-line
+reports and the boxint scans all build theirs from it.
 """
 
 from __future__ import annotations
@@ -78,6 +78,14 @@ def check_count(value, what: str, minimum: int = 1) -> int:
     raise ParameterError otherwise."""
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ParameterError(f"{what} must be an integer >= {minimum}")
+    return value
+
+
+def check_float_count(value, what: str) -> int:
+    """check_count for a count that enters float arithmetic: ParameterError
+    also where it is past the float range."""
+    if check_count(value, what) > sys.float_info.max:
+        raise ParameterError(f"{what} leaves the float range")
     return value
 
 

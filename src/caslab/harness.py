@@ -235,14 +235,13 @@ _command("plates", "plate pipeline: HeatFit vs ZetaRoute", a=1.0)(_run_plates)
 def _run_calibrate(config: RunConfig):
     alpha = config.params["alpha"]
     n_channels = config.params["n_channels"]
-    pipe = plates.theta_bar(alpha, n_channels, plates.ThetaSource.PIPELINE)
-    closed = dataclasses.replace(pipe, theta_bar=pipe.closed_value, pipeline_value=None)
+    cal = plates.theta_bar(alpha, n_channels)
+    pipeline = plates.pipeline_theta_bar(cal)
     rows = [("alpha", "theta_bar")]
-    rows += [
-        (al, pipe.closed_value if al == alpha else plates.theta_bar(al, n_channels).theta_bar)
-        for al in acceptance.THETA_ALPHAS
-    ]
-    report = {"theta_bar": pipe, "closed_form": closed, "checks": acceptance.pipeline_check(pipe)}
+    rows += [(al, (cal if al == alpha else plates.theta_bar(al, n_channels)).theta_bar)
+             for al in acceptance.THETA_ALPHAS]
+    report = {"closed_form": cal, "theta_bar": {"pipeline_value": pipeline},
+              "checks": acceptance.pipeline_check(cal, pipeline)}
     return report, {"theta": rows}
 
 

@@ -11,7 +11,6 @@ coefficient used in the aspect-ratio comparison.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import boxint, specfun
 from .errors import (
-    ParameterError, ResourceError, check_choice, check_count, check_normal, check_positive
+    ParameterError, ResourceError, check_count, check_float_count, check_normal, check_positive
 )
 from .heattrace import (
     FinitePartModel,
@@ -31,7 +30,7 @@ from .heattrace import (
 from .spectrum import AxisSpec, Bc, BoxSpec, enumerate_modes
 
 PLATE_EXPONENTS = (2.0, 1.5)
-PIPELINE_TOLERANCE = 7.5e-3  # fit bias bound (0.5%) plus margin for Delta
+PIPELINE_TOLERANCE = 7.5e-3  # bounds heat_fit(1)'s c0 error (3.8e-3); Delta cancels exactly
 _TERM_CAP = 1_000_000  # terms of the per-area series, about 1.1 s of summing
 
 
@@ -125,7 +124,7 @@ def casimir_per_area(a: float, n_channels: int = 1) -> float:
     overflows or the energy is not a normal float.
     """
     check_positive(a, "a")
-    check_count(n_channels, "channel count")
+    check_float_count(n_channels, "channel count")
     ratio = specfun.gamma(-1.5) / specfun.gamma(-0.5)
     zeta = float(specfun.zeta_negative_odd(3))
     try:
@@ -139,53 +138,37 @@ def casimir_per_area(a: float, n_channels: int = 1) -> float:
 def normalized_energy(n: int, a: float, n_channels: int = 1) -> float:
     """Plate energy of the normalization area A = n^2 a^2: -(n^2/a) N pi^2/1440."""
     check_count(n, "cell count n")  # casimir_per_area checks a and n_channels
-    return casimir_per_area(a, n_channels) * (n * a) ** 2
-
-
-class ThetaSource(str, enum.Enum):
-    CLOSED_FORM = "closed_form"
-    PIPELINE = "pipeline"
+    try:
+        energy = casimir_per_area(a, n_channels) * (n * a) ** 2
+    except OverflowError:
+        energy = -math.inf
+    return check_normal(energy, f"plate energy of the normalization area at a={a!r}")
 
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Calibration coefficient of plate energy against the cell reference."""
+    """Closed-form calibration coefficient and the Delta(alpha) it used."""
 
     alpha: float
     n_channels: int
     theta_bar: float
     delta_used: float
-    closed_value: float
-    pipeline_value: float | None
-    tolerance: float
 
 
-def theta_bar(
-    alpha: float, n_channels: int = 1, source: ThetaSource = ThetaSource.CLOSED_FORM
-) -> CalibrationResult:
-    """Ratio of the normalized plate energy to the cell reference energy.
-
-    Closed form: N pi^2 / (1440 Delta(alpha)).  The pipeline route divides
-    the numerically fitted plate energy (n = a = 1) by
-    reference_energy(1, 1, 1, Delta(alpha)); the area factors cancel, so any
-    deviation from the closed form is exactly the finite-part fit error.
-    acceptance.pipeline_check decides whether it stays within the declared
-    tolerance.
-    """
-    check_count(n_channels, "channel count")
-    source = check_choice(source, ThetaSource, "theta source")
+def theta_bar(alpha: float, n_channels: int = 1) -> CalibrationResult:
+    """Ratio of the normalized plate energy to the cell reference energy in
+    closed form, N pi^2 / (1440 Delta(alpha)); ParameterError unless normal."""
+    check_float_count(n_channels, "channel count")
     delta = boxint.delta_alpha(alpha, boxint.DeltaMethod.T_INTEGRAL)
-    closed = n_channels * math.pi**2 / (1440.0 * delta)
-    pipeline_value = None
-    if source is ThetaSource.PIPELINE:
-        fitted = n_channels * heat_fit(1.0)[1].c0  # energy of the unit area
-        pipeline_value = fitted / boxint.reference_energy(1.0, 1, 1.0, delta)
-    return CalibrationResult(
-        alpha=alpha,
-        n_channels=n_channels,
-        theta_bar=closed if source is ThetaSource.CLOSED_FORM else pipeline_value,
-        delta_used=delta,
-        closed_value=closed,
-        pipeline_value=pipeline_value,
-        tolerance=PIPELINE_TOLERANCE,
-    )
+    closed = check_normal(n_channels * math.pi**2 / (1440.0 * delta), f"theta_bar({alpha!r})")
+    return CalibrationResult(alpha, n_channels, closed, delta)
+
+
+def pipeline_theta_bar(cal: CalibrationResult) -> float:
+    """theta_bar by the pipeline: the fitted plate energy of the unit area over
+    reference_energy(1, 1, 1, cal.delta_used).  Area and Delta cancel, so its
+    deviation from cal.theta_bar is heat_fit(1)'s c0 error against -pi^2/1440,
+    criterion 8's number; ROADMAP item 14 moves both together."""
+    fitted = check_float_count(cal.n_channels, "channel count") * heat_fit(1.0)[1].c0
+    return check_normal(fitted / boxint.reference_energy(1.0, 1, 1.0, cal.delta_used),
+                        f"pipeline theta_bar({cal.alpha!r})")

@@ -29,7 +29,7 @@ from .errors import (
     ConvergenceError,
     ParameterError,
     QuadratureError,
-    check_count,
+    check_float_count,
     check_normal,
     check_positive,
 )
@@ -37,7 +37,7 @@ from .heattrace import fit_columns
 
 
 def _check_m(m: int) -> int:
-    return check_count(m, "transverse dimension m")
+    return check_float_count(m, "transverse dimension m")
 
 
 def _check_s(m: int, s: float, what: str) -> float:

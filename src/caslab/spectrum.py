@@ -304,7 +304,11 @@ def lateral_gap(l1: float, l2: float) -> float:
     """First positive lateral mode scale pi^2 / max(l1, l2)^2; ParameterError
     where it leaves the normal float range."""
     longest = max(check_positive(l1, "l1"), check_positive(l2, "l2"))
-    return check_normal((math.pi / longest) ** 2, f"lateral gap of ({l1!r}, {l2!r})")
+    try:
+        gap = (math.pi / longest) ** 2
+    except OverflowError:
+        gap = math.inf
+    return check_normal(gap, f"lateral gap of ({l1!r}, {l2!r})")
 
 
 @dataclass(frozen=True)

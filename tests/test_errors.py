@@ -106,6 +106,8 @@ def test_non_finite_grid_and_exponent_rejected(call, bad):
         lambda: riesz.momentum_integral(387, 200.0, 1.0),
         lambda: riesz.mollified_reduction(387, 200.0, 1.0, riesz.MollifierSpec(0.1)),
         lambda: riesz.momentum_integral(386, 194.0, 1.0),
+        lambda: riesz.critical_exponent(10**400),
+        lambda: riesz.reduction_constant(10**400, 1e308),
     ],
     ids=[
         "schwinger_gamma_s",
@@ -115,11 +117,14 @@ def test_non_finite_grid_and_exponent_rejected(call, bad):
         "momentum_2pi_power",
         "mollified_2pi_power",
         "momentum_underflow",
+        "critical_exponent_m",
+        "reduction_constant_m",
     ],
 )
 def test_reduction_routes_past_the_float_range_are_refused(call):
     # Gamma(s) overflows from s = 171.7, e^(shift/2) past lam^(1/2 - s) = 1e39900,
-    # (2 pi)^m from m = 387; at m = 386 the prefactor underflows to 0
+    # (2 pi)^m from m = 387; at m = 386 the prefactor underflows to 0; an m
+    # past the float range raised a bare OverflowError from 0.5 * m
     with pytest.raises(ParameterError, match="float range"):
         call()
 
@@ -136,11 +141,22 @@ def test_reduction_routes_keep_their_values_at_large_s():
         lambda: plates.per_area_trace(1e-150, 1e-250),
         lambda: plates.casimir_per_area(1e-103),
         lambda: plates.normalized_energy(1, 1e-103),
+        lambda: plates.normalized_energy(10**160, 1.0),
+        lambda: plates.casimir_per_area(1.0, 10**400),
+        lambda: plates.theta_bar(1.0, 10**400),
+        lambda: plates.theta_bar(1.0, 10**308),
+        lambda: plates.pipeline_theta_bar(plates.CalibrationResult(1.0, 10**400, 1.0, 1.0)),
     ],
-    ids=["per_area_trace_a", "per_area_trace_tau", "casimir_per_area", "normalized_energy"],
+    ids=[
+        "per_area_trace_a", "per_area_trace_tau", "casimir_per_area", "normalized_energy",
+        "normalized_energy_n", "casimir_per_area_channels", "theta_bar_channels",
+        "theta_bar_inf", "pipeline_theta_bar_channels",
+    ],
 )
 def test_plate_values_past_the_float_range_are_refused(call):
-    # (pi/a)^2, tau^-1.5 and (pi/a)^3 each overflow
+    # (pi/a)^2, tau^-1.5 and (pi/a)^3 each overflow; (n a)^2 and a channel
+    # count past the float range raised a bare OverflowError, and N pi^2 at
+    # N = 10^308 made theta_bar inf
     with pytest.raises(ParameterError, match="float range"):
         call()
 
@@ -157,11 +173,12 @@ def test_plate_values_past_the_float_range_are_refused(call):
         lambda: heattrace.mixed_cell_heat_trace(1.0, 1.0, 1.0, 1e20),
         lambda: spectrum.mixed_cell(1e-140, 1e-140, 1e-140).heat_coefficients(),
         lambda: spectrum.UNIT_CUBE.heat_trace(80.0),
+        lambda: boxint.reference_energy(1e-300, 1, 1e300, 1e-300),
     ],
     ids=[
         "casimir_per_area", "per_area_trace", "cell_overlap_energy", "interval_overlap",
         "regulated_trace", "lateral_gap", "mixed_cell_heat_trace", "heat_coefficients",
-        "axis_theta_sum",
+        "axis_theta_sum", "reference_energy",
     ],
 )
 def test_values_that_underflow_are_refused(call):
@@ -170,7 +187,8 @@ def test_values_that_underflow_are_refused(call):
     # 0.0 from a quadrature certified by its absolute tolerance alone, and 0.0
     # where I_L ~ L^2 does; the trace refused only 0, and returned 6.6e-309.
     # The gap returned 9.87e-320, the box trace and the volume term 0.0, and
-    # a Dirichlet axis sum 0.0 (the box trace then refused it as its own)
+    # a Dirichlet axis sum 0.0 (the box trace then refused it as its own),
+    # and the reference energy -0.0
     with pytest.raises(ParameterError, match="normal float range"):
         call()
 
@@ -181,12 +199,19 @@ def test_values_that_underflow_are_refused(call):
         lambda: spectrum.UNIT_CUBE.heat_trace(1e-300),
         lambda: heattrace.b_coefficient(1e160, 1e160, 1e160),
         lambda: spectrum.mixed_cell(1e300, 1e-150, 1e150).heat_coefficients(),
+        lambda: boxint.reference_energy(1e300, 1, 1e-300, 1e300),
+        lambda: boxint.reference_energy(1.0, 10**200, 1e-300, 1.0),
+        lambda: spectrum.lateral_gap(1e-300, 1e-300),
     ],
-    ids=["heat_trace", "b_coefficient", "heat_coefficients"],
+    ids=[
+        "heat_trace", "b_coefficient", "heat_coefficients",
+        "reference_energy", "reference_energy_n", "lateral_gap",
+    ],
 )
 def test_box_values_past_the_float_range_are_refused(call):
-    # these returned inf, nan (inf - inf in the t^-1 term) and a t^-1 term
-    # of inf beside a normal volume term
+    # these returned inf, nan (inf - inf in the t^-1 term), a t^-1 term of
+    # inf beside a normal volume term, and -inf; n^2 / a and (pi / l)^2
+    # raised a bare OverflowError
     with pytest.raises(ParameterError, match="normal float range|overflow"):
         call()
 
@@ -275,13 +300,12 @@ def test_upper_gamma_three_halves_edges():
     "call, name, member",
     [
         (lambda m: boxint.delta_alpha(1.0, m), "quadrature_3d", None),
-        (lambda m: plates.theta_bar(1.0, source=m), "closed_form", None),
         (lambda m: spectrum.AxisSpec(1.0, m).bc, "periodic", spectrum.Bc.PERIODIC),
         (lambda m: spectrum.AxisSpec(1.0, m).bc, "dirichlet", spectrum.Bc.DIRICHLET),
         (lambda m: specfun.theta_eval(m, 1.0, 0.5).value, "neumann", None),
         (lambda m: specfun.theta_eval(m, 1.0, 0.5).value, "periodic", None),
     ],
-    ids=["delta_alpha", "theta_bar", "AxisSpec",
+    ids=["delta_alpha", "AxisSpec",
          "AxisSpec_dirichlet", "theta_eval", "theta_eval_periodic"],
 )
 def test_method_names_are_checked(call, name, member):

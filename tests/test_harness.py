@@ -317,8 +317,8 @@ def test_stochastic_default_estimate_is_pinned(tmp_path):
 def test_calibrate_report_has_both_routes(tmp_path):
     assert run_cli(["calibrate", "--alpha", "1.0"], tmp_path, fmt="both") == 0
     report = read_report(tmp_path, "calibrate")
-    assert report["theta_bar"]["pipeline_value"] is not None
-    assert report["closed_form"]["pipeline_value"] is None
+    assert report["theta_bar"] == {"pipeline_value": 0.00731006167440348}
+    assert sorted(report["closed_form"]) == ["alpha", "delta_used", "n_channels", "theta_bar"]
     assert report["closed_form"]["theta_bar"] == pytest.approx(
         0.007282416091321873, rel=1e-9
     )
@@ -496,6 +496,7 @@ _CONTRACT_SEED = 0x735F90A6133968F257FA1E134D696D8C8A7C5C825C2EF61AA7B8C20EECB89
 @given(_run())
 @example(("boxint", {"seed": -1}, {"format": "both"}))  # boxint and verify-all take no
 @example(("verify-all", {"seed": 2**31, "format": "both"}, {}))  # parameters, so run once
+@example(("calibrate", {"n_channels": 10**400}, {}))  # past the float range
 def test_cli_input_contract(run):
     # exit 0, 1 or 2; an exit 1 names a CaslabError or fails a check; no
     # report holds NaN or Infinity; and at finite inputs only the Monte Carlo

@@ -1,6 +1,5 @@
 """Plate geometry: per-area traces, finite parts, both energy routes."""
 
-import dataclasses
 import math
 
 import mpmath
@@ -181,31 +180,38 @@ def test_stochastic_closure_on_plate_stream():
 
 
 def test_theta_bar_closed_form_frozen():
-    res = plates.theta_bar(1.0, 2, plates.ThetaSource.CLOSED_FORM)
+    res = plates.theta_bar(1.0, 2)
     assert res.theta_bar == pytest.approx(0.007282416091321873, rel=1e-10)
     assert res.delta_used == pytest.approx(1.8823126443896605, rel=1e-12)
-    assert res.pipeline_value is None
     assert res.n_channels == 2
 
 
 def test_theta_bar_channel_linearity():
-    one = plates.theta_bar(1.0, 1, plates.ThetaSource.CLOSED_FORM)
-    two = plates.theta_bar(1.0, 2, plates.ThetaSource.CLOSED_FORM)
+    one = plates.theta_bar(1.0, 1)
+    two = plates.theta_bar(1.0, 2)
     assert two.theta_bar == pytest.approx(2.0 * one.theta_bar, rel=1e-13)
 
 
 def test_theta_bar_cube_is_the_minimum():
-    cube = plates.theta_bar(1.0, 2, plates.ThetaSource.CLOSED_FORM).theta_bar
+    cube = plates.theta_bar(1.0, 2).theta_bar
     for alpha in (0.5, 0.75, 1.5, 2.0):
-        other = plates.theta_bar(alpha, 2, plates.ThetaSource.CLOSED_FORM).theta_bar
+        other = plates.theta_bar(alpha, 2).theta_bar
         assert other > cube
 
 
 def test_theta_bar_pipeline_within_tolerance():
-    res = plates.theta_bar(1.0, 2, plates.ThetaSource.PIPELINE)
-    assert res.pipeline_value is not None
-    rel = abs(res.pipeline_value - res.closed_value) / res.closed_value
-    assert rel <= plates.PIPELINE_TOLERANCE
-    payload = dataclasses.asdict(res)
-    assert payload["pipeline_value"] == res.pipeline_value
-    assert payload["tolerance"] == plates.PIPELINE_TOLERANCE
+    cal = plates.theta_bar(1.0, 2)
+    pipeline = plates.pipeline_theta_bar(cal)
+    assert pipeline == 0.00731006167440348
+    assert abs(pipeline - cal.theta_bar) / cal.theta_bar <= plates.PIPELINE_TOLERANCE
+
+
+@pytest.mark.parametrize("n_channels", [1, 2])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_pipeline_deviation_is_the_heat_fit_error(alpha, n_channels):
+    # Delta and the area factors cancel: the pipeline's relative deviation
+    # from the closed form is the plate fit's error against -pi^2/1440
+    cal = plates.theta_bar(alpha, n_channels)
+    deviation = plates.pipeline_theta_bar(cal) / cal.theta_bar - 1.0
+    fit_error = plates.heat_fit(1.0)[1].c0 / (-math.pi**2 / 1440.0) - 1.0
+    assert deviation == pytest.approx(fit_error, rel=1e-12)
