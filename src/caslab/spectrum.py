@@ -2,9 +2,12 @@
 
 Eigenvalues of the product operators on rectangular cells and torus-interval
 products are sums of per-axis one-dimensional modes.  Enumeration below a
-cutoff broadcasts the per-axis modes one axis-1 mode at a time; the discarded
-part of heat-weighted sums is controlled by an explicit per-axis envelope so
-downstream traces can report rigorous remainders.
+cutoff is one vectorized pass that counts modes against the cap per pair of
+axis-1 and axis-2 modes, then sorts every entry once on an int64 key packing
+its value's bits above its multiplicity (exact: the values are positive and
+span fewer than 44 binades); the discarded part of heat-weighted sums is
+controlled by an explicit per-axis envelope so downstream traces can report
+rigorous remainders.
 """
 
 from __future__ import annotations
@@ -198,21 +201,27 @@ class EigenStream:
 def enumerate_modes(spec: BoxSpec, cutoff: float) -> EigenStream:
     """Complete sorted enumeration of box eigenvalues below the cutoff.
 
-    The walk runs at the raised cutoff c (1 + 4e-12): each axis-1 mode v1
-    broadcasts one slice v1 + v2 + v3, kept where v3 <= (c - v1) - v2, and the
-    mode cap, checked after every slice, counts the modes of that walk.  When
-    axes 1 and 2 are equal the slice of v1 runs over v2 >= v1 only, and the
-    entry of v2 > v1 counts once for each order of the pair (v1 + v2 ==
-    v2 + v1 exactly in IEEE arithmetic).  Each entry holds its multiplicity in
-    one byte (at most 2 * 2 * 1 * 2).  After the values are sorted in place,
-    each joins the group of the first value within 1e-12 relative below it, so
-    degeneracies report a single multiplicity; the sort need not be stable,
-    since the order of exactly equal values changes neither the group heads
-    nor the integer group sums.  The stream keeps the leading groups whose
-    head is at most the cutoff.  A group's members lie within 1e-12 of its
-    head, so each group is kept or dropped whole, and every dropped mode lies
-    above the cutoff; the walk's test can round differently for the two
-    orders of a pair only within a few ulp of c, where every group is dropped.
+    One vectorized pass at the raised cutoff c (1 + 4e-12) lists the pairs
+    (v1, v2) with v2 <= (c - v1) - m3 and gives each, by one searchsorted,
+    the axis-3 modes v3 <= (c - v1) - v2; a prefix sum of their
+    multiplicities counts the modes, so the cap trips before any per-entry
+    array exists.  Equal axes 1 and 2 list only v2 >= v1 and count v2 > v1
+    once per order (v1 + v2 == v2 + v1 exactly in IEEE arithmetic).  The
+    entries (v1 + v2) + v3 are expanded with int32 indices and sorted once,
+    in place, as int64 keys (bits of the value - bits of the smallest) << 4
+    | multiplicity (at most 2 * 2 * 1 * 2).  The keys order as the values:
+    the values are positive (a Dirichlet axis is required), so they order as
+    their bit patterns, and the cap of the Dirichlet axis in modes_below
+    keeps c / lambda_min below (cap + 2)^2 < 2^42, so they span at most 43
+    binades, less than 43 * 2^52 < 2^58 apart in bits.  Each sorted value
+    joins the group of the first value within 1e-12 relative below it, so
+    degeneracies report a single multiplicity; the order of exactly equal
+    values changes neither the group heads nor the integer group sums.  The
+    stream keeps the leading groups whose head is at most the cutoff.  A
+    group's members lie within 1e-12 of its head, so each group is kept or
+    dropped whole, and every dropped mode lies above the cutoff; the pass's
+    test can round differently for the two orders of a pair only within a
+    few ulp of c, where every group is dropped.
     """
     cutoff = float(cutoff)
     if math.isnan(cutoff):
@@ -237,37 +246,41 @@ def enumerate_modes(spec: BoxSpec, cutoff: float) -> EigenStream:
     v3s, k3s = a3.modes_below(high - m1 - m2)
     fold = a1 == a2
     rests = high - v1s
-    # the slice of v1 admits the axis-2 modes v2 <= (c - v1) - m3
-    spans = np.searchsorted(v2s, rests - m3, side="right")
-    values, mults = [], []
-    count = 0
-    for i, (v1, k1, rest, span) in enumerate(
-        zip(v1s.tolist(), k1s.tolist(), rests.tolist(), spans.tolist())
-    ):
-        lo = i if fold else 0
-        if lo >= span:
-            continue
-        v2 = v2s[lo:span, None]
-        ends = np.searchsorted(v3s, rest - v2, "right")  # the row of v2 keeps v3s[:end]
-        k = np.arange(ends.max())
-        keep = k < ends
-        k12 = k1 * k2s[lo:span, None]
-        if fold:
-            k12[1:] *= 2  # v2 > v1: both orders of the pair
-        values.append(((v1 + v2) + v3s[: k.size])[keep])
-        mults.append((k12 * k3s[: k.size])[keep].astype(np.int8))
-        count += int(mults[-1].sum())
-        if count > DEFAULT_MODE_CAP:
-            raise ResourceError(f"mode count exceeded cap {DEFAULT_MODE_CAP} during walk")
+    # v1s[i] pairs with each v2s[j] <= (c - v1) - m3, and only j >= i when folded
+    lo = np.arange(v1s.size) if fold else 0
+    widths = np.maximum(np.searchsorted(v2s, rests - m3, side="right") - lo, 0)
+    i = np.repeat(np.arange(v1s.size), widths)
+    j = np.arange(i.size) - np.repeat(np.cumsum(widths) - widths - lo, widths)
+    ends = np.searchsorted(v3s, rests[i] - v2s[j], "right")  # the pair keeps v3s[:end]
+    k12 = k1s[i] * k2s[j]
+    if fold:
+        k12[j > i] *= 2  # v2 > v1: both orders of the pair
+    count = int(np.dot(k12, np.concatenate(([0], np.cumsum(k3s)))[ends]))
+    if count > DEFAULT_MODE_CAP:
+        raise ResourceError(f"mode count exceeded cap {DEFAULT_MODE_CAP} during walk")
     if count == 0:
         raise EmptySpectrumError(f"no modes at or below cutoff {cutoff}")
-    # each list is dropped once joined, before the sort allocates its index
-    found = np.concatenate(values)
-    values.clear()
-    grouped = np.concatenate(mults)
-    mults.clear()
-    grouped = grouped[np.argsort(found)]
-    found.sort()
+    v12 = v1s[i] + v2s[j]
+    del i, j
+    # the axis-3 index of each entry, counting from 0 within its pair
+    k = np.arange(ends.sum(), dtype=np.int32)
+    k -= np.repeat((np.cumsum(ends) - ends).astype(np.int32), ends)
+    grouped = np.repeat(k12.astype(np.int8), ends)
+    if a3.bc is Bc.PERIODIC:  # every other axis has multiplicity 1
+        grouped *= k3s.astype(np.int8)[k]
+    found = np.repeat(v12, ends)
+    del v12, ends, k12
+    found += v3s[k]
+    del k
+    key = found.view(np.int64)
+    low = key.min()
+    key -= low
+    key <<= 4
+    key |= grouped
+    key.sort()
+    grouped = (key & 15).astype(np.int8)
+    key >>= 4
+    key += low  # found holds the sorted values
     heads = _group_heads(found)
     kept = np.searchsorted(found[heads], cutoff, side="right")
     sums = np.add.reduceat(grouped, heads, dtype=np.int64)

@@ -206,6 +206,43 @@ def test_enumeration_matches_the_slice_walk(monkeypatch):
     assert outcomes == {True, False, ResourceError, EmptySpectrumError, "on an eigenvalue"}
 
 
+@pytest.mark.parametrize(
+    ("box", "cutoff"),
+    [
+        (plates.plate_box(6.0, 1.0), 12000.0),
+        (spectrum.mixed_cell(1.5, 1.0 / 1.5, 1.0), 5e4),
+        (spectrum.UNIT_CUBE, 2e4),
+    ],
+    ids=["plate", "mixed_cell", "cube"],
+)
+def test_enumeration_matches_the_slice_walk_at_scale(box, cutoff):
+    # 2e4 to 2e5 entries, the size of the spectral benchmark, where the int32
+    # entry indices and the packed sort key carry the most: the plate folds
+    # its equal axes and its entries carry periodic multiplicities up to 8,
+    # the mixed cell (191,129 modes of multiplicity 1) does not fold
+    want = enumerate_by_slices(box, cutoff)
+    stream = spectrum.enumerate_modes(box, cutoff)
+    assert stream.values.tobytes() == want[0].tobytes()
+    assert stream.multiplicities.tolist() == want[1].tolist()
+
+
+def test_enumeration_across_many_binades():
+    # N(1e-3) x N(1e-3) x D(1e4) at cutoff 1 is the Dirichlet tower
+    # n^2 pi^2 / L^2, n = 1 ... 3183, from 9.9e-8 to 1: its sort keys span
+    # more than 23 binades of value bits
+    box = spectrum.BoxSpec(
+        (spectrum.AxisSpec(1e-3, N), spectrum.AxisSpec(1e-3, N), spectrum.AxisSpec(1e4, D))
+    )
+    stream = spectrum.enumerate_modes(box, 1.0)
+    n = np.arange(1, 3184)
+    np.testing.assert_allclose(stream.values, (math.pi * n / 1e4) ** 2, rtol=1e-14, atol=0)
+    assert stream.multiplicities.tolist() == [1] * n.size
+    assert math.log2(stream.values[-1] / stream.values[0]) > 23
+    want = brute_enumerate(box, 1.0)
+    assert stream.values.tolist() == pytest.approx([v for v, _ in want], rel=1e-12)
+    assert stream.multiplicities.tolist() == [k for _, k in want]
+
+
 def _cube_cutoff(n1, n2, n3, form):
     """The eigenvalue (n1^2 + n2^2 + n3^2) pi^2 of the unit Dirichlet cube as
     the float sum of its axis modes: each formed as modes_below forms it, or
@@ -253,9 +290,9 @@ def test_cube_groups_are_whole_at_their_own_eigenvalues(form):
     ids=["plate", "mixed_cell"],
 )
 def test_enumeration_memory_is_bounded(box, cutoff, limit):
-    # a full slice walk held about 56 bytes per entry, 10.6 MiB for either;
-    # now an entry costs at most 26 bytes (2.5 and 4.7 MiB), and the plate
-    # walks its equal axes once, at half the entries
+    # the pass peaks at 26 bytes per entry, while the sorted values are
+    # grouped (2.5 and 4.7 MiB), and the plate lists the pairs of its equal
+    # axes once, at half the entries
     spectrum.enumerate_modes(box, cutoff)
     tracemalloc.start()
     try:
@@ -474,6 +511,22 @@ def test_resource_guard_trips_during_walk(monkeypatch):
     monkeypatch.setattr(spectrum, "DEFAULT_MODE_CAP", 1000)
     with pytest.raises(ResourceError, match="during walk"):
         spectrum.enumerate_modes(spectrum.UNIT_CUBE, 2000.0)
+
+
+def test_resource_guard_trips_before_expanding(monkeypatch):
+    # 150,731 unit-cube modes (Weyl estimate 155,858) against a cap of 10^5:
+    # the per-pair counts refuse the request before any entry is expanded,
+    # in under 0.1 MiB, where the entries up to the cap would take 0.5 MiB
+    monkeypatch.setattr(spectrum, "DEFAULT_MODE_CAP", 100_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError) as err:
+            spectrum.enumerate_modes(spectrum.UNIT_CUBE, 4.4e4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "mode count exceeded cap 100000 during walk"
+    assert peak < 256 << 10
 
 
 def test_box_requires_dirichlet_axis():
