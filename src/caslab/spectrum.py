@@ -30,6 +30,7 @@ from .errors import (
 from .specfun import Bc
 
 _MERGE_RTOL = 1e-12
+_BLOCK = 1 << 15  # entries per step of the expansion and of the group-head test
 DEFAULT_MODE_CAP = 2_000_000
 
 
@@ -207,9 +208,12 @@ def enumerate_modes(spec: BoxSpec, cutoff: float) -> EigenStream:
     multiplicities counts the modes, so the cap trips before any per-entry
     array exists.  Equal axes 1 and 2 list only v2 >= v1 and count v2 > v1
     once per order (v1 + v2 == v2 + v1 exactly in IEEE arithmetic).  The
-    entries (v1 + v2) + v3 are expanded with int32 indices and sorted once,
-    in place, as int64 keys (bits of the value - bits of the smallest) << 4
-    | multiplicity (at most 2 * 2 * 1 * 2).  The keys order as the values:
+    pairs hold 13 bytes each: int32 axis indices, an int32 axis-3 count and
+    an int8 multiplicity.  The entries (v1 + v2) + v3 are expanded whole
+    pairs at a time, about 2^15 entries a step, into one float64 value and
+    one int8 multiplicity each (9 bytes), and sorted once, in place, as
+    int64 keys (bits of the value - bits of the smallest) << 4 |
+    multiplicity (at most 2 * 2 * 1 * 2).  The keys order as the values:
     the values are positive (a Dirichlet axis is required), so they order as
     their bit patterns, and the cap of the Dirichlet axis in modes_below
     keeps c / lambda_min below (cap + 2)^2 < 2^42, so they span at most 43
@@ -221,7 +225,10 @@ def enumerate_modes(spec: BoxSpec, cutoff: float) -> EigenStream:
     group's members lie within 1e-12 of its head, so each group is kept or
     dropped whole, and every dropped mode lies above the cutoff; the pass's
     test can round differently for the two orders of a pair only within a
-    few ulp of c, where every group is dropped.
+    few ulp of c, where every group is dropped.  Beyond these, the pair stage
+    holds 16 bytes of temporaries per pair and the grouping its group heads,
+    so the pass peaks near 18 bytes per entry, or 30 where each pair holds
+    one entry.
     """
     cutoff = float(cutoff)
     if math.isnan(cutoff):
@@ -249,10 +256,16 @@ def enumerate_modes(spec: BoxSpec, cutoff: float) -> EigenStream:
     # v1s[i] pairs with each v2s[j] <= (c - v1) - m3, and only j >= i when folded
     lo = np.arange(v1s.size) if fold else 0
     widths = np.maximum(np.searchsorted(v2s, rests - m3, side="right") - lo, 0)
-    i = np.repeat(np.arange(v1s.size), widths)
-    j = np.arange(i.size) - np.repeat(np.cumsum(widths) - widths - lo, widths)
-    ends = np.searchsorted(v3s, rests[i] - v2s[j], "right")  # the pair keeps v3s[:end]
-    k12 = k1s[i] * k2s[j]
+    i = np.repeat(np.arange(v1s.size, dtype=np.int32), widths)
+    j = np.arange(i.size, dtype=np.int32)
+    j -= np.repeat((np.cumsum(widths) - widths - lo).astype(np.int32), widths)
+    room = rests[i]
+    room -= v2s[j]
+    ends = np.searchsorted(v3s, room, "right")  # the pair keeps v3s[:end]
+    del room
+    ends = ends.astype(np.int32)
+    k12 = k1s.astype(np.int8)[i]
+    k12 *= k2s.astype(np.int8)[j]
     if fold:
         k12[j > i] *= 2  # v2 > v1: both orders of the pair
     count = int(np.dot(k12, np.concatenate(([0], np.cumsum(k3s)))[ends]))
@@ -260,31 +273,38 @@ def enumerate_modes(spec: BoxSpec, cutoff: float) -> EigenStream:
         raise ResourceError(f"mode count exceeded cap {DEFAULT_MODE_CAP} during walk")
     if count == 0:
         raise EmptySpectrumError(f"no modes at or below cutoff {cutoff}")
-    v12 = v1s[i] + v2s[j]
-    del i, j
-    # the axis-3 index of each entry, counting from 0 within its pair
-    k = np.arange(ends.sum(), dtype=np.int32)
-    k -= np.repeat((np.cumsum(ends) - ends).astype(np.int32), ends)
-    grouped = np.repeat(k12.astype(np.int8), ends)
-    if a3.bc is Bc.PERIODIC:  # every other axis has multiplicity 1
-        grouped *= k3s.astype(np.int8)[k]
-    found = np.repeat(v12, ends)
-    del v12, ends, k12
-    found += v3s[k]
-    del k
+    # expand whole pairs about 2^15 entries at a time, so that only found and
+    # grouped hold one item per entry; firsts[p] is pair p's first entry
+    firsts = np.zeros(ends.size + 1, np.int32)
+    np.cumsum(ends, out=firsts[1:])
+    cuts = np.append(np.searchsorted(firsts, np.arange(0, firsts[-1], _BLOCK)), ends.size)
+    spans = firsts[cuts].tolist()
+    del firsts
+    found = np.empty(spans[-1])
+    grouped = np.empty(spans[-1], np.int8)
+    k3s = k3s.astype(np.int8)
+    for p0, p1, e0, e1 in zip(cuts.tolist(), cuts[1:].tolist(), spans, spans[1:]):
+        n = ends[p0:p1]
+        k = np.arange(e1 - e0)
+        k -= np.repeat(np.cumsum(n) - n, n)  # each entry's index in v3s
+        np.add(np.repeat(v1s[i[p0:p1]] + v2s[j[p0:p1]], n), v3s[k], out=found[e0:e1])
+        np.multiply(np.repeat(k12[p0:p1], n), k3s[k], out=grouped[e0:e1])
+    del i, j, ends, k12, n, k
     key = found.view(np.int64)
     low = key.min()
     key -= low
     key <<= 4
     key |= grouped
     key.sort()
-    grouped = (key & 15).astype(np.int8)
+    np.bitwise_and(key, 15, out=grouped)
     key >>= 4
     key += low  # found holds the sorted values
     heads = _group_heads(found)
     kept = np.searchsorted(found[heads], cutoff, side="right")
-    sums = np.add.reduceat(grouped, heads, dtype=np.int64)
-    return EigenStream(cutoff, found[heads[:kept]], sums[:kept], spec)
+    sums = np.add.reduceat(grouped, heads, dtype=np.int64)[:kept]
+    values = found[heads[:kept]]
+    del found, grouped, heads
+    return EigenStream(cutoff, values, sums, spec)
 
 
 def _group_heads(found: np.ndarray) -> np.ndarray:
@@ -299,9 +319,21 @@ def _group_heads(found: np.ndarray) -> np.ndarray:
     walk's heads exactly; otherwise a chain of small steps has drifted and
     the walk itself runs over the value changes.
     """
-    heads = np.concatenate(([0], np.flatnonzero(np.diff(found) > _MERGE_RTOL * found[1:]) + 1))
-    lasts = found[np.append(heads[1:] - 1, found.size - 1)]
-    if not np.any(lasts - found[heads] > _MERGE_RTOL * lasts):
+    parts = [np.zeros(1, np.intp)]
+    head = 0  # the open group's head
+    drifted = False
+    for start in range(1, found.size, _BLOCK):  # no temporary the size of found
+        block = found[start : start + _BLOCK]
+        rise = block - found[start - 1 : start - 1 + block.size]
+        new = np.flatnonzero(rise > _MERGE_RTOL * block) + start
+        if new.size:  # the groups that close here end just before each new head
+            lasts = found[new - 1]
+            opened = found[np.append(head, new[:-1])]
+            drifted |= bool(np.any(lasts - opened > _MERGE_RTOL * lasts))
+            head = new[-1]
+        parts.append(new)
+    heads = np.concatenate(parts)
+    if not (drifted or found[-1] - found[head] > _MERGE_RTOL * found[-1]):
         return heads
     walk = [0]
     head = float(found[0])

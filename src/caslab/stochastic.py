@@ -4,11 +4,13 @@ A regulated real Gaussian source (units with hbar c = 1) has independent mode
 components sigma_j = sqrt(1 / g) lambda_j^{3/4} e^{-tau lambda_j / 2} xi_j,
 and the quadratic energy U = (g/2) sum sigma_j^2 / lambda_j collapses to
 (1/2) sum lambda_j^{1/2} e^{-tau lambda_j} xi_j^2, so its expectation is the
-regulated half trace.  Monte Carlo estimation draws in batches of at most
-512 KiB, each from its own SFC64 stream keyed by the seed and the batch index,
-runs them on two threads and merges them in batch order with numpy's own
-reductions, so results are bit-identical for a fixed seed however the batches
-are scheduled and at any BLAS thread count.
+regulated half trace.  Monte Carlo estimation draws only the distinct
+eigenvalues a float result can see: the shortest ascending prefix past which
+the rest of the spectrum holds at most 2^-53 of E[U].  It draws in batches of
+at most 512 KiB, each from its own SFC64 stream keyed by the seed and the
+batch index, runs them on two threads and merges them in batch order with
+numpy's own reductions, so results are bit-identical for a fixed seed however
+the batches are scheduled and at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -21,11 +23,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ResourceError, check_count, check_positive
+from .errors import ResourceError, check_count, check_normal, check_positive
 from .spectrum import EigenStream
 
 _BATCH_DRAWS = 1 << 16  # draws per batch, 512 KiB; the partition fixes the streams
-_DRAW_BUDGET = 1 << 28  # draws one run may ask for; 3.5 s of chi^2 on a 2-vCPU Xeon
+# draws one run may ask for, samples times drawn values; about 4.5 s of chi^2
+# on a 2-vCPU Xeon, with 55 or 147 drawn values alike
+_DRAW_BUDGET = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -156,13 +160,28 @@ def mc_estimate(spec: SourceSpec, n: int, seed: int) -> MCEstimate:
 
     U depends on the modes only through the sum of xi^2 over each group of k
     equal eigenvalues, so one variable per distinct eigenvalue is drawn from
-    its exact law, chi^2_k = 2 Gamma(k/2).  The values of one multiplicity k
-    share one draw call with the scalar shape k/2, which numpy samples faster
-    than a call with one shape per value; k = 1 draws squared normals instead,
-    which numpy samples about four times faster than Gamma(1/2).
+    its exact law, chi^2_k = 2 Gamma(k/2).  Only the values a float result
+    can see are drawn.  Each distinct value contributes k w to E[U], with
+    w = lambda^{1/2} e^{-tau lambda} / 2; the suffix sums of k w over the
+    ascending values are formed from the top, so the small terms add first,
+    and the draws stop at the shortest prefix whose dropped suffix holds at
+    most 2^-53 E[U].  So the estimate does not depend on the cutoff once the
+    cutoff lies past that prefix, and the draw budget and the batch size
+    count drawn values only.  E[U] must be a normal float: where every
+    weight underflows, ParameterError is raised, not 0 +- 0 returned.  The
+    values of one multiplicity k share one draw call with the scalar shape
+    k/2, which numpy samples faster than a call with one shape per value;
+    k = 1 draws squared normals instead, which numpy samples about four times
+    faster than Gamma(1/2).
     """
     lam, mult = spec.stream.values, spec.stream.multiplicities
     weight = 0.5 * np.sqrt(lam) * np.exp(-spec.tau * lam)
+    # shares[m] holds the top m + 1 values' share of E[U], the small terms
+    # added first; keep the shortest prefix whose dropped share is <= 2^-53 E[U]
+    shares = np.cumsum((mult * weight)[::-1])
+    total = check_normal(float(shares[-1]), f"E[U] at tau={spec.tau!r}")
+    kept = lam.size - int(np.searchsorted(shares, math.ldexp(total, -53), "right"))
+    lam, mult, weight = lam[:kept], mult[:kept], weight[:kept]
     # sigma_j^2/lambda_j carries (1/g) lambda^{1/2} e^{-tau lambda}; the g/2
     # prefactor restores the weight above exactly as in sample_U.  One class
     # per multiplicity present, ascending (np.unique would import numpy.ma);

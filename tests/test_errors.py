@@ -16,6 +16,7 @@ from caslab.errors import CaslabError, CheckReport, ParameterError, ResourceErro
 
 _AXIS = spectrum.AxisSpec(1.0, spectrum.Bc.DIRICHLET)
 _STREAM = spectrum.enumerate_modes(spectrum.BoxSpec((_AXIS, _AXIS, _AXIS)), 60.0)
+_CUBE_200 = spectrum.enumerate_modes(spectrum.UNIT_CUBE, 200.0)
 _PLATE_SAMPLES = [plates.per_area_trace(1.0, float(t)) for t in plates.default_tau_grid(1.0)]
 
 _POSITIVE_REAL_CALLS = {
@@ -174,11 +175,13 @@ def test_plate_values_past_the_float_range_are_refused(call):
         lambda: spectrum.mixed_cell(1e-140, 1e-140, 1e-140).heat_coefficients(),
         lambda: spectrum.UNIT_CUBE.heat_trace(80.0),
         lambda: boxint.reference_energy(1e-300, 1, 1e300, 1e-300),
+        lambda: stochastic.mc_estimate(stochastic.SourceSpec(_CUBE_200, 30.0), 10, 0),
+        lambda: stochastic.mc_estimate(stochastic.SourceSpec(_CUBE_200, 1e3), 10, 0),
     ],
     ids=[
         "casimir_per_area", "per_area_trace", "cell_overlap_energy", "interval_overlap",
         "regulated_trace", "lateral_gap", "mixed_cell_heat_trace", "heat_coefficients",
-        "axis_theta_sum", "reference_energy",
+        "axis_theta_sum", "reference_energy", "mc_estimate_tau_30", "mc_estimate_tau_1e3",
     ],
 )
 def test_values_that_underflow_are_refused(call):
@@ -188,7 +191,8 @@ def test_values_that_underflow_are_refused(call):
     # where I_L ~ L^2 does; the trace refused only 0, and returned 6.6e-309.
     # The gap returned 9.87e-320, the box trace and the volume term 0.0, and
     # a Dirichlet axis sum 0.0 (the box trace then refused it as its own),
-    # and the reference energy -0.0
+    # the reference energy -0.0, and the Monte Carlo estimate 0 +- 0 where
+    # every weight underflows
     with pytest.raises(ParameterError, match="normal float range"):
         call()
 

@@ -226,7 +226,6 @@ def test_module_failure_exits_one_with_report(tmp_path):
         ["stochastic", "--cutoff", "1e300"],
         ["stochastic", "--tau", "1e20"],
         ["stochastic", "--n-samples", "1000000000"],
-        ["stochastic", "--cutoff", "1e5"],
         ["reduce", "--lam", "6.4488891409067575e+122"],
         ["heat-trace", "--a", "3.0926043824556695e+102", "--alpha", "1.032032637714062e+158"],
         ["heat-trace", "--a", "1.8434033198152695e+162", "--alpha", "1.0476373009526369e-129"],
@@ -237,9 +236,9 @@ def test_module_failure_exits_one_with_report(tmp_path):
 def test_out_of_range_parameter_fails_with_report(tmp_path, capsys, argv):
     # each used to escape run() as a bare ZeroDivisionError, OverflowError or
     # numpy ValueError; spectrum --alpha 1e-8 asked for about 2.4 GB first.
-    # The two stochastic runs ask for 9e9 and 8.4e8 draws, which ran for 196 s
-    # and 19 s before the draw budget; reduce at that lam has subnormal closed
-    # forms, which failed two checks with no failure report.  The first
+    # The stochastic run asks for 3e9 draws (10^9 samples of 3 drawn values);
+    # 9e9 draws ran for 196 s before the draw budget.  Reduce at that lam has
+    # subnormal closed forms, which failed two checks with no failure report.  The first
     # heat-trace cell overflowed a theta prefactor and its series never ended;
     # the other two overflowed the fits' volume term and wrote NaN
     assert run_cli(argv, tmp_path) == 1
@@ -304,14 +303,25 @@ def test_stochastic_report(tmp_path):
 def test_stochastic_default_estimate_is_pinned(tmp_path):
     # tau 0.5, cutoff 200, 100k draws, seed 42: pins the per-batch SFC64
     # streams, the batch order and the variance merge of the default run;
-    # 0.99 standard errors below the trace
+    # 0.31 standard errors below the trace
     assert run_cli(["stochastic"], tmp_path) == 0
     assert read_report(tmp_path, "stochastic")["estimate"] == {
-        "mean": 1.0075826075931033e-06,
-        "stderr": 4.518523815294336e-09,
+        "mean": 1.0106571154941998e-06,
+        "stderr": 4.5125584833889795e-09,
         "n": 100_000,
         "seed": 42,
     }
+
+
+def test_stochastic_estimate_does_not_depend_on_a_high_cutoff(tmp_path):
+    # cutoff 1e5 enumerates 522,151 modes, and the estimate draws the same 3
+    # values as at cutoff 200; before the draws were cut to the values E[U]
+    # can see, it asked for 8.4e8 draws and failed the draw budget
+    estimates = []
+    for cutoff in ("200", "1e5"):
+        assert run_cli(["stochastic", "--cutoff", cutoff], tmp_path) == 0
+        estimates.append(read_report(tmp_path, "stochastic")["estimate"])
+    assert estimates[0] == estimates[1]
 
 
 def test_calibrate_report_has_both_routes(tmp_path):

@@ -217,7 +217,7 @@ def test_enumeration_matches_the_slice_walk(monkeypatch):
 )
 def test_enumeration_matches_the_slice_walk_at_scale(box, cutoff):
     # 2e4 to 2e5 entries, the size of the spectral benchmark, where the int32
-    # entry indices and the packed sort key carry the most: the plate folds
+    # pair indices, the chunked expansion and the packed sort key carry the most: the plate folds
     # its equal axes and its entries carry periodic multiplicities up to 8,
     # the mixed cell (191,129 modes of multiplicity 1) does not fold
     want = enumerate_by_slices(box, cutoff)
@@ -286,13 +286,17 @@ def test_cube_groups_are_whole_at_their_own_eigenvalues(form):
     [
         (plates.plate_box(6.0, 1.0), 12000.0, 4 << 20),
         (spectrum.mixed_cell(1.5, 1.0 / 1.5, 1.0), 5e4, 6 << 20),
+        (spectrum.mixed_cell(40.0, 40.0, 0.1), 3000.0, int(4.03 * (1 << 20))),
     ],
-    ids=["plate", "mixed_cell"],
+    ids=["plate", "mixed_cell", "one_mode_per_pair"],
 )
 def test_enumeration_memory_is_bounded(box, cutoff, limit):
-    # the pass peaks at 26 bytes per entry, while the sorted values are
-    # grouped (2.5 and 4.7 MiB), and the plate lists the pairs of its equal
-    # axes once, at half the entries
+    # the pass peaks near 18 bytes per entry, while the sorted values are
+    # grouped (1.7 and 3.6 MiB), and the plate lists the pairs of its equal
+    # axes once, at half the entries.  The thin cell has one axis-3 mode per
+    # pair, 128,644 pairs and entries for 256,884 modes: 48 bytes per pair
+    # held 5.92 MiB at the pair stage, and 13 bytes per pair with chunked
+    # expansion hold 3.73 MiB
     spectrum.enumerate_modes(box, cutoff)
     tracemalloc.start()
     try:

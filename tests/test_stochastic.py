@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from caslab import heattrace, plates, spectrum, stochastic
+from caslab import acceptance, heattrace, plates, spectrum, stochastic
 from caslab.errors import ParameterError, ResourceError
 
 D = spectrum.Bc.DIRICHLET
@@ -91,12 +91,13 @@ def test_mc_bit_reproducible(cube_stream):
 
 
 def test_mc_frozen_across_batches(cube_stream):
-    # 140001 rows of 9 draws span twenty batches of at most 7281 rows, ten on
-    # each thread; these values pin the batch keys, the batch partition and
-    # the merge order.  They lie 1.82 standard errors below the trace
+    # 140001 rows of the 3 drawn values span seven batches of at most 21845
+    # rows, four on the caller's thread and three on the helper; these values
+    # pin the batch keys, the batch partition and the merge order.  They lie
+    # 0.47 standard errors above the trace
     spec = stochastic.SourceSpec(stream=cube_stream, tau=0.5)
     est = stochastic.mc_estimate(spec, n=140_001, seed=42)
-    assert (est.mean, est.stderr) == (1.005143604808762e-06, 3.810276588471723e-09)
+    assert (est.mean, est.stderr) == (1.0138712920338627e-06, 3.826677221713858e-09)
 
 
 def _merged(sample, n, seed, batch_rows):
@@ -128,18 +129,68 @@ def test_threads_give_the_one_thread_estimate(n, draws_per_row):
     assert (est.mean, est.stderr) == want
 
 
+def _sampler(monkeypatch, spec):
+    """The (sample, draws_per_row) that mc_estimate hands to monte_carlo."""
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            stochastic, "monte_carlo",
+            lambda sample, n, seed, draws_per_row: calls.append((sample, draws_per_row)),
+        )
+        stochastic.mc_estimate(spec, n=2, seed=0)
+    return calls[0]
+
+
 def test_mc_estimate_is_its_one_thread_merge(monkeypatch):
-    # twelve batches of 445 rows of 147 chi^2 classes, each a BLAS product
+    # five batches of 1191 rows of the 55 drawn values (of 147), each class
+    # a BLAS product
     axis = spectrum.AxisSpec(1.0, D)
     stream = spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), 2000.0)
     spec = stochastic.SourceSpec(stream=stream, tau=0.05)
     est = stochastic.mc_estimate(spec, n=5000, seed=3)
-    samplers = []
-    monkeypatch.setattr(
-        stochastic, "monte_carlo", lambda sample, *args, **kw: samplers.append(sample)
-    )
-    stochastic.mc_estimate(spec, n=5000, seed=3)
-    assert (est.mean, est.stderr) == _merged(samplers[0], 5000, 3, (1 << 16) // 147)
+    sample, width = _sampler(monkeypatch, spec)
+    assert width == 55
+    assert (est.mean, est.stderr) == _merged(sample, 5000, 3, (1 << 16) // 55)
+
+
+@pytest.mark.parametrize(
+    ("cutoff", "tau", "drawn"),
+    [
+        (600.0, 0.1, 24),  # the three cubes of the spectral benchmark
+        (900.0, 0.07, 37),
+        (1200.0, 0.05, 55),
+        (acceptance.CUBE_CUTOFF, 0.5, 3),  # criterion 4's two spectra
+        (acceptance.TEN_MODE_CUTOFF, 0.5, 3),
+    ],
+    ids=["cube-600", "cube-900", "cube-1200", "criterion-4-cube", "criterion-4-ten-modes"],
+)
+def test_dropped_share_is_below_the_last_bit(monkeypatch, cutoff, tau, drawn):
+    # the values past the drawn prefix hold at most 2^-53 of E[U], and one
+    # value fewer would drop more; both sums are exact (math.fsum)
+    stream = spectrum.enumerate_modes(spectrum.UNIT_CUBE, cutoff)
+    _, width = _sampler(monkeypatch, stochastic.SourceSpec(stream=stream, tau=tau))
+    lam = stream.values
+    shares = (stream.multiplicities * 0.5 * np.sqrt(lam) * np.exp(-tau * lam)).tolist()
+    bound = math.ldexp(math.fsum(shares), -53)
+    assert width == drawn
+    assert math.fsum(shares[width:]) <= bound < math.fsum(shares[width - 1:])
+
+
+@pytest.mark.parametrize(("tau", "cutoffs"), [(0.05, (1200.0, 2400.0)), (0.5, (200.0, 1e5))])
+def test_estimate_does_not_depend_on_the_cutoff(tau, cutoffs):
+    # past the drawn prefix a higher cutoff adds values, not draws
+    estimates = {
+        (est.mean, est.stderr)
+        for est in (
+            stochastic.mc_estimate(
+                stochastic.SourceSpec(spectrum.enumerate_modes(spectrum.UNIT_CUBE, c), tau),
+                n=20_000,
+                seed=9,
+            )
+            for c in cutoffs
+        )
+    }
+    assert len(estimates) == 1
 
 
 class _OddBatchFailed(Exception):
@@ -249,9 +300,9 @@ def test_samplers_match_exact_mean_and_variance(box):
 
 
 def test_mc_batch_memory_is_bounded():
-    # 1277 modes in 147 distinct values: 65536 rows would hold 67 MB of
-    # draws at once; batches of 445 rows bound each thread's draws to 512 KiB.
-    # The estimate lies 0.31 standard errors above the trace
+    # 1277 modes in 147 distinct values, 55 of them drawn: 65536 rows would
+    # hold 29 MB of draws at once; batches of 1191 rows bound each thread's
+    # draws to 512 KiB.  The estimate lies 1.46 standard errors below the trace
     axis = spectrum.AxisSpec(1.0, D)
     stream = spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), 2000.0)
     assert (stream.mode_count, stream.values.size) == (1277, 147)
@@ -263,7 +314,7 @@ def test_mc_batch_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
-    assert (est.mean, est.stderr) == (1.5134845213816013, 0.002269689071614576)
+    assert (est.mean, est.stderr) == (1.509480524168498, 0.002265927684362084)
 
 
 def test_one_batch_per_thread_is_alive_at_a_time():
@@ -291,12 +342,15 @@ def test_one_batch_per_thread_is_alive_at_a_time():
 
 
 def test_sampler_draws_one_product_per_class(monkeypatch):
-    # 1651 distinct values in 41 multiplicity classes of 1 to 195 values; the
-    # sampler draws each class as one (rows x n_k) matrix, in ascending k
+    # 1634 drawn values of 1651 in 41 multiplicity classes of 1 to 195
+    # values; the sampler draws each class as one (rows x n_k) matrix, in
+    # ascending k
     axis = spectrum.AxisSpec(1.0, D)
     stream = spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), 2e4)
     tau = 0.002
-    lam, mult = stream.values, stream.multiplicities
+    sample, width = _sampler(monkeypatch, stochastic.SourceSpec(stream=stream, tau=tau))
+    assert (width, stream.values.size) == (1634, 1651)
+    lam, mult = stream.values[:width], stream.multiplicities[:width]
     weight = 0.5 * np.sqrt(lam) * np.exp(-tau * lam)
 
     def whole_batch(rng, rows):
@@ -311,14 +365,9 @@ def test_sampler_draws_one_product_per_class(monkeypatch):
                 vals += rng.standard_gamma(0.5 * k, (rows, w.size)) @ (w * 2.0)
         return vals
 
-    samplers = []
-    monkeypatch.setattr(
-        stochastic, "monte_carlo", lambda sample, *args, **kw: samplers.append(sample)
-    )
-    stochastic.mc_estimate(stochastic.SourceSpec(stream=stream, tau=tau), n=2, seed=0)
-    for rows in (1, 39, 200):  # 39 rows are 2^16 // 1651, the batch of this spectrum
+    for rows in (1, 40, 200):  # 40 rows are 2^16 // 1634, the batch of this spectrum
         rng_a, rng_b = (np.random.Generator(np.random.SFC64(7)) for _ in range(2))
-        assert np.array_equal(samplers[0](rng_a, rows), whole_batch(rng_b, rows))
+        assert np.array_equal(sample(rng_a, rows), whole_batch(rng_b, rows))
         assert rng_a.random() == rng_b.random()  # the same draws were used up
 
 
