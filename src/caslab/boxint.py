@@ -408,8 +408,7 @@ def reference_energy(q_strength: float, n: int, a: float, delta: float) -> float
     a = check_positive(a, "a")
     delta = check_positive(delta, "delta")
     check_count(n, "cell count n")
-    try:
-        energy = -(n * n / a) * q_strength * delta
-    except OverflowError:
-        energy = -math.inf
-    return check_normal(energy, f"reference energy at Q={q_strength!r}, a={a!r}, delta={delta!r}")
+    return check_normal(
+        lambda: -(n * n / a) * q_strength * delta,
+        f"reference energy at Q={q_strength!r}, a={a!r}, delta={delta!r}",
+    )

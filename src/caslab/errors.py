@@ -6,15 +6,17 @@ numbers that tripped it; the types hold no other state.  check_count is
 the one validator for integer counts (sample sizes, seeds, channels, cells),
 check_float_count for counts that enter float arithmetic, check_choice for
 method and boundary-condition names, check_positive for lengths, times and
-spectral values, and check_normal for computed results.  CheckReport is the
-one record of a measured check: the acceptance battery, the command-line
-reports and the boxint scans all build theirs from it.
+spectral values, and check_normal for computed results: given the
+computation itself, it is the one place where an overflow becomes a
+refusal.  CheckReport is the one record of a measured check: the acceptance
+battery, the command-line reports and the boxint scans all build theirs from it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 # the error types, which the package root re-exports
@@ -113,8 +115,14 @@ def check_positive(value, what: str) -> float:
     return float(value)
 
 
-def check_normal(value: float, what: str) -> float:
-    """Return value if it is a normal float of either sign; ParameterError otherwise."""
+def check_normal(value: float | Callable[[], float], what: str) -> float:
+    """Return value, or what value() computes with an OverflowError taken as
+    inf, if it is a normal float of either sign; ParameterError otherwise."""
+    if callable(value):
+        try:
+            value = value()
+        except OverflowError:
+            value = math.inf
     if not sys.float_info.min <= abs(value) < math.inf:
         raise ParameterError(f"{what} = {value!r} leaves the normal float range")
     return value

@@ -102,8 +102,8 @@ def short_time_coefficients(l1: float, l2: float, a: float) -> dict[str, float]:
     t = short_time_grid(min(l1, l2, a))
     cell = mixed_cell(l1, l2, a)
     closed = cell.heat_coefficients()
-    if not 2.0 * closed["t^-3/2"] * float(t[0]) ** -1.5 < math.inf:
-        raise ParameterError(f"volume term of the cell ({l1!r}, {l2!r}, {a!r}) overflows")
+    check_normal(lambda: 2.0 * closed["t^-3/2"] * float(t[0]) ** -1.5,
+                 f"twice the volume term of the cell ({l1!r}, {l2!r}, {a!r})")
     k = np.array([cell.heat_trace(ti) for ti in t])
     coef, _, _ = fit_columns(t, k, [(-1.5, 0), (-1.0, 0), (-0.5, 0)])
     return dict(zip(closed, map(float, coef)))

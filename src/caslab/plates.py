@@ -127,22 +127,19 @@ def casimir_per_area(a: float, n_channels: int = 1) -> float:
     check_float_count(n_channels, "channel count")
     ratio = specfun.gamma(-1.5) / specfun.gamma(-0.5)
     zeta = float(specfun.zeta_negative_odd(3))
-    try:
-        cube = (math.pi / a) ** 3
-    except OverflowError:
-        raise ParameterError(f"plate energy at a={a!r}: (pi/a)^3 leaves the float range") from None
-    value = n_channels * (1.0 / (8.0 * math.pi)) * ratio * cube * zeta
-    return check_normal(value, f"plate energy at a={a!r}")
+    return check_normal(
+        lambda: n_channels * (1.0 / (8.0 * math.pi)) * ratio * (math.pi / a) ** 3 * zeta,
+        f"plate energy at a={a!r}",
+    )
 
 
 def normalized_energy(n: int, a: float, n_channels: int = 1) -> float:
     """Plate energy of the normalization area A = n^2 a^2: -(n^2/a) N pi^2/1440."""
     check_count(n, "cell count n")  # casimir_per_area checks a and n_channels
-    try:
-        energy = casimir_per_area(a, n_channels) * (n * a) ** 2
-    except OverflowError:
-        energy = -math.inf
-    return check_normal(energy, f"plate energy of the normalization area at a={a!r}")
+    return check_normal(
+        lambda: casimir_per_area(a, n_channels) * (n * a) ** 2,
+        f"plate energy of the normalization area at a={a!r}",
+    )
 
 
 @dataclass(frozen=True)

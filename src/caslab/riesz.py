@@ -203,12 +203,10 @@ def _radial_integral(m: int, s: float, lam: float, damp_eps: float = 0.0) -> flo
 def _radial_route(m: int, s: float, lam: float, damp_eps: float, what: str) -> float:
     """sphere_area(m) / (2 pi)^m times _radial_integral; ParameterError
     unless the product is a normal float."""
-    where = f"{what} at m={m}, s={s}, lam={lam!r}"
-    try:
-        value = sphere_area(m) / (2.0 * math.pi) ** m * _radial_integral(m, s, lam, damp_eps)
-    except OverflowError:
-        raise ParameterError(f"{where} leaves the float range") from None
-    return check_normal(value, where)
+    return check_normal(
+        lambda: sphere_area(m) / (2.0 * math.pi) ** m * _radial_integral(m, s, lam, damp_eps),
+        f"{what} at m={m}, s={s}, lam={lam!r}",
+    )
 
 
 def momentum_integral(m: int, s: float, lam: float) -> float:
@@ -239,12 +237,11 @@ def schwinger_integral(m: int, s: float, lam: float) -> float:
         # t = u / lam puts the nodes on the integrand's own scale
         return np.exp(a * (np.log(u) - math.log(lam)) - u) / lam
 
-    where = f"schwinger integral at m={m}, s={s}, lam={lam!r}"
-    try:
-        pref = (4.0 * math.pi) ** (-0.5 * m) / specfun.gamma(s)
-    except OverflowError:
-        raise ParameterError(f"{where}: Gamma(s) leaves the float range") from None
-    return check_normal(pref * quad_checked(f, 0.0, math.inf, epsabs=0.0), where)
+    return check_normal(
+        lambda: (4.0 * math.pi) ** (-0.5 * m) / specfun.gamma(s)
+        * quad_checked(f, 0.0, math.inf, epsabs=0.0),
+        f"schwinger integral at m={m}, s={s}, lam={lam!r}",
+    )
 
 
 def mollified_reduction(

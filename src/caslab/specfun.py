@@ -130,9 +130,9 @@ def _theta_dual(bc: Bc, length: float, t: float) -> ThetaEval:
     # Modular image: sum_{m in Z} exp(-pi^2 m^2 t / L^2)
     #              = (L / sqrt(pi t)) sum_{k in Z} exp(-L^2 k^2 / t),
     # then Neumann = (S+1)/2 and Dirichlet = (S-1)/2.
-    pref = length / math.sqrt(math.pi * t)
-    if pref == math.inf:
-        raise ParameterError(f"theta prefactor L/sqrt(pi t) at L={length!r}, t={t!r} overflows")
+    pref = check_normal(
+        length / math.sqrt(math.pi * t), f"theta prefactor L/sqrt(pi t) at L={length!r}, t={t!r}"
+    )
     return _gauss_series(length * length / t, 1.0, 2.0, 0.5 * pref, HEAT_OFFSET[bc])
 
 

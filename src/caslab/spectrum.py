@@ -226,9 +226,9 @@ def enumerate_modes(spec: BoxSpec, cutoff: float) -> EigenStream:
     dropped whole, and every dropped mode lies above the cutoff; the pass's
     test can round differently for the two orders of a pair only within a
     few ulp of c, where every group is dropped.  Beyond these, the pair stage
-    holds 16 bytes of temporaries per pair and the grouping its group heads,
-    so the pass peaks near 18 bytes per entry, or 30 where each pair holds
-    one entry.
+    holds 16 bytes of temporaries per pair and the grouping its group heads
+    and an int32 copy to sum (a group's sum is at most the capped mode count),
+    so the pass peaks near 14 bytes per entry, or 30 where each pair holds one.
     """
     cutoff = float(cutoff)
     if math.isnan(cutoff):
@@ -301,7 +301,7 @@ def enumerate_modes(spec: BoxSpec, cutoff: float) -> EigenStream:
     key += low  # found holds the sorted values
     heads = _group_heads(found)
     kept = np.searchsorted(found[heads], cutoff, side="right")
-    sums = np.add.reduceat(grouped, heads, dtype=np.int64)[:kept]
+    sums = np.add.reduceat(grouped, heads, dtype=np.int32)[:kept].astype(np.int64)
     values = found[heads[:kept]]
     del found, grouped, heads
     return EigenStream(cutoff, values, sums, spec)
@@ -349,11 +349,7 @@ def lateral_gap(l1: float, l2: float) -> float:
     """First positive lateral mode scale pi^2 / max(l1, l2)^2; ParameterError
     where it leaves the normal float range."""
     longest = max(check_positive(l1, "l1"), check_positive(l2, "l2"))
-    try:
-        gap = (math.pi / longest) ** 2
-    except OverflowError:
-        gap = math.inf
-    return check_normal(gap, f"lateral gap of ({l1!r}, {l2!r})")
+    return check_normal(lambda: (math.pi / longest) ** 2, f"lateral gap of ({l1!r}, {l2!r})")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """The shared validators at every call site: positive reals, enum names,
 and the non-finite inputs that used to slip past ad-hoc checks."""
 
+import ast
 import dataclasses
 import math
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -44,7 +46,9 @@ _POSITIVE_REAL_CALLS = {
 }
 
 
-@pytest.mark.parametrize("bad", [math.inf, math.nan, True], ids=["inf", "nan", "bool"])
+@pytest.mark.parametrize(
+    "bad", [math.inf, math.nan, True, "1.0"], ids=["inf", "nan", "bool", "str"]
+)
 @pytest.mark.parametrize(
     "call", list(_POSITIVE_REAL_CALLS.values()), ids=list(_POSITIVE_REAL_CALLS)
 )
@@ -206,16 +210,18 @@ def test_values_that_underflow_are_refused(call):
         lambda: boxint.reference_energy(1e300, 1, 1e-300, 1e300),
         lambda: boxint.reference_energy(1.0, 10**200, 1e-300, 1.0),
         lambda: spectrum.lateral_gap(1e-300, 1e-300),
+        lambda: heattrace.short_time_coefficients(1e-60, 1e120, 1e100),
     ],
     ids=[
         "heat_trace", "b_coefficient", "heat_coefficients",
-        "reference_energy", "reference_energy_n", "lateral_gap",
+        "reference_energy", "reference_energy_n", "lateral_gap", "short_time_volume_term",
     ],
 )
 def test_box_values_past_the_float_range_are_refused(call):
     # these returned inf, nan (inf - inf in the t^-1 term), a t^-1 term of
     # inf beside a normal volume term, and -inf; n^2 / a and (pi / l)^2
-    # raised a bare OverflowError
+    # raised a bare OverflowError; the short-time fit's volume term is normal
+    # at the cell but twice it at the window's smallest t is not
     with pytest.raises(ParameterError, match="normal float range|overflow"):
         call()
 
@@ -228,12 +234,38 @@ def test_exact_zero_heat_coefficients_are_kept():
     assert (coeffs["t^-1/2"], coeffs["1"]) == (0.0, 0.0)
 
 
+def test_only_check_normal_turns_an_overflow_into_a_refusal():
+    # the other handlers compute an lgamma fallback, raise QuadratureError,
+    # or (per_area_trace) share one block with the term-cap test; a result
+    # past the float range reaches check_normal as the computation itself
+    holders = set()
+    for path in Path(errors.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(handler, ast.ExceptHandler)
+                and handler.type is not None
+                and any(getattr(n, "id", None) == "OverflowError" for n in ast.walk(handler.type))
+                for handler in ast.walk(fn)
+            ):
+                holders.add(f"{path.stem}.{fn.name}")
+    assert holders == {
+        "errors.check_normal", "riesz.reduction_constant", "riesz.sphere_area",
+        "riesz._checked_sum", "plates.per_area_trace",
+    }
+
+
 def test_check_normal_takes_either_sign_and_refuses_the_rest():
     for value in (1.0, -2.5e-308, sys.float_info.max, -sys.float_info.min):
         assert check_normal(value, "x") == value
     for value in (0.0, -0.0, 5e-324, -1e-310, math.inf, -math.inf, math.nan):
         with pytest.raises(ParameterError, match="x = .* leaves the normal float range"):
             check_normal(value, "x")
+    # or the computation, whose OverflowError (a float power, an int too
+    # large for a float) counts as inf
+    assert check_normal(lambda: -(2.0**-1022), "x") == -(2.0**-1022)
+    for compute in (lambda: 10.0**400, lambda: 10**400 * 1.0, lambda: 2.0**-1074):
+        with pytest.raises(ParameterError, match="x = .* leaves the normal float range"):
+            check_normal(compute, "x")
 
 
 @pytest.mark.parametrize("bc", list(specfun.Bc), ids=[bc.value for bc in specfun.Bc])
@@ -261,6 +293,22 @@ def test_finite_part_rejects_non_finite_samples(field, bad):
     samples[3] = dataclasses.replace(samples[3], **{field: bad})
     with pytest.raises(ParameterError):
         heattrace.finite_part(samples, (2.0, 1.5))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: specfun.gamma(math.nan), "nan"),
+        (lambda: riesz.quad_checked(math.exp, 1.0, 0.0, epsabs=1e-10), "finite a < b"),
+        (lambda: riesz.mollified_reduction(3, 2.5, 1.0, 0.1), "MollifierSpec"),
+        (lambda: spectrum.BoxSpec((_AXIS, _AXIS)), "three axes"),
+        (lambda: boxint.cell_overlap_energy((1.0, 1.0)), "three side lengths"),
+    ],
+    ids=["gamma_nan", "quad_checked_bounds", "mollifier", "BoxSpec_axes", "cell_sides"],
+)
+def test_malformed_arguments_are_refused(call, match):
+    with pytest.raises(ParameterError, match=match):
+        call()
 
 
 def test_enumerate_modes_rejects_nan_cutoff():

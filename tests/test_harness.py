@@ -126,6 +126,13 @@ def test_malformed_config_is_a_config_error(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text("{not json")
     assert harness.main(["reduce", "--config", str(cfg)]) == 2
+    cfg.write_text("[1, 2]")  # JSON, but not an object
+    assert harness.main(["reduce", "--config", str(cfg)]) == 2
+
+
+def test_run_refuses_an_unknown_command(tmp_path):
+    with pytest.raises(caslab.ConfigError, match="unknown command 'bogus'"):
+        harness.run(harness.RunConfig("bogus", {}, 0, tmp_path, "json"))
 
 
 def test_bad_seed_type_is_a_config_error(tmp_path):
@@ -485,7 +492,9 @@ def _run(draw):
         if key == "format":
             value = draw(st.sampled_from(["json", "both"]))
         elif isinstance(default, int):
-            value = draw(st.integers(-1, 2**31))
+            # 2^20 samples bound a Monte Carlo run's time; the example past the
+            # draw budget below keeps its refusal in the contract
+            value = draw(st.integers(-1, 2**20 if key == "n_samples" else 2**31))
         else:
             value = draw(_float_flag())
         where = draw(st.sampled_from([None, flags, config]))
@@ -507,6 +516,7 @@ _CONTRACT_SEED = 0x735F90A6133968F257FA1E134D696D8C8A7C5C825C2EF61AA7B8C20EECB89
 @example(("boxint", {"seed": -1}, {"format": "both"}))  # boxint and verify-all take no
 @example(("verify-all", {"seed": 2**31, "format": "both"}, {}))  # parameters, so run once
 @example(("calibrate", {"n_channels": 10**400}, {}))  # past the float range
+@example(("stochastic", {"n_samples": 2**28 // 3 + 1}, {}))  # past the draw budget
 def test_cli_input_contract(run):
     # exit 0, 1 or 2; an exit 1 names a CaslabError or fails a check; no
     # report holds NaN or Infinity; and at finite inputs only the Monte Carlo

@@ -206,6 +206,14 @@ def test_finite_part_input_validation():
     good = flat_samples(TAUS, lambda t: 1.0 / t**2 + 1.0)
     with pytest.raises(ParameterError):
         heattrace.finite_part(good[:3], (2.0,))
+    with pytest.raises(ParameterError, match="at least one divergent exponent"):
+        heattrace.finite_part(good, [])
+    with pytest.raises(ParameterError, match="need at least 3 samples"):
+        heattrace.finite_part(good[:2], (2.0,))
+    # the nested window [1e-4, 5e-4] holds one of these five samples
+    sparse = flat_samples([1e-4, 6e-4, 7e-4, 8e-4, 1e-3], lambda t: 1.0 / t**2 + 1.0)
+    with pytest.raises(ParameterError, match="half window"):
+        heattrace.finite_part(sparse, (2.0,))
     with pytest.raises(ParameterError):
         heattrace.finite_part(good, (0.0,))
     narrow = flat_samples(np.linspace(1e-3, 5e-3, 12), lambda t: 1.0 / t**2 + 1.0)

@@ -285,15 +285,16 @@ def test_cube_groups_are_whole_at_their_own_eigenvalues(form):
     ("box", "cutoff", "limit"),
     [
         (plates.plate_box(6.0, 1.0), 12000.0, 4 << 20),
-        (spectrum.mixed_cell(1.5, 1.0 / 1.5, 1.0), 5e4, 6 << 20),
+        (spectrum.mixed_cell(1.5, 1.0 / 1.5, 1.0), 5e4, 3 << 20),
         (spectrum.mixed_cell(40.0, 40.0, 0.1), 3000.0, int(4.03 * (1 << 20))),
     ],
     ids=["plate", "mixed_cell", "one_mode_per_pair"],
 )
 def test_enumeration_memory_is_bounded(box, cutoff, limit):
-    # the pass peaks near 18 bytes per entry, while the sorted values are
-    # grouped (1.7 and 3.6 MiB), and the plate lists the pairs of its equal
-    # axes once, at half the entries.  The thin cell has one axis-3 mode per
+    # the pass peaks near 14 bytes per entry, while the sorted values are
+    # grouped (1.7 and 2.7 MiB; 3.6 with the group sums taken in int64), and
+    # the plate lists the pairs of its equal axes once, at half the entries.
+    # The thin cell has one axis-3 mode per
     # pair, 128,644 pairs and entries for 256,884 modes: 48 bytes per pair
     # held 5.92 MiB at the pair stage, and 13 bytes per pair with chunked
     # expansion hold 3.73 MiB
