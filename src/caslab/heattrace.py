@@ -214,7 +214,7 @@ def finite_part(
     c0_full = float(coef[-1])
     c0_half = float(coef_half[-1])
     drift = abs(c0_full - c0_half)
-    coeff_scale = float(np.max(np.abs(coef))) if coef.size else 1.0
+    coeff_scale = float(np.max(np.abs(coef)))
     allowed = _STABILITY_TOL * max(abs(c0_full), abs(c0_half), 1e-9 * max(coeff_scale, 1.0))
     if drift > allowed:
         raise FitInstabilityError(

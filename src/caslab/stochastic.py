@@ -118,6 +118,7 @@ def monte_carlo(
     """
     check_count(n, "Monte Carlo sample count", minimum=2)
     check_count(seed, "seed", minimum=0)
+    check_count(draws_per_row, "draws per row")
     if n * draws_per_row > _DRAW_BUDGET:
         raise ResourceError(
             f"{n} samples of {draws_per_row} draws exceed the draw budget {_DRAW_BUDGET}"

@@ -40,6 +40,7 @@ _POSITIVE_REAL_CALLS = {
     "tail_bound": _STREAM.tail_bound,
     "lateral_gap": lambda x: spectrum.lateral_gap(x, 1.0),
     "saturation_check": lambda x: spectrum.saturation_check(x, x, x),
+    "aspect_sides_a": lambda x: spectrum.aspect_sides(x, 1.0),
     "SourceSpec_tau": lambda x: stochastic.SourceSpec(_STREAM, tau=x),
     "SourceSpec_g": lambda x: stochastic.SourceSpec(_STREAM, tau=0.5, g=x),
     "MollifierSpec_eps": riesz.MollifierSpec,
@@ -181,11 +182,13 @@ def test_plate_values_past_the_float_range_are_refused(call):
         lambda: boxint.reference_energy(1e-300, 1, 1e300, 1e-300),
         lambda: stochastic.mc_estimate(stochastic.SourceSpec(_CUBE_200, 30.0), 10, 0),
         lambda: stochastic.mc_estimate(stochastic.SourceSpec(_CUBE_200, 1e3), 10, 0),
+        lambda: spectrum.saturation_check(1e-200, 1e200, 1.0),
     ],
     ids=[
         "casimir_per_area", "per_area_trace", "cell_overlap_energy", "interval_overlap",
         "regulated_trace", "lateral_gap", "mixed_cell_heat_trace", "heat_coefficients",
         "axis_theta_sum", "reference_energy", "mc_estimate_tau_30", "mc_estimate_tau_1e3",
+        "saturation_ratio",
     ],
 )
 def test_values_that_underflow_are_refused(call):
@@ -196,7 +199,8 @@ def test_values_that_underflow_are_refused(call):
     # The gap returned 9.87e-320, the box trace and the volume term 0.0, and
     # a Dirichlet axis sum 0.0 (the box trace then refused it as its own),
     # the reference energy -0.0, and the Monte Carlo estimate 0 +- 0 where
-    # every weight underflows
+    # every weight underflows; the gap ratio returned 0.0 where lateral_gap
+    # of the same sides refused
     with pytest.raises(ParameterError, match="normal float range"):
         call()
 
@@ -303,10 +307,24 @@ def test_finite_part_rejects_non_finite_samples(field, bad):
         (lambda: riesz.mollified_reduction(3, 2.5, 1.0, 0.1), "MollifierSpec"),
         (lambda: spectrum.BoxSpec((_AXIS, _AXIS)), "three axes"),
         (lambda: boxint.cell_overlap_energy((1.0, 1.0)), "three side lengths"),
+        (lambda: spectrum.EigenStream(60.0, [], [], _STREAM.box), "needs a value"),
+        (lambda: spectrum.EigenStream(60.0, [30.0], [0], _STREAM.box), "multiplicities >= 1"),
+        (lambda: spectrum.EigenStream(60.0, [30.0], [-1], _STREAM.box), "multiplicities >= 1"),
+        (
+            lambda: stochastic.monte_carlo(lambda rng, rows: rng.random(rows), 10, 0, 0),
+            "draws per row",
+        ),
     ],
-    ids=["gamma_nan", "quad_checked_bounds", "mollifier", "BoxSpec_axes", "cell_sides"],
+    ids=[
+        "gamma_nan", "quad_checked_bounds", "mollifier", "BoxSpec_axes", "cell_sides",
+        "EigenStream_empty", "EigenStream_multiplicity_0", "EigenStream_multiplicity_-1",
+        "monte_carlo_draws_per_row",
+    ],
 )
 def test_malformed_arguments_are_refused(call, match):
+    # an empty stream made mc_estimate raise IndexError and sample_U return
+    # 0.0, as did multiplicity 0; multiplicity -1 and draws_per_row=0 raised
+    # ZeroDivisionError
     with pytest.raises(ParameterError, match=match):
         call()
 

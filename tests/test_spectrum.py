@@ -106,11 +106,6 @@ def enumerate_by_slices(spec, cutoff):
             f"cutoff {cutoff} admits no modes (lowest eigenvalue {lam_min})"
         )
     max_modes = spectrum.DEFAULT_MODE_CAP
-    weyl = spec.volume * cutoff * math.sqrt(cutoff) / (6.0 * math.pi**2)
-    if weyl > 4.0 * max_modes:
-        raise ResourceError(
-            f"estimated {weyl:.3e} modes below cutoff exceeds cap {max_modes}"
-        )
     a1, a2, a3 = spec.axes
     m1, m2, m3 = (ax.min_value for ax in spec.axes)
     v1s, k1s = a1.modes_below(cutoff - m2 - m3)
@@ -498,28 +493,57 @@ def test_cutoff_one_ulp_above_the_lowest_eigenvalue_keeps_it():
 
 
 def test_resource_guard_trips_before_walking():
+    # 9,806,325 modes on 27,815 pairs: the per-pair counts refuse the request
+    # before any entry is expanded
     axis = spectrum.AxisSpec(1.0, D)
     with pytest.raises(ResourceError):
         spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), 7e5)
 
 
 def test_resource_guard_trips_on_one_long_axis():
-    # the Weyl estimate sees only the unit volume; the 1e8 axis alone has
-    # about 3e8 modes below the cutoff, which used to be allocated (2.4 GB)
+    # the 1e8 axis alone has about 3e8 modes below the cutoff, which used to
+    # be allocated (2.4 GB); its index count refuses it before the arange
     with pytest.raises(ResourceError, match="axis of length"):
         spectrum.enumerate_modes(spectrum.mixed_cell(1e-8, 1e8, 1.0), 100.0)
 
 
+def test_resource_guard_trips_on_the_pair_count(monkeypatch):
+    # each axis of the cube holds 98,999 indices, under the cap of 10^5, but
+    # they pair up about 3.8e9 times: the pair count refuses the request
+    # before the pairs are listed, in 7.6 MiB of axis modes and per-row counts
+    monkeypatch.setattr(spectrum, "DEFAULT_MODE_CAP", 100_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError) as err:
+            spectrum.enumerate_modes(spectrum.UNIT_CUBE, (math.pi * 0.99e5) ** 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "mode count exceeded cap 100000 during walk"
+    assert peak < 8 << 20
+
+
+def test_thin_cell_under_the_cap_enumerates():
+    # 1.0001 lambda_min of this cell holds about 7.9e5 modes, under the cap,
+    # where the leading Weyl term volume c^1.5 / (6 pi^2) reads 5.2e9.  Just
+    # below it the lateral modes (pi/1000)^2 (n1^2 + n2^2) are the lattice
+    # points n1^2 + n2^2 <= 10^6 - 1/2, none on the cutoff
+    box = spectrum.mixed_cell(1000.0, 1000.0, 0.01)
+    stream = spectrum.enumerate_modes(box, box.lambda_min + (math.pi / 1000.0) ** 2 * 999_999.5)
+    want = sum(math.isqrt(999_999 - n * n) + 1 for n in range(1000))
+    assert stream.mode_count == want == 786_380
+    assert stream.values[0] == box.lambda_min
+
+
 def test_resource_guard_trips_during_walk(monkeypatch):
-    # the Weyl estimate (1510 modes) passes the pre-check; the 1277 modes the
-    # walk finds exceed the cap
+    # the 1277 modes the walk finds exceed the cap; their pairs do not
     monkeypatch.setattr(spectrum, "DEFAULT_MODE_CAP", 1000)
     with pytest.raises(ResourceError, match="during walk"):
         spectrum.enumerate_modes(spectrum.UNIT_CUBE, 2000.0)
 
 
 def test_resource_guard_trips_before_expanding(monkeypatch):
-    # 150,731 unit-cube modes (Weyl estimate 155,858) against a cap of 10^5:
+    # 150,731 unit-cube modes against a cap of 10^5:
     # the per-pair counts refuse the request before any entry is expanded,
     # in under 0.1 MiB, where the entries up to the cap would take 0.5 MiB
     monkeypatch.setattr(spectrum, "DEFAULT_MODE_CAP", 100_000)
@@ -631,8 +655,11 @@ def test_saturation_ratio_closed_form_bit_exact():
 
 
 def test_saturation_constraint_enforced():
-    with pytest.raises(ConstraintError):
-        spectrum.saturation_check(2.0, 1.0, 1.0)
+    # l1 l2 and a^2 of the second cell both overflow, so a test on their
+    # difference sees inf - inf = nan
+    for sides in ((2.0, 1.0, 1.0), (1e200, 1e250, 1e200)):
+        with pytest.raises(ConstraintError, match="l1\\*l2/a\\^2"):
+            spectrum.saturation_check(*sides)
 
 
 @settings(max_examples=80, deadline=None)
