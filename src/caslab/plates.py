@@ -60,9 +60,10 @@ def plate_box(L: float, a: float) -> BoxSpec:
 def finite_box_trace(config: PlateConfig, tau: float) -> HeatTraceSample:
     """Regulated half trace of the finite plate box at regulator tau, over the
     spectrum enumerated below max(60/tau, 4 pi^2/a^2)."""
-    cutoff = max(60.0 / tau, 4.0 * (math.pi / config.a) ** 2)
-    stream = enumerate_modes(plate_box(config.L, config.a), cutoff)
-    return regulated_trace(stream, tau)
+    box = plate_box(config.L, config.a)
+    tau = check_positive(tau, "regulated trace tau")
+    cutoff = max(60.0 / tau, 4.0 * box.lambda_min)
+    return regulated_trace(enumerate_modes(box, cutoff), tau)
 
 
 def per_area_trace(a: float, tau: float) -> HeatTraceSample:

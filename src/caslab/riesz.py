@@ -299,8 +299,8 @@ def two_step_chain(lam: float) -> tuple[float, float, float]:
     """Stagewise and combined reduction across one 1D and one 3D factor.
 
     Returns (C_{1,3}, C_{3,5/2}, nested quadrature of the combined kernel).
-    The product of the stage constants is 1/(32 pi^2); the nested value is
-    checked against (product)/lam to relative 1e-7 before returning.
+    The product of the stage constants is 1/(32 pi^2); acceptance.chain_checks
+    judges the nested value against (product)/lam.
 
     The nested value is the product of the double-exponential rule with
     itself, reduced _CHAIN_ROWS rows of p nodes at a time (tracemalloc peak
@@ -309,9 +309,6 @@ def two_step_chain(lam: float) -> tuple[float, float, float]:
     whole-grid sum: within 4 ulp of it over lam in [1e-12, 1e12].
     """
     lam = check_positive(lam, "lam")
-    c1 = reduction_constant(1, 3.0)
-    c3 = reduction_constant(3, 2.5)
-    expect = c1 * c3 / lam
     x, w = _de_nodes(0.0, math.inf)
 
     def parts():
@@ -325,10 +322,5 @@ def two_step_chain(lam: float) -> tuple[float, float, float]:
                 rim = max(rim, np.abs(terms[-1]).max())
             yield terms.sum(), 4.0 * terms[::2, ::2].sum(), rim
 
-    nested = _checked_sum(parts(), 0.0, math.inf, 1e-11 * expect, 1e-10)
-    nested /= 2.0 * math.pi**3
-    if not abs(nested - expect) <= 1e-7 * expect:
-        raise ConvergenceError(
-            f"combined reduction mismatch: nested={nested!r}, stagewise={expect!r}"
-        )
-    return c1, c3, nested
+    nested = _checked_sum(parts(), 0.0, math.inf, 0.0, 1e-10) / (2.0 * math.pi**3)
+    return reduction_constant(1, 3.0), reduction_constant(3, 2.5), nested

@@ -9,8 +9,9 @@ span fewer than 44 binades); the discarded part of heat-weighted sums is
 controlled by an explicit per-axis envelope so downstream traces can report
 rigorous remainders.  Requests are refused only from exact counts: per
 axis the index count, then the pair count, then the mode count, each before
-the allocation it protects; the worst refusal takes 0.2-0.4 s and 152 MiB
-(2-vCPU VM).
+the allocation it protects; the worst refusal takes 0.12-0.15 s and 112 MiB
+(2-vCPU VM), most of it the three axes, each built whole at 9 bytes per
+index: a float64 value and a one-byte multiplicity.
 """
 
 from __future__ import annotations
@@ -64,22 +65,26 @@ class AxisSpec:
         return 0.0
 
     def modes_below(self, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending values <= cutoff (float64) and their multiplicities (int64);
+        """Ascending values <= cutoff (float64) and their multiplicities (int8);
         ResourceError, before allocating, past DEFAULT_MODE_CAP + 1 indices (one
-        spare for the rounding of the square root)."""
+        spare for the rounding of the square root).  A mode scale that
+        underflows to 0, on an axis longer than about 1e170, has inf indices."""
         scale = 2.0 if self.bc is Bc.PERIODIC else 1.0
         base = (scale * math.pi / self.length) ** 2
         start = 1 if self.bc is Bc.DIRICHLET else 0
-        top = math.sqrt(max(cutoff, 0.0) / base)
+        top = math.sqrt(max(cutoff, 0.0) / base) if base else math.inf
         if top - start > DEFAULT_MODE_CAP + 1:
             raise ResourceError(
                 f"axis of length {self.length!r} has {top:.3e} modes below {cutoff!r},"
                 f" cap {DEFAULT_MODE_CAP}"
             )
-        n = np.arange(start, int(top) + 2)
-        n = n[base * n * n <= cutoff]
-        mults = np.where(n > 0, 2, 1) if self.bc is Bc.PERIODIC else np.ones_like(n)
-        return base * n * n, mults
+        n = np.arange(start, int(top) + 2, dtype=np.float64)
+        values = base * n
+        values *= n
+        values = values[: np.searchsorted(values, cutoff, side="right")]
+        mults = np.full(values.size, 2 if self.bc is Bc.PERIODIC else 1, np.int8)
+        mults[:1] = 1  # k = 0 of a periodic axis; every other axis has 1 throughout
+        return values, mults
 
 
 @dataclass(frozen=True)
@@ -148,7 +153,8 @@ def aspect_sides(a: float, alpha: float) -> tuple[float, float, float]:
     aspect ratio in the package is checked here."""
     alpha = check_positive(alpha, "aspect ratio alpha")
     a = check_positive(a, "width a")
-    return alpha * a, a / alpha, a
+    what = f"aspect side at a={a!r}, alpha={alpha!r}"
+    return check_normal(alpha * a, what), check_normal(a / alpha, what), a
 
 
 UNIT_CUBE = BoxSpec((AxisSpec(1.0, Bc.DIRICHLET),) * 3)
@@ -217,7 +223,9 @@ def enumerate_modes(spec: BoxSpec, cutoff: float) -> EigenStream:
     index count (modes_below), the pair count (each pair holds a mode), and
     the mode count before any per-entry array exists.  A refusal is not
     O(1): the unit cube at (pi 1.99e6)^2, each axis just under the cap,
-    takes 0.2-0.4 s and 152 MiB to refuse (2-vCPU VM).
+    takes 0.12-0.15 s and 112 MiB to refuse (tracemalloc peak, 2-vCPU VM),
+    and 15 ms and 18 MiB at 1e12; each axis holds 9 bytes per index, a
+    float64 value and an int8 multiplicity.
 
     Equal axes 1 and 2 list only v2 >= v1 and count v2 > v1
     once per order (v1 + v2 == v2 + v1 exactly in IEEE arithmetic).  The
@@ -274,8 +282,8 @@ def enumerate_modes(spec: BoxSpec, cutoff: float) -> EigenStream:
     ends = np.searchsorted(v3s, room, "right")  # the pair keeps v3s[:end]
     del room
     ends = ends.astype(np.int32)
-    k12 = k1s.astype(np.int8)[i]
-    k12 *= k2s.astype(np.int8)[j]
+    k12 = k1s[i]
+    k12 *= k2s[j]
     if fold:
         k12[j > i] *= 2  # v2 > v1: both orders of the pair
     count = int(np.dot(k12, np.concatenate(([0], np.cumsum(k3s)))[ends]))
@@ -290,7 +298,6 @@ def enumerate_modes(spec: BoxSpec, cutoff: float) -> EigenStream:
     del firsts
     found = np.empty(spans[-1])
     grouped = np.empty(spans[-1], np.int8)
-    k3s = k3s.astype(np.int8)
     for p0, p1, e0, e1 in zip(cuts.tolist(), cuts[1:].tolist(), spans, spans[1:]):
         n = ends[p0:p1]
         k = np.arange(e1 - e0)

@@ -3,6 +3,7 @@ and the non-finite inputs that used to slip past ad-hoc checks."""
 
 import ast
 import dataclasses
+import itertools
 import math
 import sys
 import time
@@ -33,6 +34,7 @@ _POSITIVE_REAL_CALLS = {
     "finite_part_exponent": lambda x: heattrace.finite_part(_PLATE_SAMPLES, (2.0, x)),
     "PlateConfig_a": lambda x: plates.PlateConfig(x, 1.0),
     "PlateConfig_L": lambda x: plates.PlateConfig(1.0, x),
+    "finite_box_trace_tau": lambda x: plates.finite_box_trace(plates.PlateConfig(1.0, 1.0), x),
     "default_tau_grid": plates.default_tau_grid,
     "normalized_energy": lambda x: plates.normalized_energy(1, x),
     "per_area_trace_a": lambda x: plates.per_area_trace(x, 1e-3),
@@ -152,17 +154,19 @@ def test_reduction_routes_keep_their_values_at_large_s():
         lambda: plates.theta_bar(1.0, 10**400),
         lambda: plates.theta_bar(1.0, 10**308),
         lambda: plates.pipeline_theta_bar(plates.CalibrationResult(1.0, 10**400, 1.0, 1.0)),
+        lambda: plates.finite_box_trace(plates.PlateConfig(1e-200, 4.0), 1.0),
     ],
     ids=[
         "per_area_trace_a", "per_area_trace_tau", "casimir_per_area", "normalized_energy",
         "normalized_energy_n", "casimir_per_area_channels", "theta_bar_channels",
-        "theta_bar_inf", "pipeline_theta_bar_channels",
+        "theta_bar_inf", "pipeline_theta_bar_channels", "finite_box_trace_a",
     ],
 )
 def test_plate_values_past_the_float_range_are_refused(call):
     # (pi/a)^2, tau^-1.5 and (pi/a)^3 each overflow; (n a)^2 and a channel
     # count past the float range raised a bare OverflowError, and N pi^2 at
-    # N = 10^308 made theta_bar inf
+    # N = 10^308 made theta_bar inf; the finite box's cutoff floor 4 (pi/a)^2
+    # raised a bare OverflowError before its Dirichlet axis refused a
     with pytest.raises(ParameterError, match="float range"):
         call()
 
@@ -183,12 +187,13 @@ def test_plate_values_past_the_float_range_are_refused(call):
         lambda: stochastic.mc_estimate(stochastic.SourceSpec(_CUBE_200, 30.0), 10, 0),
         lambda: stochastic.mc_estimate(stochastic.SourceSpec(_CUBE_200, 1e3), 10, 0),
         lambda: spectrum.saturation_check(1e-200, 1e200, 1.0),
+        lambda: spectrum.aspect_sides(1e-300, 1e10),
     ],
     ids=[
         "casimir_per_area", "per_area_trace", "cell_overlap_energy", "interval_overlap",
         "regulated_trace", "lateral_gap", "mixed_cell_heat_trace", "heat_coefficients",
         "axis_theta_sum", "reference_energy", "mc_estimate_tau_30", "mc_estimate_tau_1e3",
-        "saturation_ratio",
+        "saturation_ratio", "aspect_side_subnormal",
     ],
 )
 def test_values_that_underflow_are_refused(call):
@@ -200,7 +205,7 @@ def test_values_that_underflow_are_refused(call):
     # a Dirichlet axis sum 0.0 (the box trace then refused it as its own),
     # the reference energy -0.0, and the Monte Carlo estimate 0 +- 0 where
     # every weight underflows; the gap ratio returned 0.0 where lateral_gap
-    # of the same sides refused
+    # of the same sides refused, and the aspect family the subnormal side 1e-310
     with pytest.raises(ParameterError, match="normal float range"):
         call()
 
@@ -215,17 +220,22 @@ def test_values_that_underflow_are_refused(call):
         lambda: boxint.reference_energy(1.0, 10**200, 1e-300, 1.0),
         lambda: spectrum.lateral_gap(1e-300, 1e-300),
         lambda: heattrace.short_time_coefficients(1e-60, 1e120, 1e100),
+        lambda: spectrum.aspect_sides(1e300, 1e10),
+        lambda: boxint.delta_alpha(5e-324, boxint.DeltaMethod.QUADRATURE_3D),
     ],
     ids=[
         "heat_trace", "b_coefficient", "heat_coefficients",
         "reference_energy", "reference_energy_n", "lateral_gap", "short_time_volume_term",
+        "aspect_side_inf", "face_rule_alpha_5e-324",
     ],
 )
 def test_box_values_past_the_float_range_are_refused(call):
     # these returned inf, nan (inf - inf in the t^-1 term), a t^-1 term of
     # inf beside a normal volume term, and -inf; n^2 / a and (pi / l)^2
     # raised a bare OverflowError; the short-time fit's volume term is normal
-    # at the cell but twice it at the window's smallest t is not
+    # at the cell but twice it at the window's smallest t is not.  The aspect
+    # family returned the side inf, which the face rule refused only as a
+    # ResourceError
     with pytest.raises(ParameterError, match="normal float range|overflow"):
         call()
 
@@ -314,18 +324,46 @@ def test_finite_part_rejects_non_finite_samples(field, bad):
             lambda: stochastic.monte_carlo(lambda rng, rows: rng.random(rows), 10, 0, 0),
             "draws per row",
         ),
+        (
+            lambda: plates.finite_box_trace(plates.PlateConfig(1.0, 1.0), 0.0),
+            "regulated trace tau",
+        ),
     ],
     ids=[
         "gamma_nan", "quad_checked_bounds", "mollifier", "BoxSpec_axes", "cell_sides",
         "EigenStream_empty", "EigenStream_multiplicity_0", "EigenStream_multiplicity_-1",
-        "monte_carlo_draws_per_row",
+        "monte_carlo_draws_per_row", "finite_box_trace_tau_0",
     ],
 )
 def test_malformed_arguments_are_refused(call, match):
     # an empty stream made mc_estimate raise IndexError and sample_U return
-    # 0.0, as did multiplicity 0; multiplicity -1 and draws_per_row=0 raised
-    # ZeroDivisionError
+    # 0.0, as did multiplicity 0; multiplicity -1, draws_per_row=0 and the
+    # finite box's 60 / tau at tau = 0 raised ZeroDivisionError
     with pytest.raises(ParameterError, match=match):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: plates.finite_box_trace(plates.PlateConfig(0.5, 1e200), 1.0),
+        *(
+            lambda length=length, bc=bc: spectrum.enumerate_modes(
+                spectrum.BoxSpec((spectrum.AxisSpec(length, bc), _AXIS, _AXIS)), 100.0
+            )
+            for length in (1e160, 1e170, 1e300)
+            for bc in spectrum.Bc
+        ),
+    ],
+    ids=["finite_box_trace_L"]
+    + [f"enumerate_modes_{length:.0e}_{bc.value}" for length in (1e160, 1e170, 1e300)
+       for bc in spectrum.Bc],
+)
+def test_axes_whose_mode_scale_underflows_are_refused_by_their_count(call):
+    # from a length of about 1e170 the mode scale (pi/L)^2 is 0.0, where the
+    # index bound sqrt(cutoff / scale) raised ZeroDivisionError; such an axis
+    # has inf indices, over the cap, as the subnormal scale at 1e160 gives
+    with pytest.raises(ResourceError, match="axis of length"):
         call()
 
 
@@ -395,3 +433,66 @@ def test_every_error_type_is_exported_from_one_list():
     assert caslab.__all__ == [*errors.__all__, "__version__"]
     for name in types:
         assert getattr(caslab, name) is getattr(errors, name)
+
+
+_EDGES = (0.0, -1.0, math.inf, -math.inf, math.nan, 1e300, 1e-300, 1e200, 1e-200, 5e-324,
+          1.0, 2.5, 1e10)
+
+
+def _edge_sweep():
+    """(name, function, arguments) for every public entry point that takes
+    lengths, times, exponents or aspect ratios, at each edge value; two- and
+    three-argument calls take every combination.  specfun.gamma is left out:
+    its OverflowError is documented."""
+    one = [(x,) for x in _EDGES]
+    two = list(itertools.product(_EDGES, repeat=2))
+    unit = plates.PlateConfig(1.0, 1.0)
+    quadrature, t_integral = boxint.DeltaMethod.QUADRATURE_3D, boxint.DeltaMethod.T_INTEGRAL
+    long_axes = itertools.product((1e155, 1e160, 1e170, 1e200, 1e250, 1e300), spectrum.Bc, _EDGES)
+    return [
+        ("finite_box_trace_tau", lambda tau: plates.finite_box_trace(unit, tau), one),
+        ("finite_box_trace_a_L",
+         lambda a, L: plates.finite_box_trace(plates.PlateConfig(a, L), 1.0), two),
+        ("per_area_trace", plates.per_area_trace, two),
+        ("aspect_sides", spectrum.aspect_sides, two),
+        ("lateral_gap", spectrum.lateral_gap, two),
+        ("saturation_check", spectrum.saturation_check, list(itertools.product(_EDGES, repeat=3))),
+        ("enumerate_modes_long_axis",
+         lambda length, bc, cutoff: spectrum.enumerate_modes(
+             spectrum.BoxSpec((spectrum.AxisSpec(length, bc), _AXIS, _AXIS)), cutoff),
+         list(long_axes)),
+        ("tail_bound", _CUBE_200.tail_bound, one),
+        ("regulated_trace", lambda tau: heattrace.regulated_trace(_CUBE_200, tau), one),
+        ("mc_estimate",
+         lambda tau, g: stochastic.mc_estimate(stochastic.SourceSpec(_CUBE_200, tau, g), 10, 0),
+         two),
+        ("delta_alpha_t_integral", lambda alpha: boxint.delta_alpha(alpha, t_integral), one),
+        ("delta_alpha_quadrature_3d", lambda alpha: boxint.delta_alpha(alpha, quadrature), one),
+        ("theta_bar", plates.theta_bar, one),
+        ("two_step_chain", riesz.two_step_chain, one),
+        ("momentum_integral", lambda s, lam: riesz.momentum_integral(3, s, lam), two),
+        ("short_time_coefficients",
+         lambda l1, a: heattrace.short_time_coefficients(l1, 1.0, a), two),
+        ("theta_eval", specfun.theta_eval, list(itertools.product(specfun.Bc, _EDGES, _EDGES))),
+        ("upper_gamma_three_halves", specfun.upper_gamma_three_halves, one),
+        ("interval_overlap", boxint.interval_overlap, two),
+        ("cell_overlap_energy", lambda l1, l2: boxint.cell_overlap_energy((l1, l2, 1.0)), two),
+    ]
+
+
+def test_public_entry_points_refuse_with_package_errors():
+    # at these values finite_box_trace raised ZeroDivisionError (tau = 0, or a
+    # lateral period whose mode scale underflows) and OverflowError (its
+    # cutoff floor at a = 1e-200), and enumerate_modes ZeroDivisionError on a
+    # long axis; every refusal is a CaslabError now.  4,563 calls, about 0.35 s
+    # (0.2 s of it one per_area_trace at a = tau = 1e10, which sums 2e5 terms)
+    bare = []
+    for name, call, arguments in _edge_sweep():
+        for args in arguments:
+            try:
+                call(*args)
+            except CaslabError:
+                pass
+            except Exception as exc:  # any other type is what the sweep reports
+                bare.append(f"{name}{args}: {type(exc).__name__}: {exc}")
+    assert bare == []

@@ -16,7 +16,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import caslab
-from caslab import acceptance, boxint, harness
+from caslab import acceptance, boxint, harness, riesz
 
 
 def run_cli(args, tmp_path, fmt=None):
@@ -43,6 +43,23 @@ def test_reduce_report_and_manifest(tmp_path):
     csv = (tmp_path / "reduce_constants.csv").read_text().splitlines()
     assert csv[0] == "m,s,closed,momentum,schwinger"
     assert len(csv) == 6
+
+
+def test_a_chain_off_the_closed_form_is_reported_not_raised(tmp_path, monkeypatch):
+    # two_step_chain certifies its quadrature and returns; judging the nested
+    # value against c1 c3 / lam is chain_checks', so a kernel off by 1e-6
+    # fails that check in the report instead of raising ConvergenceError
+    kernel = riesz._chain_kernel
+    monkeypatch.setattr(riesz, "_chain_kernel", lambda lam, u, v: kernel(lam, u, v) * (1 + 1e-6))
+    stage, nested = acceptance.chain_checks(1.0, *riesz.two_step_chain(1.0))
+    assert stage.passed and not nested.passed
+    assert nested.measured == pytest.approx(1e-6, rel=1e-3)
+    assert run_cli(["reduce"], tmp_path) == 1
+    report = read_report(tmp_path, "reduce")
+    assert "failure" not in report
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == [nested.name]
+    assert failed[0]["measured"] == pytest.approx(1e-6, rel=1e-3)
 
 
 def test_csv_only_when_requested(tmp_path):

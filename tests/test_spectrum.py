@@ -119,7 +119,7 @@ def enumerate_by_slices(spec, cutoff):
         v2 = v2s[:n2, None]
         keep = v3s <= rest - v2
         values.append((v1 + v2 + v3s)[keep])
-        mults.append((k1 * k2s[:n2, None] * k3s)[keep])
+        mults.append((k1 * k2s[:n2, None].astype(np.int64) * k3s)[keep])
         count += int(mults[-1].sum())
         if count > max_modes:
             raise ResourceError(f"mode count exceeded cap {max_modes} during walk")
@@ -441,6 +441,20 @@ def test_group_heads_match_the_walk(offsets):
     assert spectrum._group_heads(found).tolist() == _walk_heads(found.tolist())
 
 
+@pytest.mark.parametrize("bc", list(spectrum.Bc), ids=[bc.value for bc in spectrum.Bc])
+def test_axis_modes_are_the_squared_indices_with_one_byte_multiplicities(bc):
+    # base n n in that order of rounding, cut on the cutoff itself; a
+    # periodic axis counts k and -k together from k = 1 on
+    axis = spectrum.AxisSpec(1.7, bc)
+    base = ((2.0 if bc is P else 1.0) * math.pi / 1.7) ** 2
+    indices = range(1 if bc is D else 0, 41)
+    for cutoff, last in ((base * 40 * 40, 40), (math.nextafter(base * 40 * 40, 0.0), 39)):
+        values, mults = axis.modes_below(cutoff)
+        assert values.tolist() == [base * n * n for n in indices if n <= last]
+        assert mults.dtype == np.int8
+        assert mults.tolist() == [2 if bc is P and n else 1 for n in indices if n <= last]
+
+
 def test_stream_arrays_are_read_only():
     axis = spectrum.AxisSpec(1.0, D)
     stream = spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), 200.0)
@@ -510,7 +524,7 @@ def test_resource_guard_trips_on_one_long_axis():
 def test_resource_guard_trips_on_the_pair_count(monkeypatch):
     # each axis of the cube holds 98,999 indices, under the cap of 10^5, but
     # they pair up about 3.8e9 times: the pair count refuses the request
-    # before the pairs are listed, in 7.6 MiB of axis modes and per-row counts
+    # before the pairs are listed, in 5.6 MiB of axis modes and per-row counts
     monkeypatch.setattr(spectrum, "DEFAULT_MODE_CAP", 100_000)
     tracemalloc.start()
     try:
@@ -520,7 +534,7 @@ def test_resource_guard_trips_on_the_pair_count(monkeypatch):
     finally:
         tracemalloc.stop()
     assert str(err.value) == "mode count exceeded cap 100000 during walk"
-    assert peak < 8 << 20
+    assert peak < 6 << 20
 
 
 def test_thin_cell_under_the_cap_enumerates():
