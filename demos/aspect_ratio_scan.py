@@ -7,8 +7,9 @@ import numpy as np
 from caslab import boxint
 
 # Delta(alpha) for the unit-volume cell (alpha, 1/alpha, 1):
-# a one-dimensional t-integral, a 3D quadrature, and pair-sampling MC, each
-# alpha with its own seed so the MC column holds five independent agreements
+# a one-dimensional t-integral, a 3D quadrature, and pair-sampling MC with
+# control variates, each alpha with its own seed so the MC column holds five
+# independent agreements
 print("Delta(alpha) by three methods")
 print(f"{'alpha':>6} {'t-integral':>18} {'3D quadrature':>18} {'MC (5e5 pairs)':>18}")
 for seed, alpha in enumerate((0.5, 0.75, 1.0, 1.5, 2.0), start=99):

@@ -5,7 +5,9 @@ Delta(alpha) is the double integral of 1/|x - y| over the unit-volume cell
 one-dimensional proper-time integral of interval overlap factors, a face rule
 that does the radial direction exactly and sums the directions by graded
 Gauss-Legendre panels over the three far faces the rays leave through, and a
-plain Monte Carlo pair average.  The module also runs the log-concavity and
+Monte Carlo pair average with control variates: e^{-c r^2} for five c, and
+r^2, whose exact means over the box cut the variance of 1/r about 14- to
+31-fold at the cube.  The module also runs the log-concavity and
 positivity checks behind the monotonicity argument: the concavity scan samples
 the closed form of the second derivative of log I_{e^u}(t) in u over a grid,
 and the positivity chain evaluates its helper functions on an r grid.
@@ -41,6 +43,8 @@ _FACE_NODES = 16  # Gauss-Legendre nodes per panel of the face rule
 _GUARD_NODES = 10  # the coarser rule it is checked against
 _GUARD_RTOL = 1e-10  # largest relative gap allowed between the two
 _FACE_POINT_CAP = 1 << 20  # nodes on one face, 8 MiB per float64 array
+# c of the pair controls e^{-c r^2}, each 4 times the last: _inverse_distances squares twice
+_CONTROL_RATES = (1.0, 4.0, 16.0, 64.0, 256.0)
 
 
 def interval_overlap(L: float, t: float) -> float:
@@ -180,32 +184,62 @@ def _delta_quadrature(alpha: float) -> float:
 
 
 def _inverse_distances(
-    lengths: np.ndarray, rng: np.random.Generator, rows: int
+    lengths: np.ndarray, means: np.ndarray, rng: np.random.Generator, rows: int
 ) -> np.ndarray:
-    """1/|x - y| for rows independent uniform point pairs in the box.
+    """1/r and its six controls for rows independent uniform point pairs in
+    the box, r = |x - y|, as a (7, rows) array.
 
-    Along each axis |x_i - y_i| has the triangular density 2(L - d)/L^2, which
-    L(1 - sqrt(U)) samples exactly from one uniform U in [0, 1); since
-    sqrt(U) <= 1 - 2^-53, every distance is at least 2^-53 L_i > 0.  The
-    uniforms are drawn as a (3, rows) array, so each axis is one contiguous
-    row that is scaled by its own length.
+    Row 0 holds 1/r; rows 1-5 hold e^{-c r^2} for c = 1, 4, 16, 64, 256 and
+    row 6 holds r^2, each less its exact mean from means (_control_means), so
+    every control has mean 0.  One np.exp per pair: e^{-4c r^2} is
+    (e^{-c r^2})^2 squared.  Along each axis |x_i - y_i| has the triangular
+    density 2(L - d)/L^2, which L(1 - sqrt(U)) samples exactly from one
+    uniform U in [0, 1); since sqrt(U) <= 1 - 2^-53, every distance is at
+    least 2^-53 L_i > 0.  The uniforms are drawn as a (3, rows) array, so each
+    axis is one contiguous row that is scaled by its own length.
     """
     d = rng.random((3, rows))
     np.sqrt(d, out=d)
     np.subtract(1.0, d, out=d)
     d *= lengths[:, None]
     d *= d
-    s = d[0] + d[1]
-    s += d[2]
-    np.sqrt(s, out=s)
-    return np.reciprocal(s, out=s)
+    out = np.empty((7, rows))
+    r2 = out[6]
+    np.add(d[0], d[1], out=r2)
+    r2 += d[2]
+    np.sqrt(r2, out=out[0])
+    np.reciprocal(out[0], out=out[0])
+    np.negative(r2, out=out[1])
+    np.exp(out[1], out=out[1])
+    for k in range(2, 6):
+        np.multiply(out[k - 1], out[k - 1], out=out[k])
+        out[k] *= out[k]
+    out[1:] -= means[:, None]
+    return out
+
+
+def _control_means(lengths: tuple[float, float, float]) -> np.ndarray:
+    """Exact means over the box of the pair controls of _inverse_distances.
+
+    E e^{-c r^2} = prod_i I_{L_i}(c) / L_i^2, with I interval_overlap's closed
+    form: this route shares the t-integral's integrand at five t, while
+    criterion 9 compares the Monte Carlo with the cube's closed form.  E r^2 =
+    sum_i L_i^2 / 6.  ParameterError unless every mean is a normal float.
+    """
+    what = f"pair control mean for sides {lengths}"
+    gauss = [
+        check_normal(math.prod(interval_overlap(L, c) / (L * L) for L in lengths), what)
+        for c in _CONTROL_RATES
+    ]
+    return np.array([*gauss, check_normal(sum(L * L for L in lengths) / 6.0, what)])
 
 
 def _delta_monte_carlo(alpha: float, budget: int, seed: int) -> MCEstimate:
-    lengths = np.array(aspect_sides(1.0, alpha))
-    return monte_carlo(
-        functools.partial(_inverse_distances, lengths), budget, seed, draws_per_row=3
+    lengths = aspect_sides(1.0, alpha)
+    sample = functools.partial(
+        _inverse_distances, np.array(lengths), _control_means(lengths)
     )
+    return monte_carlo(sample, budget, seed, draws_per_row=7)
 
 
 def delta_alpha(

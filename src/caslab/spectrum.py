@@ -38,6 +38,14 @@ _BLOCK = 1 << 15  # entries per step of the expansion and of the group-head test
 DEFAULT_MODE_CAP = 2_000_000
 
 
+def _check_cutoff(cutoff: float) -> float:
+    """A spectral cutoff as a float; ParameterError if it is nan."""
+    cutoff = float(cutoff)
+    if math.isnan(cutoff):
+        raise ParameterError("spectral cutoff must not be nan")
+    return cutoff
+
+
 @dataclass(frozen=True)
 class AxisSpec:
     """One factor interval: length and boundary condition.
@@ -67,8 +75,10 @@ class AxisSpec:
     def modes_below(self, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
         """Ascending values <= cutoff (float64) and their multiplicities (int8);
         ResourceError, before allocating, past DEFAULT_MODE_CAP + 1 indices (one
-        spare for the rounding of the square root).  A mode scale that
-        underflows to 0, on an axis longer than about 1e170, has inf indices."""
+        spare for the rounding of the square root), and ParameterError on a nan
+        cutoff.  A mode scale that underflows to 0, on an axis longer than about
+        1e170, has inf indices."""
+        cutoff = _check_cutoff(cutoff)
         scale = 2.0 if self.bc is Bc.PERIODIC else 1.0
         base = (scale * math.pi / self.length) ** 2
         start = 1 if self.bc is Bc.DIRICHLET else 0
@@ -251,9 +261,7 @@ def enumerate_modes(spec: BoxSpec, cutoff: float) -> EigenStream:
     and an int32 copy to sum (a group's sum is at most the capped mode count),
     so the pass peaks near 14 bytes per entry, or 30 where each pair holds one.
     """
-    cutoff = float(cutoff)
-    if math.isnan(cutoff):
-        raise ParameterError("spectral cutoff must not be nan")
+    cutoff = _check_cutoff(cutoff)
     lam_min = spec.lambda_min
     if cutoff <= lam_min:
         raise EmptySpectrumError(

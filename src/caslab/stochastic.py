@@ -10,7 +10,9 @@ the rest of the spectrum holds at most 2^-53 of E[U].  It draws in batches of
 at most 512 KiB, each from its own SFC64 stream keyed by the seed and the
 batch index, runs them on two threads and merges them in batch order with
 numpy's own reductions, so results are bit-identical for a fixed seed however
-the batches are scheduled and at any BLAS thread count.
+the batches are scheduled and at any BLAS thread count.  The same loop fits
+control variates: a sampler may return rows of exact-mean-zero controls
+beside its quantity, as the pair Monte Carlo of boxint does.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ _BATCH_DRAWS = 1 << 16  # draws per batch, 512 KiB; the partition fixes the stre
 # draws one run may ask for, samples times drawn values; about 4.5 s of chi^2
 # on a 2-vCPU Xeon, with 55 or 147 drawn values alike
 _DRAW_BUDGET = 1 << 28
+_PIVOT_RTOL = 1e-10  # smallest Cholesky pivot of a kept control, unit diagonal
 
 
 @dataclass(frozen=True)
@@ -80,15 +83,60 @@ def _batch(
     seed: int,
     index: int,
     rows: int,
-) -> tuple[int, float, float]:
-    """(rows, mean, M2) of batch index, drawn from its own SFC64 stream."""
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """(rows, mean vector, co-moment matrix) of batch index, drawn from its own
+    SFC64 stream."""
     rng = np.random.Generator(
         np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0, index)))
     )
-    vals = sample(rng, rows)
-    mean = float(np.mean(vals))
-    vals -= mean
-    return rows, mean, float(np.einsum("i,i->", vals, vals))  # not a threaded BLAS ddot
+    vals = np.atleast_2d(sample(rng, rows))
+    mean = np.mean(vals, axis=1)
+    vals -= mean[:, None]
+    return rows, mean, np.einsum("ik,jk->ij", vals, vals)  # not a threaded BLAS product
+
+
+def _control_fit(n: int, mean: np.ndarray, m2: np.ndarray) -> tuple[float, float]:
+    """Mean of row 0 corrected by the controls in rows 1.., and its standard
+    error, from the mean vector and co-moment matrix of n samples.
+
+    Each control has exact mean 0, so the estimate is mean_0 - beta . mean_g,
+    where beta solves C_gg beta = C_gf on the same samples (Lavenberg and
+    Welch 1981; Glasserman 2003, section 4.1), and its standard error is
+    sqrt(s2 / n) with s2 = (M_ff - M_fg beta) / (n - 1 - q) over the q
+    controls kept.  C_gg is equilibrated to unit diagonal and factored by a
+    Cholesky sweep in row order, in Python floats; a control whose pivot is
+    1e-10 or less (collinear with those before it, constant or not finite),
+    or one past the n - 2 that leave the residual a degree of freedom, is
+    dropped with beta = 0.  With no controls this is the plain mean and
+    sqrt(M_ff / (n - 1) / n).
+    """
+    c = m2.tolist()
+    scale = [1.0 / math.sqrt(v) if v > 0.0 else 0.0 for v in m2.diagonal().tolist()]
+    kept: list[int] = []
+    chol: list[list[float]] = []  # the rows of L, over the kept controls
+    y: list[float] = []  # L y = the equilibrated C_gf
+    for j in range(1, len(c)):
+        if len(kept) == n - 2:
+            break
+        row: list[float] = []
+        for i, k in enumerate(kept):
+            dot = sum(row[m] * chol[i][m] for m in range(i))
+            row.append((c[j][k] * scale[j] * scale[k] - dot) / chol[i][i])
+        pivot = c[j][j] * scale[j] * scale[j] - sum(v * v for v in row)
+        if not pivot > _PIVOT_RTOL:
+            continue
+        row.append(math.sqrt(pivot))
+        y.append((c[j][0] * scale[j] - sum(v * w for v, w in zip(row, y))) / row[-1])
+        chol.append(row)
+        kept.append(j)
+    gamma = [0.0] * len(kept)  # L^T gamma = y; beta is gamma scaled back
+    for i in reversed(range(len(kept))):
+        dot = sum(chol[m][i] * gamma[m] for m in range(i + 1, len(kept)))
+        gamma[i] = (y[i] - dot) / chol[i][i]
+    beta = [(scale[k] * g, k) for g, k in zip(gamma, kept)]
+    mean0 = float(mean[0]) - sum(b * float(mean[k]) for b, k in beta)
+    residual = c[0][0] - sum(b * c[k][0] for b, k in beta)
+    return mean0, math.sqrt(max(residual, 0.0) / (n - 1 - len(kept)) / n)
 
 
 def monte_carlo(
@@ -99,22 +147,26 @@ def monte_carlo(
 ) -> MCEstimate:
     """Mean and standard error of n draws of sample(rng, rows) values.
 
-    sample returns a new float64 array of rows values, which the merge reuses
-    as scratch.  The draws come in batches of max(1, 2^16 // draws_per_row)
-    rows, so a batch holds at most 512 KiB of draws (or one row), and batch b
-    draws from its own SFC64 stream keyed by SeedSequence(seed, spawn_key=(0,
-    b)).  A helper thread runs the odd batches while the caller runs the even
-    ones; the helper starts in a copy of the caller's context, so numpy's
-    errstate is the same in both.  Each batch contributes its own (mean, M2),
-    the sum of squared deviations from its mean, and these are merged in batch
-    order by the pairwise update of Chan, Golub and LeVeque (1979), so the
-    variance keeps its digits when the mean is large.  Every batch's draws
-    depend only on its key and its sums are numpy's own reductions, not a
-    BLAS dot product that splits its sum across threads, so the estimate is
-    bit-identical for a fixed seed whichever thread runs a batch and at any
-    BLAS thread count.  An exception raised in a batch is re-raised once both
-    threads are done.  A request for more than 2^28 draws in all raises
-    ResourceError before any batch starts.
+    sample returns a new float64 array of rows values, or a (p, rows) array
+    whose row 0 is the quantity estimated and whose rows 1.. are controls of
+    exact mean 0; the merge reuses it as scratch.  draws_per_row counts the
+    values one row holds in either.  The draws come in batches of max(1,
+    2^16 // draws_per_row) rows, so a batch holds at most 512 KiB of values
+    (or one row), and batch b draws from its own SFC64 stream keyed by
+    SeedSequence(seed, spawn_key=(0, b)).  A helper thread runs the odd
+    batches while the caller runs the even ones; the helper starts in a copy
+    of the caller's context, so numpy's errstate is the same in both.  Each
+    batch contributes its own mean vector and co-moment matrix, the sums of
+    products of deviations from its mean, and these are merged in batch order
+    by the matrix form of the pairwise update of Chan, Golub and LeVeque
+    (1979), so the variance keeps its digits when the mean is large; the
+    controls then correct the mean (_control_fit).  Every batch's draws
+    depend only on its key and its sums are numpy's own reductions and
+    einsum, not a BLAS product that splits its sums across threads, so the
+    estimate is bit-identical for a fixed seed whichever thread runs a batch
+    and at any BLAS thread count.  An exception raised in a batch is
+    re-raised once both threads are done.  A request for more than 2^28
+    values in all raises ResourceError before any batch starts.
     """
     check_count(n, "Monte Carlo sample count", minimum=2)
     check_count(seed, "seed", minimum=0)
@@ -144,16 +196,15 @@ def monte_carlo(
     helper.join()
     if failed:
         raise failed[0]
-    count = 0
-    mean = 0.0
-    m2 = 0.0
+    count, mean, m2 = 0, 0.0, 0.0
     for rows, batch_mean, squares in results:
         delta = batch_mean - mean
         merged = count + rows
         mean += delta * (rows / merged)
-        m2 += squares + delta * delta * (count * rows / merged)
+        m2 += squares + np.multiply.outer(delta, delta) * (count * rows / merged)
         count = merged
-    return MCEstimate(mean=mean, stderr=math.sqrt(m2 / (n - 1) / n), n=n, seed=seed)
+    mean, stderr = _control_fit(n, mean, m2)
+    return MCEstimate(mean=mean, stderr=stderr, n=n, seed=seed)
 
 
 def mc_estimate(spec: SourceSpec, n: int, seed: int) -> MCEstimate:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,24 +237,75 @@ class TopUniformRng:
         return np.full(size, np.nextafter(1.0, 0.0))
 
 
+def _pairs(sides, rng, rows):
+    return boxint._inverse_distances(np.array(sides), boxint._control_means(sides), rng, rows)
+
+
 def test_pair_distances_are_strictly_positive():
-    lengths = np.array([2.0, 0.5, 1.0])
+    lengths = (2.0, 0.5, 1.0)
     # the largest uniform gives the shortest distance, 2^-53 L_i per axis
-    closest = boxint._inverse_distances(lengths, TopUniformRng(), 4)
-    assert closest == pytest.approx(2.0**53 / np.linalg.norm(lengths), rel=1e-15)
+    closest = _pairs(lengths, TopUniformRng(), 4)
+    assert closest[0] == pytest.approx(2.0**53 / np.linalg.norm(lengths), rel=1e-15)
     rng = np.random.Generator(np.random.Philox(3))
-    inv = boxint._inverse_distances(lengths, rng, 1_000_000)
+    inv = _pairs(lengths, rng, 1_000_000)[0]
     assert np.all(np.isfinite(inv)) and np.all(inv > 0.0)
 
 
+@pytest.mark.parametrize("alpha", [1e-3, 1.0, 1e3])
+def test_pair_controls_are_their_formulas(alpha):
+    # rows 1-5 are e^{-c r^2} by repeated squaring and row 6 is r^2, each less
+    # its exact mean; the uniforms are those of a twin generator
+    sides = spectrum.aspect_sides(1.0, alpha)
+    means = boxint._control_means(sides)
+    got = _pairs(sides, np.random.Generator(np.random.Philox(5)), 10_000)
+    d = 1.0 - np.sqrt(np.random.Generator(np.random.Philox(5)).random((3, 10_000)))
+    r2 = ((d * np.array(sides)[:, None]) ** 2).sum(axis=0)
+    assert np.allclose(got[0], 1.0 / np.sqrt(r2), rtol=1e-15, atol=0.0)
+    for c, row, mean in zip(boxint._CONTROL_RATES, got[1:6], means):
+        assert np.allclose(row + mean, np.exp(-c * r2), rtol=1e-12, atol=1e-15)
+    assert np.allclose(got[6], r2 - means[5], rtol=1e-15, atol=0.0)
+
+
+def _triangular_mean(length, integrand):
+    """E integrand(d) under the triangular density 2 (L - d) / L^2 on [0, L],
+    by mpmath quadrature on knots at 1/2, 1, 2, 4 and 8 widths of e^{-256 d^2}."""
+    with mpmath.workdps(30):
+        L = mpmath.mpf(length)
+        knots = [0, *(k / 16 for k in (0.5, 1, 2, 4, 8) if k / 16 < length), L]
+        return float(2 / L**2 * mpmath.quad(lambda d: (L - d) * integrand(d), knots))
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 0.5, 1.0, 1.5, 1e3])
+def test_control_means_match_the_triangular_integrals(alpha):
+    # an oracle that does not call interval_overlap: each axis distance has
+    # the triangular density, and the axes are independent
+    sides = spectrum.aspect_sides(1.0, alpha)
+    means = boxint._control_means(sides)
+    for c, mean in zip(boxint._CONTROL_RATES, means):
+        want = math.prod(_triangular_mean(L, lambda d: mpmath.exp(-c * d * d)) for L in sides)
+        assert mean == pytest.approx(want, rel=1e-13)
+    want = math.fsum(_triangular_mean(L, lambda d: d * d) for L in sides)
+    assert means[5] == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 1e3])
+def test_controlled_pairs_hold_far_from_the_cube(alpha):
+    # most pairs are hundreds apart, so e^{-r^2} is 0 for all but about 1.3 %
+    # of them (r < 27) and the raw control co-moments have a condition number
+    # of 4e16 to 9e16; the equilibrated Cholesky sweep keeps what it can use
+    est = boxint.delta_alpha(alpha, boxint.DeltaMethod.MONTE_CARLO, budget=1_000_000, seed=3)
+    assert math.isfinite(est.mean) and 0.0 < est.stderr < math.inf
+    assert abs(est.mean - boxint.delta_alpha(alpha)) <= 4.0 * est.stderr
+
+
 def test_delta_monte_carlo_is_pinned():
-    # pins the pair kernel, the per-batch keys, the 21845-row batches of
-    # three draws per pair and the merge order; 1.45 standard errors above
-    # the t-integral
+    # pins the pair kernel and its controls, the per-batch keys, the 9362-row
+    # batches of seven values per pair, the merge order and the control fit;
+    # 1.01 standard errors below the t-integral
     est = boxint.delta_alpha(
         1.5, boxint.DeltaMethod.MONTE_CARLO, budget=1_000_000, seed=5
     )
-    assert (est.mean, est.stderr) == (1.8053615726271006, 0.001475512584318543)
+    assert (est.mean, est.stderr) == (1.8029735733761834, 0.0002449310696404487)
 
 
 def test_pair_sampler_mean_matches_t_integral():

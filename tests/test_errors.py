@@ -448,6 +448,7 @@ def _edge_sweep():
     two = list(itertools.product(_EDGES, repeat=2))
     unit = plates.PlateConfig(1.0, 1.0)
     quadrature, t_integral = boxint.DeltaMethod.QUADRATURE_3D, boxint.DeltaMethod.T_INTEGRAL
+    monte_carlo = boxint.DeltaMethod.MONTE_CARLO
     long_axes = itertools.product((1e155, 1e160, 1e170, 1e200, 1e250, 1e300), spectrum.Bc, _EDGES)
     return [
         ("finite_box_trace_tau", lambda tau: plates.finite_box_trace(unit, tau), one),
@@ -461,6 +462,9 @@ def _edge_sweep():
          lambda length, bc, cutoff: spectrum.enumerate_modes(
              spectrum.BoxSpec((spectrum.AxisSpec(length, bc), _AXIS, _AXIS)), cutoff),
          list(long_axes)),
+        ("modes_below",
+         lambda length, bc, cutoff: spectrum.AxisSpec(length, bc).modes_below(cutoff),
+         list(itertools.product(_EDGES, spectrum.Bc, _EDGES))),
         ("tail_bound", _CUBE_200.tail_bound, one),
         ("regulated_trace", lambda tau: heattrace.regulated_trace(_CUBE_200, tau), one),
         ("mc_estimate",
@@ -468,6 +472,8 @@ def _edge_sweep():
          two),
         ("delta_alpha_t_integral", lambda alpha: boxint.delta_alpha(alpha, t_integral), one),
         ("delta_alpha_quadrature_3d", lambda alpha: boxint.delta_alpha(alpha, quadrature), one),
+        ("delta_alpha_monte_carlo",
+         lambda alpha: boxint.delta_alpha(alpha, monte_carlo, budget=10, seed=0), one),
         ("theta_bar", plates.theta_bar, one),
         ("two_step_chain", riesz.two_step_chain, one),
         ("momentum_integral", lambda s, lam: riesz.momentum_integral(3, s, lam), two),
@@ -484,8 +490,9 @@ def test_public_entry_points_refuse_with_package_errors():
     # at these values finite_box_trace raised ZeroDivisionError (tau = 0, or a
     # lateral period whose mode scale underflows) and OverflowError (its
     # cutoff floor at a = 1e-200), and enumerate_modes ZeroDivisionError on a
-    # long axis; every refusal is a CaslabError now.  4,563 calls, about 0.35 s
-    # (0.2 s of it one per_area_trace at a = tau = 1e10, which sums 2e5 terms)
+    # long axis, and AxisSpec.modes_below ValueError at a nan cutoff; every
+    # refusal is a CaslabError now.  5,083 calls, about 0.35 s (0.2 s of it one
+    # per_area_trace at a = tau = 1e10, which sums 2e5 terms)
     bare = []
     for name, call, arguments in _edge_sweep():
         for args in arguments:

@@ -101,7 +101,8 @@ def test_mc_frozen_across_batches(cube_stream):
 
 
 def _merged(sample, n, seed, batch_rows):
-    """The estimate of monte_carlo, its batches drawn and merged in one thread."""
+    """The estimate of monte_carlo, its batches drawn and merged in one thread:
+    the plain mean and standard error of one row, or the control fit of several."""
     count, mean, m2 = 0, 0.0, 0.0
     for index, start in enumerate(range(0, n, batch_rows)):
         rows, batch_mean, squares = stochastic._batch(
@@ -110,9 +111,11 @@ def _merged(sample, n, seed, batch_rows):
         delta = batch_mean - mean
         merged = count + rows
         mean += delta * (rows / merged)
-        m2 += squares + delta * delta * (count * rows / merged)
+        m2 += squares + np.multiply.outer(delta, delta) * (count * rows / merged)
         count = merged
-    return mean, math.sqrt(m2 / (n - 1) / n)
+    if mean.size == 1:
+        return float(mean[0]), math.sqrt(float(m2[0, 0]) / (n - 1) / n)
+    return stochastic._control_fit(n, mean, m2)
 
 
 @pytest.mark.parametrize(("n", "draws_per_row"), [(2, 1), (140_001, 1), (10_001, 9), (7, 70_000)])
@@ -127,6 +130,81 @@ def test_threads_give_the_one_thread_estimate(n, draws_per_row):
     est = stochastic.monte_carlo(sample, n, seed=5, draws_per_row=draws_per_row)
     want = _merged(sample, n, 5, max(1, (1 << 16) // draws_per_row))
     assert (est.mean, est.stderr) == want
+
+
+def _powers(rng, rows):
+    """e^u for a uniform u, then the six controls u^k - 1/(k + 1), k = 1..6;
+    equilibrated, their co-moment block has a condition number near 1e8."""
+    u = rng.random(rows)
+    out = np.empty((7, rows))
+    np.exp(u, out=out[0])
+    out[1] = u
+    for k in range(2, 7):
+        np.multiply(out[k - 1], u, out=out[k])
+    out[1:] -= 1.0 / np.arange(2.0, 8.0)[:, None]
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 9362, 10_001, 140_001])
+def test_threads_give_the_one_thread_control_fit(n):
+    # seven values per row, as the pair Monte Carlo of boxint: batches of
+    # 2^16 // 7 = 9362 rows; one batch, one full batch, two and fifteen
+    est = stochastic.monte_carlo(_powers, n, seed=5, draws_per_row=7)
+    assert (est.mean, est.stderr) == _merged(_powers, n, 5, (1 << 16) // 7)
+    assert math.isfinite(est.mean) and math.isfinite(est.stderr)
+
+
+def test_controls_shrink_the_standard_error():
+    # e^u is nearly a polynomial of degree six in u, so the controls leave
+    # a residual far below the plain standard deviation of e^u, 0.49
+    n = 200_000
+    est = stochastic.monte_carlo(_powers, n, seed=11, draws_per_row=7)
+    plain = stochastic.monte_carlo(lambda rng, rows: _powers(rng, rows)[0], n, 11, 7)
+    assert abs(est.mean - (math.e - 1.0)) <= 4.0 * est.stderr
+    assert est.stderr < 1e-6 * plain.stderr
+
+
+def _moments(vals):
+    mean = vals.mean(axis=1)
+    dev = vals - mean[:, None]
+    return mean, dev @ dev.T
+
+
+def test_control_fit_is_the_least_squares_intercept():
+    # regressing f on [1, g] with the controls at their exact mean 0: the
+    # intercept is the estimate and the residual sum of squares its variance
+    rng = np.random.default_rng(4)
+    n = 5_000
+    g = rng.standard_normal((3, n)) * np.array([[1e-3], [1.0], [1e4]])
+    f = 2.0 + g.T @ np.array([300.0, -1.0, 1e-4]) + rng.standard_normal(n)
+    mean, m2 = _moments(np.vstack([f, g]))
+    got_mean, got_stderr = stochastic._control_fit(n, mean, m2)
+    design = np.column_stack([np.ones(n), g.T])
+    coef, rss, _, _ = np.linalg.lstsq(design, f, rcond=None)
+    assert got_mean == pytest.approx(coef[0], rel=1e-12)
+    assert got_stderr == pytest.approx(math.sqrt(rss[0] / (n - 4) / n), rel=1e-9)
+
+
+def test_control_fit_drops_what_it_cannot_use():
+    # a control that repeats another, a constant one and one that is not
+    # finite are dropped with beta = 0, so the fit is the fit without them;
+    # three samples leave room for one control only
+    rng = np.random.default_rng(8)
+    n = 1_000
+    g = rng.standard_normal(n)
+    f = g + rng.standard_normal(n)
+    mean, m2 = _moments(np.vstack([f, g]))
+    want = stochastic._control_fit(n, mean, m2)
+    mean, m2 = _moments(np.vstack([f, g, 2.0 * g, np.zeros(n)]))
+    assert stochastic._control_fit(n, mean, m2) == pytest.approx(want, rel=1e-12)
+    mean = np.append(mean, 0.0)
+    m2 = np.pad(m2, ((0, 1), (0, 1)))
+    m2[-1, :] = m2[:, -1] = math.inf
+    assert stochastic._control_fit(n, mean, m2) == pytest.approx(want, rel=1e-12)
+    three = np.vstack([[1.0, 2.0, 4.0], [0.5, -0.1, 0.2], [0.3, 0.1, -0.7]])
+    mean, m2 = _moments(three)
+    got_mean, got_stderr = stochastic._control_fit(3, mean, m2)
+    assert math.isfinite(got_mean) and got_stderr >= 0.0
 
 
 def _sampler(monkeypatch, spec):
