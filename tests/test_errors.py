@@ -186,6 +186,7 @@ def test_plate_values_past_the_float_range_are_refused(call):
         lambda: boxint.reference_energy(1e-300, 1, 1e300, 1e-300),
         lambda: stochastic.mc_estimate(stochastic.SourceSpec(_CUBE_200, 30.0), 10, 0),
         lambda: stochastic.mc_estimate(stochastic.SourceSpec(_CUBE_200, 1e3), 10, 0),
+        lambda: stochastic.mc_estimate(stochastic.SourceSpec(_CUBE_200, 15.0), 10, 0),
         lambda: spectrum.saturation_check(1e-200, 1e200, 1.0),
         lambda: spectrum.aspect_sides(1e-300, 1e10),
     ],
@@ -193,6 +194,7 @@ def test_plate_values_past_the_float_range_are_refused(call):
         "casimir_per_area", "per_area_trace", "cell_overlap_energy", "interval_overlap",
         "regulated_trace", "lateral_gap", "mixed_cell_heat_trace", "heat_coefficients",
         "axis_theta_sum", "reference_energy", "mc_estimate_tau_30", "mc_estimate_tau_1e3",
+        "mc_estimate_variance_tau_15",
         "saturation_ratio", "aspect_side_subnormal",
     ],
 )
@@ -204,7 +206,8 @@ def test_values_that_underflow_are_refused(call):
     # The gap returned 9.87e-320, the box trace and the volume term 0.0, and
     # a Dirichlet axis sum 0.0 (the box trace then refused it as its own),
     # the reference energy -0.0, and the Monte Carlo estimate 0 +- 0 where
-    # every weight underflows; the gap ratio returned 0.0 where lateral_gap
+    # every weight underflows, and a standard error of 0.0 where every squared
+    # weight does (E[U] = 2.3e-193); the gap ratio returned 0.0 where lateral_gap
     # of the same sides refused, and the aspect family the subnormal side 1e-310
     with pytest.raises(ParameterError, match="normal float range"):
         call()

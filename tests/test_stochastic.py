@@ -91,13 +91,13 @@ def test_mc_bit_reproducible(cube_stream):
 
 
 def test_mc_frozen_across_batches(cube_stream):
-    # 140001 rows of the 3 drawn values span seven batches of at most 21845
-    # rows, four on the caller's thread and three on the helper; these values
+    # 140001 rows of the 2 drawn values span five batches of at most 32768
+    # rows, three on the caller's thread and two on the helper; these values
     # pin the batch keys, the batch partition and the merge order.  They lie
-    # 0.47 standard errors above the trace
+    # 0.69 standard errors below the trace
     spec = stochastic.SourceSpec(stream=cube_stream, tau=0.5)
     est = stochastic.mc_estimate(spec, n=140_001, seed=42)
-    assert (est.mean, est.stderr) == (1.0138712920338627e-06, 3.826677221713858e-09)
+    assert (est.mean, est.stderr) == (1.0094402404240036e-06, 3.806727293851963e-09)
 
 
 def _merged(sample, n, seed, batch_rows):
@@ -210,48 +210,80 @@ def test_control_fit_drops_what_it_cannot_use():
 def _sampler(monkeypatch, spec):
     """The (sample, draws_per_row) that mc_estimate hands to monte_carlo."""
     calls = []
+
+    def record(sample, n, seed, draws_per_row):
+        calls.append((sample, draws_per_row))
+        return stochastic.MCEstimate(mean=0.0, stderr=0.0, n=n, seed=seed)
+
     with monkeypatch.context() as patch:
-        patch.setattr(
-            stochastic, "monte_carlo",
-            lambda sample, n, seed, draws_per_row: calls.append((sample, draws_per_row)),
-        )
+        patch.setattr(stochastic, "monte_carlo", record)
         stochastic.mc_estimate(spec, n=2, seed=0)
     return calls[0]
 
 
+def _shares(stream, tau):
+    """Each distinct value's share of E[U], k w, and of Var U, 2 k w^2."""
+    lam, mult = stream.values, stream.multiplicities
+    weight = 0.5 * np.sqrt(lam) * np.exp(-tau * lam)
+    return (mult * weight).tolist(), (2.0 * mult * weight * weight).tolist()
+
+
 def test_mc_estimate_is_its_one_thread_merge(monkeypatch):
-    # five batches of 1191 rows of the 55 drawn values (of 147), each class
-    # a BLAS product
+    # two batches of at most 2621 rows of the 25 drawn values (of 147), each
+    # class but the one-value ones a BLAS product; values 25 to 54 enter at
+    # their exact mean
     axis = spectrum.AxisSpec(1.0, D)
     stream = spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), 2000.0)
     spec = stochastic.SourceSpec(stream=stream, tau=0.05)
     est = stochastic.mc_estimate(spec, n=5000, seed=3)
     sample, width = _sampler(monkeypatch, spec)
-    assert width == 55
-    assert (est.mean, est.stderr) == _merged(sample, 5000, 3, (1 << 16) // 55)
+    assert width == 25
+    mean, stderr = _merged(sample, 5000, 3, (1 << 16) // 25)
+    assert (est.mean, est.stderr) == (mean + math.fsum(_shares(stream, 0.05)[0][25:55]), stderr)
 
 
-@pytest.mark.parametrize(
-    ("cutoff", "tau", "drawn"),
+_DRAWN_PREFIXES = pytest.mark.parametrize(
+    ("cutoff", "tau", "kept", "drawn"),
     [
-        (600.0, 0.1, 24),  # the three cubes of the spectral benchmark
-        (900.0, 0.07, 37),
-        (1200.0, 0.05, 55),
-        (acceptance.CUBE_CUTOFF, 0.5, 3),  # criterion 4's two spectra
-        (acceptance.TEN_MODE_CUTOFF, 0.5, 3),
+        (600.0, 0.1, 24, 11),  # the three cubes of the spectral benchmark
+        (900.0, 0.07, 37, 16),
+        (1200.0, 0.05, 55, 25),
+        (acceptance.CUBE_CUTOFF, 0.5, 3, 2),  # criterion 4's two spectra
+        (acceptance.TEN_MODE_CUTOFF, 0.5, 3, 2),
     ],
     ids=["cube-600", "cube-900", "cube-1200", "criterion-4-cube", "criterion-4-ten-modes"],
 )
-def test_dropped_share_is_below_the_last_bit(monkeypatch, cutoff, tau, drawn):
-    # the values past the drawn prefix hold at most 2^-53 of E[U], and one
-    # value fewer would drop more; both sums are exact (math.fsum)
+
+
+@_DRAWN_PREFIXES
+def test_dropped_share_is_below_the_last_bit(monkeypatch, cutoff, tau, kept, drawn):
+    # the values past the kept prefix hold at most 2^-53 of E[U], and one
+    # value fewer would drop more; the kept values past the drawn prefix hold
+    # at most 2^-53 of the kept values' Var U, and one value fewer would drop
+    # more.  Every sum is exact (math.fsum)
     stream = spectrum.enumerate_modes(spectrum.UNIT_CUBE, cutoff)
     _, width = _sampler(monkeypatch, stochastic.SourceSpec(stream=stream, tau=tau))
-    lam = stream.values
-    shares = (stream.multiplicities * 0.5 * np.sqrt(lam) * np.exp(-tau * lam)).tolist()
-    bound = math.ldexp(math.fsum(shares), -53)
+    means, spreads = _shares(stream, tau)
+    bound = math.ldexp(math.fsum(means), -53)
+    assert math.fsum(means[kept:]) <= bound < math.fsum(means[kept - 1:])
+    spreads = spreads[:kept]
+    bound = math.ldexp(math.fsum(spreads), -53)
     assert width == drawn
-    assert math.fsum(shares[width:]) <= bound < math.fsum(shares[width - 1:])
+    assert math.fsum(spreads[drawn:]) <= bound < math.fsum(spreads[drawn - 1:])
+
+
+@_DRAWN_PREFIXES
+def test_kept_values_past_the_draws_enter_at_their_mean(monkeypatch, cutoff, tau, kept, drawn):
+    # the estimate is the Monte Carlo of the drawn values plus the exact sum
+    # of k w over the kept values past them; the standard error is the
+    # Monte Carlo's
+    stream = spectrum.enumerate_modes(spectrum.UNIT_CUBE, cutoff)
+    spec = stochastic.SourceSpec(stream=stream, tau=tau)
+    sample, width = _sampler(monkeypatch, spec)
+    plain = stochastic.monte_carlo(sample, 3000, 6, draws_per_row=width)
+    est = stochastic.mc_estimate(spec, n=3000, seed=6)
+    assert est.mean == plain.mean + math.fsum(_shares(stream, tau)[0][drawn:kept])
+    assert est.stderr == plain.stderr
 
 
 @pytest.mark.parametrize(("tau", "cutoffs"), [(0.05, (1200.0, 2400.0)), (0.5, (200.0, 1e5))])
@@ -378,9 +410,9 @@ def test_samplers_match_exact_mean_and_variance(box):
 
 
 def test_mc_batch_memory_is_bounded():
-    # 1277 modes in 147 distinct values, 55 of them drawn: 65536 rows would
-    # hold 29 MB of draws at once; batches of 1191 rows bound each thread's
-    # draws to 512 KiB.  The estimate lies 1.46 standard errors below the trace
+    # 1277 modes in 147 distinct values, 25 of them drawn: 65536 rows would
+    # hold 13 MB of draws at once; batches of 2621 rows bound each thread's
+    # draws to 512 KiB.  The estimate lies 0.29 standard errors below the trace
     axis = spectrum.AxisSpec(1.0, D)
     stream = spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), 2000.0)
     assert (stream.mode_count, stream.values.size) == (1277, 147)
@@ -392,7 +424,7 @@ def test_mc_batch_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
-    assert (est.mean, est.stderr) == (1.509480524168498, 0.002265927684362084)
+    assert (est.mean, est.stderr) == (1.5121176270283274, 0.0022664716565004373)
 
 
 def test_one_batch_per_thread_is_alive_at_a_time():
@@ -420,14 +452,15 @@ def test_one_batch_per_thread_is_alive_at_a_time():
 
 
 def test_sampler_draws_one_product_per_class(monkeypatch):
-    # 1634 drawn values of 1651 in 41 multiplicity classes of 1 to 195
+    # 858 drawn values of 1651 in 28 multiplicity classes of 1 to 139
     # values; the sampler draws each class as one (rows x n_k) matrix, in
-    # ascending k
+    # ascending k, and multiplies a one-value class where the oracle below
+    # takes a one-column matmul
     axis = spectrum.AxisSpec(1.0, D)
     stream = spectrum.enumerate_modes(spectrum.BoxSpec((axis, axis, axis)), 2e4)
     tau = 0.002
     sample, width = _sampler(monkeypatch, stochastic.SourceSpec(stream=stream, tau=tau))
-    assert (width, stream.values.size) == (1634, 1651)
+    assert (width, stream.values.size) == (858, 1651)
     lam, mult = stream.values[:width], stream.multiplicities[:width]
     weight = 0.5 * np.sqrt(lam) * np.exp(-tau * lam)
 
@@ -443,10 +476,21 @@ def test_sampler_draws_one_product_per_class(monkeypatch):
                 vals += rng.standard_gamma(0.5 * k, (rows, w.size)) @ (w * 2.0)
         return vals
 
-    for rows in (1, 40, 200):  # 40 rows are 2^16 // 1634, the batch of this spectrum
+    for rows in (1, 76, 200):  # 76 rows are 2^16 // 858, the batch of this spectrum
         rng_a, rng_b = (np.random.Generator(np.random.SFC64(7)) for _ in range(2))
         assert np.array_equal(sample(rng_a, rows), whole_batch(rng_b, rows))
         assert rng_a.random() == rng_b.random()  # the same draws were used up
+
+
+def _seed_z_scores(stream, tau):
+    """(mean - trace) / stderr of the 4096-sample estimates at seeds 0..199."""
+    spec = stochastic.SourceSpec(stream=stream, tau=tau)
+    trace = heattrace.regulated_trace(stream, tau).value
+    z = []
+    for seed in range(200):
+        est = stochastic.mc_estimate(spec, n=4096, seed=seed)
+        z.append((est.mean - trace) / est.stderr)
+    return np.array(z)
 
 
 def test_seeds_give_standard_normal_z_scores():
@@ -459,13 +503,19 @@ def test_seeds_give_standard_normal_z_scores():
         spectrum.BoxSpec((axis, axis, axis)), 11.5 * math.pi**2
     )
     assert stream.mode_count == 10
-    spec = stochastic.SourceSpec(stream=stream, tau=0.5)
-    trace = heattrace.regulated_trace(stream, 0.5).value
-    z = []
-    for seed in range(200):
-        est = stochastic.mc_estimate(spec, n=4096, seed=seed)
-        z.append((est.mean - trace) / est.stderr)
-    z = np.abs(np.array(z))
+    z = np.abs(_seed_z_scores(stream, 0.5))
+    assert 0.65 <= float(z.mean()) <= 0.95
+    assert np.count_nonzero(z > 2.0) <= 20
+
+
+def test_seeds_give_standard_normal_z_scores_with_an_exact_tail():
+    # the unit cube at cutoff 1200 and tau = 0.05 draws 25 of its 55 kept
+    # values and takes the other 30, 1.9e-8 of E[U], at their exact mean;
+    # over 200 seeds the bounds on |z| are those of the 10-mode cube above,
+    # and the mean of z has standard deviation 0.071
+    z = _seed_z_scores(spectrum.enumerate_modes(spectrum.UNIT_CUBE, 1200.0), 0.05)
+    assert abs(float(z.mean())) <= 0.25
+    z = np.abs(z)
     assert 0.65 <= float(z.mean()) <= 0.95
     assert np.count_nonzero(z > 2.0) <= 20
 
