@@ -74,9 +74,11 @@ def cell_overlap_energy(lengths: tuple[float, float, float]) -> float:
     One double-exponential rule over the half-line (riesz.quad_checked): its
     nodes crowd toward t = 0, where the integrand goes like t^{-1/2}, and
     spread double exponentially toward the t^{-2} tail, so neither needs a
-    split or an analytic tail.  I_L is interval_overlap's closed form over
-    the node array, with specfun.erf over the nodes.  ParameterError unless
-    the value is a normal float.
+    split or an analytic tail.  The rule stops at h = 1/16, 209 nodes, for
+    alpha in [0.4, 2.5] of the cell (alpha, 1/alpha, 1), the cube among
+    them, and at h = 1/32, 417 nodes, out to 0.05 and 20.  I_L is
+    interval_overlap's closed form over the node array, with specfun.erf over
+    the nodes.  ParameterError unless the value is a normal float.
     """
     ls = tuple(check_positive(x, "side length") for x in lengths)
     if len(ls) != 3:

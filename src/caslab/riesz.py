@@ -12,7 +12,9 @@ explicit width) and exposes the two-stage chain whose combined constant is
 
 Every quadrature of the package runs on quad_checked, the double-exponential
 rule (Takahasi and Mori, Publ. RIMS 9 (1974) 721; Trefethen and Weideman,
-SIAM Rev. 56 (2014) 385) vectorized in numpy over its nodes.
+SIAM Rev. 56 (2014) 385) vectorized in numpy over its nodes and refined by
+halving its step until two successive levels agree (Bailey, Jeyabalan and
+Li, Experimental Math. 14 (2005) 317).
 """
 
 from __future__ import annotations
@@ -92,15 +94,18 @@ class MollifierSpec:
 
 
 # The double-exponential rule: x = exp((pi/2) sinh t) maps the trapezoid rule
-# in t onto (0, inf).  It runs on the h/2 = 1/64 grid of [-6.5, 6.5], whose
-# even nodes form the h = 1/32 rule of 417 nodes it is checked against.
+# in t onto (0, inf).  The table is the h = 1/64 grid of [-6.5, 6.5]; every
+# 2nd, 4th and 8th node, each weight times that stride, is the rule of step
+# 1/32, 1/16 and 1/8 on the same window, so each level holds the one before.
 _DE_T = np.arange(-416, 417) / 64.0
 _DE_Y = np.exp(0.5 * math.pi * np.sinh(_DE_T))
-_DE_C = (0.5 * math.pi / 64.0) * np.cosh(_DE_T)  # (h/2) d(log y)/dt
+_DE_C = (0.5 * math.pi / 64.0) * np.cosh(_DE_T)  # (1/64) d(log y)/dt
+# Table strides of the levels quad_checked may accept: h = 1/16, 1/32, 1/64.
+_DE_STRIDES = (4, 2, 1)
 
 
 def _de_nodes(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and h/2 weights of the rule on [a, inf) or on a finite [a, b].
+    """Nodes and h = 1/64 weights of the rule on [a, inf) or on a finite [a, b].
 
     A finite interval takes the tanh-sinh form x = a + (b-a) y/(1+y), that is
     (a+b)/2 + (b-a)/2 tanh((pi/4) sinh t), with each point placed from its
@@ -126,48 +131,68 @@ def quad_checked(
 ) -> float:
     """int_a^b f by the double-exponential rule, b finite or inf.
 
-    f takes the node array x and returns one value per node.  It runs with
+    f takes a node array x and returns one value per node.  It runs with
     numpy overflow, invalid and divide-by-zero raising, so an integrand that
     meets x = e^{+-522} at the ends of the window is written in log form.
 
-    The value is the h/2 rule.  QuadratureError is raised when it is not
-    finite, or when its gap to the h rule or a term on the rim of the window
-    exceeds max(epsabs, 10 epsrel |value|), or when that bound is 0: a value
-    of 0 with epsabs = 0 certifies nothing, since every term underflowed.
+    The rule is refined level by level on one table: the first call of f
+    takes the 209 nodes of h = 1/16, which also give the h = 1/8 sum, and
+    each later call only the 208, then 416, nodes that halve the step, so f
+    sees at most 833 nodes in 3 calls.  The value is the first level whose
+    gap to the level of twice its step and whose terms on the rim of the
+    window (t = +-6.5, in every level) are within max(epsabs, 10 epsrel
+    |value|).  QuadratureError is raised when no level up to h = 1/64
+    passes, when a value is not finite, or when that bound is 0: a value of
+    0 with epsabs = 0 certifies nothing, since every term underflowed.
+
+    Contract: f must be resolved by the h = 1/16 grid of t on its own scale,
+    as every caller arranges by putting its nodes on that scale; a feature
+    narrower than that grid, which two coarse levels both miss alike, is
+    not seen.
     """
     x, w = _de_nodes(a, b)
 
-    def parts():
-        terms = np.asarray(f(x), dtype=float) * w
-        yield terms.sum(), 2.0 * terms[::2].sum(), np.abs(terms[[0, -1]]).max()
+    def levels():
+        first = _DE_STRIDES[0]
+        terms = np.asarray(f(x[::first]), dtype=float) * w[::first]
+        total, rim = terms.sum(), np.abs(terms[[0, -1]]).max()
+        yield first * total, 2.0 * first * terms[::2].sum(), first * rim, terms.size
+        for stride in _DE_STRIDES[1:]:
+            new = slice(stride, None, 2 * stride)  # the nodes halfway between the last level's
+            fresh = np.asarray(f(x[new]), dtype=float) * w[new]
+            coarse, total = 2.0 * stride * total, total + fresh.sum()
+            yield stride * total, coarse, stride * rim, fresh.size
 
-    return _checked_sum(parts(), a, b, epsabs, epsrel)
+    return _checked_sum(levels(), a, b, epsabs, epsrel)
 
 
-def _checked_sum(parts, a: float, b: float, epsabs: float, epsrel: float) -> float:
-    """Sum the h/2 rule from blocks of its weighted terms and decide it.
+def _checked_sum(levels, a: float, b: float, epsabs: float, epsrel: float) -> float:
+    """Decide the rule level by level and return the first accepted value.
 
-    parts yields, per block, the sum of its terms, its share of the h rule
-    and its largest term on the rim of the window; it is drawn under the
-    raising errstate of quad_checked, whose verdict this is.
+    levels yields, for the strides of _DE_STRIDES in turn, the level's value,
+    the value of the level of twice its step, its largest term on the rim of
+    the window and the count of nodes it evaluated.  It is drawn under
+    the raising errstate of quad_checked, whose verdict this is, and only as
+    far as no level passes; a value that is not finite stays so at every
+    finer level, whose nodes include it, so it ends the refinement.
     """
-    value = coarse = rim = 0.0
+    nodes = 0
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            for fine_sum, coarse_sum, rim_term in parts:
-                value += float(fine_sum)
-                coarse += float(coarse_sum)
-                rim = max(rim, float(rim_term))
+            for stride, (value, coarse, rim, count) in zip(_DE_STRIDES, levels):
+                value, rim, nodes = float(value), float(rim), nodes + count
+                gap = abs(value - float(coarse))
+                wanted = max(epsabs, 10.0 * epsrel * abs(value))
+                if not math.isfinite(value):
+                    break
+                if 0.0 < wanted and gap <= wanted and rim <= wanted:
+                    return value
     except (FloatingPointError, OverflowError) as exc:
         raise QuadratureError(f"integrand on [{a}, {b}] left float range: {exc}") from exc
-    gap = abs(value - coarse)
-    wanted = max(epsabs, 10.0 * epsrel * abs(value))
-    if not (math.isfinite(value) and 0.0 < wanted and gap <= wanted and rim <= wanted):
-        raise QuadratureError(
-            f"quadrature on [{a}, {b}] gave {value:.6g} with h/2 gap {gap:.3e}"
-            f" and rim term {rim:.3e}, wanted both within {wanted:.3e}"
-        )
-    return value
+    raise QuadratureError(
+        f"quadrature on [{a}, {b}] gave {value:.6g} at h = 1/{64 // stride} from {nodes}"
+        f" nodes, with h/2 gap {gap:.3e} and rim term {rim:.3e}, wanted both within {wanted:.3e}"
+    )
 
 
 def _check_domain(m: int, s: float, lam: float, what: str) -> tuple[float, float]:
@@ -213,8 +238,10 @@ def momentum_integral(m: int, s: float, lam: float) -> float:
     """integral d^m q / (2 pi)^m  (lam + |q|^2)^{-s} by radial quadrature.
 
     Measured against reduction_constant(m, s) * lam^{m/2 - s} for the (m, s)
-    pairs of the reduce command at 2,000 log-spaced lam: within 4.1e-14
-    relative on [1e-100, 1e100], and within 9e-14 out to 1e-123 and 1e123.
+    pairs of the reduce command at 2,000 log-spaced lam: within 6.4e-15
+    relative on [1e-12, 1e12], 6e-14 on [1e-100, 1e100] and 9.8e-14 out to
+    1e-123 and 1e123, where the rounding of the integrand's exponent, of
+    size s |log lam|, dominates.
     ParameterError unless the result is a normal float.
     """
     s, lam = _check_domain(m, s, lam, "momentum integral")
@@ -225,9 +252,10 @@ def schwinger_integral(m: int, s: float, lam: float) -> float:
     """Proper-time form (4 pi)^{-m/2} Gamma(s)^{-1} int_0^inf t^{s-1-m/2} e^{-t lam} dt.
 
     The double-exponential rule takes the endpoint power t^a, a = s-1-m/2,
-    without a weight function down to about a = -0.95; closer to the
-    integrable limit a = -1 its rim guard raises QuadratureError, and
-    ParameterError where Gamma(s) overflows (s past 171.6) or the result is
+    without a weight function down to a = -0.9579, 2.4e-10 relative to
+    Gamma(a + 1) there; it stops at h = 1/16 down to a = -0.955 and takes all
+    833 nodes below a = -0.9567.  Closer to the integrable limit a = -1 its
+    rim guard raises QuadratureError, and ParameterError where Gamma(s) overflows (s past 171.6) or the result is
     not a normal float.
     """
     s, lam = _check_domain(m, s, lam, "schwinger integral")
@@ -278,8 +306,9 @@ def richardson_limit(
     return float(coef[-1])
 
 
-# Rows of the nested rule summed at once: an even count keeps the h rule's
-# nodes, the even ones of the h/2 grid, at even rows of every block.
+# Rows of the nested rule summed at once: an even count keeps the nodes of
+# the level of twice the step, the even ones of each level, at even rows of
+# every block.
 _CHAIN_ROWS = 64
 
 
@@ -303,24 +332,34 @@ def two_step_chain(lam: float) -> tuple[float, float, float]:
     judges the nested value against (product)/lam.
 
     The nested value is the product of the double-exponential rule with
-    itself, reduced _CHAIN_ROWS rows of p nodes at a time (tracemalloc peak
-    1.7 MiB against 16 MiB for the whole 833 x 833 grid) and decided as
-    quad_checked decides.  Only numpy's summation order differs from the
-    whole-grid sum: within 4 ulp of it over lam in [1e-12, 1e12].
+    itself, refined through the levels of quad_checked and decided as it
+    decides.  Each level's whole product grid is summed _CHAIN_ROWS rows of
+    p nodes at a time, its even rows and columns giving the level of twice
+    the step, so the 209 x 209 grid of h = 1/16 also gives h = 1/8.  Over
+    lam in [1e-12, 1e12] the rule stops at h = 1/32: 209^2 + 417^2 kernel
+    values instead of 833^2, a tracemalloc peak of 0.9 MiB against 16 MiB
+    for the whole 833 x 833 grid, and a value within 4 ulp of the 417 x 417
+    grid summed whole.
     """
     lam = check_positive(lam, "lam")
     x, w = _de_nodes(0.0, math.inf)
 
-    def parts():
-        for i in range(0, x.size, _CHAIN_ROWS):
+    def level(stride: int):
+        u, c = x[::stride], w[::stride]
+        value = coarse = rim = 0.0
+        for i in range(0, u.size, _CHAIN_ROWS):
             rows = slice(i, i + _CHAIN_ROWS)
-            terms = _chain_kernel(lam, x[rows, None], x) * w[rows, None] * w
-            rim = np.abs(terms[:, [0, -1]]).max()
+            terms = _chain_kernel(lam, u[rows, None], u) * c[rows, None] * c
+            value += terms.sum()
+            coarse += terms[::2, ::2].sum()
+            rim = max(rim, np.abs(terms[:, [0, -1]]).max())
             if i == 0:
                 rim = max(rim, np.abs(terms[0]).max())
-            if i + _CHAIN_ROWS >= x.size:
+            if i + _CHAIN_ROWS >= u.size:
                 rim = max(rim, np.abs(terms[-1]).max())
-            yield terms.sum(), 4.0 * terms[::2, ::2].sum(), rim
+        scale = stride * stride
+        return scale * value, 4.0 * scale * coarse, scale * rim, u.size * u.size
 
-    nested = _checked_sum(parts(), 0.0, math.inf, 0.0, 1e-10) / (2.0 * math.pi**3)
+    levels = (level(stride) for stride in _DE_STRIDES)
+    nested = _checked_sum(levels, 0.0, math.inf, 0.0, 1e-10) / (2.0 * math.pi**3)
     return reduction_constant(1, 3.0), reduction_constant(3, 2.5), nested

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from caslab import plates, riesz, spectrum
+from caslab import boxint, plates, riesz, spectrum
 from caslab.errors import ConvergenceError, ParameterError, QuadratureError
 
 
@@ -257,8 +257,9 @@ def test_quad_checked_rejects_nan_integrand():
 
 
 def test_quad_checked_rejects_integrand_large_at_window_end():
-    # convergent, but (1+x)^-1.01 is still 4e-3 of its size at x = e^522
-    with pytest.raises(QuadratureError, match="rim term"):
+    # convergent, but (1+x)^-1.01 is still 4e-3 of its size at x = e^522;
+    # no level passes, and the refusal names the last one and its nodes
+    with pytest.raises(QuadratureError, match="h = 1/64 from 833 nodes, .* rim term"):
         riesz.quad_checked(lambda x: (1.0 + x) ** -1.01, 0.0, math.inf, epsabs=1e-10)
 
 
@@ -280,15 +281,19 @@ def test_quad_checked_gamma_function(a):
     assert got == pytest.approx(math.gamma(a + 1.0), rel=1e-11 if a < -0.5 else 1e-14, abs=0.0)
 
 
+HOMOGENEITY_PAIRS = ((1, 3.0), (2, 2.0), (3, 2.5), (3, 4.0), (4, 3.0))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(log_lam=st.floats(-100.0, 100.0))
 def test_routes_are_homogeneous_in_lambda(log_lam):
     # q = sqrt(lam) u and t = u / lam put the nodes on the integrand's own
     # scale, so lam enters each route only as the factor lam^(m/2 - s); over
-    # 3,001 log-spaced lam the worst gap was 4.1e-14 relative
+    # 3,001 log-spaced lam the worst gap was 6.1e-14 relative (4.1e-14 when
+    # every call summed all 833 nodes)
     lam = 10.0**log_lam
     for route in (riesz.momentum_integral, riesz.schwinger_integral):
-        for m, s in ((1, 3.0), (2, 2.0), (3, 2.5), (3, 4.0), (4, 3.0)):
+        for m, s in HOMOGENEITY_PAIRS:
             got = route(m, s, lam) / lam ** (0.5 * m - s)
             assert got == pytest.approx(route(m, s, 1.0), rel=2e-13, abs=0.0)
 
@@ -421,20 +426,23 @@ def test_two_step_chain_triple():
         riesz.two_step_chain(0.0)
 
 
-def full_grid_nested(lam):
-    """two_step_chain's nested value summed over the whole 833 x 833 product grid."""
+def full_grid_nested(lam, stride=1):
+    """two_step_chain's nested value summed over the whole product grid of
+    every stride-th node: 833 x 833 at stride 1, 417 x 417 at stride 2."""
     x, w = riesz._de_nodes(0.0, math.inf)
+    x, w = x[::stride], stride * w[::stride]
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         terms = riesz._chain_kernel(lam, x[:, None], x[None, :]) * w[:, None] * w[None, :]
     return float(terms.sum()) / (2.0 * math.pi**3)
 
 
 def test_two_step_chain_row_blocks_match_the_full_grid():
-    # the row blocks change only numpy's summation order; lam enters the
-    # kernel only through its scaling (the homogeneity test below), so a few
-    # lam across the range cover it
+    # the rule stops at h = 1/32 for these lam, and the row blocks change only
+    # numpy's summation order against that level's 417 x 417 grid; lam enters
+    # the kernel only through its scaling (the homogeneity test below), so a
+    # few lam across the range cover it
     for lam in (1e-12, 3.7e-7, 0.01, 1.0, 2.0, 45.0, 6.1e5, 1e12):
-        want = full_grid_nested(lam)
+        want = full_grid_nested(lam, stride=2)
         got = riesz.two_step_chain(lam)[2]
         assert abs(got - want) <= 4.0 * np.spacing(want), lam
 
@@ -455,8 +463,9 @@ def test_two_step_chain_is_homogeneous_in_lambda(log_lam):
 
 @pytest.mark.parametrize("bad", ["nan", "overflow"])
 def test_two_step_chain_raises_on_a_late_block(monkeypatch, bad):
-    # the last block (p node 832 alone) fails; the blocks before it are fine
-    # and their sum alone would pass the verdict
+    # the last block of the first level (p node 832, in every level) fails;
+    # the blocks before it are fine and their sum alone would pass the
+    # verdict.  No finer level can mend it, so the rule stops there.
     kernel = riesz._chain_kernel
     blocks = []
 
@@ -468,14 +477,15 @@ def test_two_step_chain_raises_on_a_late_block(monkeypatch, bad):
         return kernel(lam, u, v) * np.exp(np.where(late, 1e3, 0.0))
 
     monkeypatch.setattr(riesz, "_chain_kernel", spoiled)
-    with pytest.raises(QuadratureError):
+    match = "h = 1/16 from 43681 nodes" if bad == "nan" else "float range"
+    with pytest.raises(QuadratureError, match=match):
         riesz.two_step_chain(2.0)
-    assert blocks == [64] * 13 + [1]
+    assert blocks == [64, 64, 64, 17]
 
 
 def test_two_step_chain_memory_is_bounded():
     # the whole 833 x 833 product grid and its temporaries peaked at 16.0 MiB;
-    # 64-row blocks need 1.7 MiB
+    # 64-row blocks of the 417-node level the rule stops at need 0.9 MiB
     riesz.two_step_chain(2.0)
     tracemalloc.start()
     try:
@@ -501,3 +511,83 @@ def test_two_step_chain_memory_is_bounded():
 def test_non_finite_and_bool_inputs_are_rejected(call, bad):
     with pytest.raises(ParameterError):
         call(bad)
+
+
+def _recording_quad(monkeypatch):
+    """Wrap quad_checked where riesz and boxint call it: each call records
+    (accepted value, the full 833-node table summed here, the verdict's
+    bound, the node counts f was called with)."""
+    real = riesz.quad_checked
+    calls = []
+
+    def recorded(f, a, b, *, epsabs, epsrel=1e-11):
+        sizes = []
+
+        def counted(x):
+            sizes.append(x.size)
+            return f(x)
+
+        got = real(counted, a, b, epsabs=epsabs, epsrel=epsrel)
+        x, w = riesz._de_nodes(a, b)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            full = float(np.sum(np.asarray(f(x), dtype=float) * w))
+        calls.append((got, full, max(epsabs, 10.0 * epsrel * abs(full)), sizes))
+        return got
+
+    monkeypatch.setattr(riesz, "quad_checked", recorded)
+    monkeypatch.setattr(boxint, "quad_checked", recorded)
+    return calls
+
+
+def test_adaptive_rule_matches_the_full_table(monkeypatch):
+    # every caller's accepted level against the whole h = 1/64 table, over
+    # the lam sweeps of the homogeneity tests and alpha in [0.05, 20].
+    # Measured worst relative gaps: momentum 2.5e-14 (1.6e-15 where
+    # |log10 lam| <= 12: its integrand's exponent holds s |log lam|, whose
+    # rounding 209 nodes average less than 833), Schwinger 3.2e-15,
+    # mollified 4.3e-16, cell_overlap_energy 2.2e-16, the chain 8.2e-16
+    calls = _recording_quad(monkeypatch)
+    for lam in 10.0 ** np.linspace(-100.0, 100.0, 41):
+        for m, s in HOMOGENEITY_PAIRS:
+            riesz.momentum_integral(m, s, lam)
+            riesz.schwinger_integral(m, s, lam)
+    for lam in 10.0 ** np.linspace(-3.0, 3.0, 7):
+        for eps in (0.2, 0.1, 0.05):
+            riesz.mollified_reduction(3, 2.5, lam, riesz.MollifierSpec(eps=eps))
+    for alpha in np.geomspace(0.05, 20.0, 25):
+        boxint.cell_overlap_energy((alpha, 1.0 / alpha, 1.0))
+    assert len(calls) == 41 * 10 + 21 + 25
+    for got, full, bound, _ in calls:
+        assert abs(got - full) <= bound
+        assert abs(got - full) <= 4e-14 * abs(full)
+    for lam in np.geomspace(1e-12, 1e12, 13):
+        want = full_grid_nested(lam)
+        assert abs(riesz.two_step_chain(lam)[2] - want) <= 2e-15 * want, lam
+
+
+def test_the_rule_evaluates_only_the_levels_it_needs(monkeypatch):
+    # a change that quietly falls back to the full table fails here: the
+    # cube cell and the momentum route stop at h = 1/16 (209 nodes, one call
+    # of f), Schwinger at h = 1/32 (209 + 208), the chain at h = 1/32 on
+    # both axes, and a near-critical endpoint power needs all 833 in 3 calls
+    calls = _recording_quad(monkeypatch)
+    boxint.cell_overlap_energy((1.0, 1.0, 1.0))
+    riesz.momentum_integral(3, 2.5, 1.0)
+    riesz.schwinger_integral(3, 2.5, 1.0)
+    riesz.quad_checked(lambda x: np.exp(-0.957 * np.log(x) - x), 0.0, math.inf, epsabs=0.0)
+    assert [sizes for *_, sizes in calls] == [[209], [209], [209, 208], [209, 208, 416]]
+    assert calls[-1][0] == pytest.approx(math.gamma(1.0 - 0.957), rel=2e-10)
+
+    kernel = riesz._chain_kernel
+    rows, columns = [], []
+
+    def counted(lam, u, v):
+        rows.append(u.ravel())
+        columns.append(v.size)
+        return kernel(lam, u, v)
+
+    monkeypatch.setattr(riesz, "_chain_kernel", counted)
+    riesz.two_step_chain(2.0)
+    assert sorted(set(columns)) == [209, 417]
+    assert [np.unique(np.concatenate(rows)).size, max(columns)] == [417, 417]
+    assert sum(r.size * c for r, c in zip(rows, columns)) == 209**2 + 417**2
