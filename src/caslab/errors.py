@@ -8,8 +8,11 @@ check_float_count for counts that enter float arithmetic, check_choice for
 method and boundary-condition names, check_positive for lengths, times and
 spectral values, and check_normal for computed results: given the
 computation itself, it is the one place where an overflow becomes a
-refusal.  CheckReport is the one record of a measured check: the acceptance
-battery, the command-line reports and the boxint scans all build theirs from it.
+refusal.  check_positive_nodes and check_normal_at are the same two checks
+over arrays of nodes: each refuses at the first node that fails, with the
+scalar check's message for that node.  CheckReport is the one record of a
+measured check: the acceptance battery, the command-line reports and the
+boxint scans all build theirs from it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
+
+import numpy as np
 
 # the error types, which the package root re-exports
 __all__ = [
@@ -115,6 +120,25 @@ def check_positive(value, what: str) -> float:
     return float(value)
 
 
+def check_positive_nodes(t, what: str) -> np.ndarray:
+    """t, a real or an array of reals, as a float array of its shape (0-d for
+    a scalar) once every entry passes check_positive; ParameterError, as
+    check_positive raises it, at the first entry that does not."""
+    try:
+        nodes = np.asarray(t)
+    except (TypeError, ValueError):  # a ragged sequence, refused below as not a real
+        nodes = np.array(None)
+    if nodes.ndim == 0:
+        return np.array(check_positive(t, what))
+    if nodes.dtype.kind not in "iuf":
+        raise ParameterError(f"{what} must be an array of reals, got dtype {nodes.dtype}")
+    nodes = nodes.astype(float)
+    ok = (nodes > 0.0) & (nodes < math.inf)
+    if np.count_nonzero(ok) < ok.size:
+        check_positive(float(nodes.flat[ok.argmin()]), what)
+    return nodes
+
+
 def check_normal(value: float | Callable[[], float], what: str) -> float:
     """Return value, or what value() computes with an OverflowError taken as
     inf, if it is a normal float of either sign; ParameterError otherwise."""
@@ -126,6 +150,18 @@ def check_normal(value: float | Callable[[], float], what: str) -> float:
     if not sys.float_info.min <= abs(value) < math.inf:
         raise ParameterError(f"{what} = {value!r} leaves the normal float range")
     return value
+
+
+def check_normal_at(values, what: Callable[[int], str]):
+    """values, an array or a float, once each entry is a normal float of
+    either sign; ParameterError otherwise, as check_normal raises it for the
+    first entry that is not, named what(its index in values.ravel())."""
+    size = np.abs(values)
+    ok = (size >= sys.float_info.min) & (size < math.inf)
+    if np.count_nonzero(ok) < ok.size:
+        i = int(ok.argmin())
+        check_normal(float(np.ravel(values)[i]), what(i))
+    return values
 
 
 @dataclass(frozen=True)

@@ -150,7 +150,7 @@ def _run_heat_trace(config: RunConfig):
     l1, l2, a = spectrum.aspect_sides(config.params["a"], config.params["alpha"])
     grid = heattrace.short_time_grid(min(l1, l2, a))
     rows = [("t", "trace")]
-    rows += [(float(t), heattrace.mixed_cell_heat_trace(l1, l2, a, float(t))) for t in grid]
+    rows += zip(grid.tolist(), heattrace.mixed_cell_heat_trace(l1, l2, a, grid).tolist())
     coeffs = heattrace.short_time_coefficients(l1, l2, a)
     report = {
         "cell": {"l1": l1, "l2": l2, "a": a},

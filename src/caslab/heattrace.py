@@ -64,8 +64,9 @@ def regulated_trace(stream: EigenStream, tau: float) -> HeatTraceSample:
     return HeatTraceSample(tau=tau, value=total, tail_bound=tail)
 
 
-def mixed_cell_heat_trace(l1: float, l2: float, a: float, t: float) -> float:
-    """Heat trace of the Neumann x Neumann x Dirichlet cell.
+def mixed_cell_heat_trace(l1: float, l2: float, a: float, t):
+    """Heat trace of the Neumann x Neumann x Dirichlet cell at a scalar t (a
+    float) or an array of t (an array of its shape), as BoxSpec.heat_trace.
 
     Separability factorizes the trace into Theta_N(l1; t) Theta_N(l2; t)
     Theta_D(a; t), each evaluated on its automatically chosen route.
@@ -104,8 +105,7 @@ def short_time_coefficients(l1: float, l2: float, a: float) -> dict[str, float]:
     closed = cell.heat_coefficients()
     check_normal(lambda: 2.0 * closed["t^-3/2"] * float(t[0]) ** -1.5,
                  f"twice the volume term of the cell ({l1!r}, {l2!r}, {a!r})")
-    k = np.array([cell.heat_trace(ti) for ti in t])
-    coef, _, _ = fit_columns(t, k, [(-1.5, 0), (-1.0, 0), (-0.5, 0)])
+    coef, _, _ = fit_columns(t, cell.heat_trace(t), [(-1.5, 0), (-1.0, 0), (-0.5, 0)])
     return dict(zip(closed, map(float, coef)))
 
 
@@ -159,14 +159,15 @@ def fit_columns(
     scale = np.max(np.abs(aw), axis=0)
     scale[scale == 0.0] = 1.0
     aeq = aw / scale
-    cond = float(np.linalg.cond(aeq))
+    # the solve's own singular values give the condition number, largest over smallest
+    coef_eq, _, _, sv = np.linalg.lstsq(aeq, bw, rcond=None)
+    cond = float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else math.inf
     if cond > _COND_LIMIT:
         raise FitConditionError(
             f"fit design matrix condition number {cond:.3e} exceeds "
             f"{_COND_LIMIT:.0e}; choose better-separated exponents or a wider "
             "window"
         )
-    coef_eq, *_ = np.linalg.lstsq(aeq, bw, rcond=None)
     coef = coef_eq / scale
     r = aw @ coef - bw
     # squares of r * 2^-e, with max|r| in [2^(e-1), 2^e), cannot overflow, and

@@ -12,6 +12,7 @@ coefficient used in the aspect-ratio comparison.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ from .spectrum import AxisSpec, Bc, BoxSpec, enumerate_modes
 PLATE_EXPONENTS = (2.0, 1.5)
 PIPELINE_TOLERANCE = 7.5e-3  # bounds heat_fit(1)'s c0 error (3.8e-3); Delta cancels exactly
 _TERM_CAP = 1_000_000  # terms of the per-area series, about 1.1 s of summing
+_TERM_BLOCK = 4096  # per-area terms summed at once, so no sum holds them all
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ def per_area_trace(a: float, tau: float) -> HeatTraceSample:
     running value.  The sum runs at least until c n^2 >= 40, c = tau pi^2 / a^2,
     so ResourceError is raised up front when that takes more than 10^6 terms,
     and ParameterError where (pi/a)^2 or tau^{-3/2} overflows or the value
-    is not a normal float.
+    is not a normal float.  The terms are summed in blocks of at most 4096.
     """
     a = check_positive(a, "a")
     tau = check_positive(tau, "tau")
@@ -90,16 +92,30 @@ def per_area_trace(a: float, tau: float) -> HeatTraceSample:
         raise ParameterError(
             f"per-area trace at a={a!r}, tau={tau!r} leaves the float range"
         ) from None
-    total = 0.0
-    n = 1
+    # a block of n at a time, each term and bound as its scalar formula gives
+    # it (math.erfc and math.exp at each n) and added in order onto the total
+    # carried from the block before: the sum of a loop over n, bit for bit
+    root_c, half_root_pi = math.sqrt(c), 0.5 * math.sqrt(math.pi)
+    first_stop = int(math.sqrt(40.0 / c))  # c n^2 >= 40 from about here on
+    total, start = 0.0, 1
     while True:
-        total += specfun.upper_gamma_three_halves(c * n * n)
+        count = min(_TERM_BLOCK, max(first_stop - start, 0) + 16)
+        n = np.arange(start, start + count, dtype=float)
+        with np.errstate(over="ignore"):
+            # past the float range each term and bound is 0, as at c n^2 = inf
+            y = np.minimum(c * n * n, sys.float_info.max)
+        r, decay = np.sqrt(y), specfun.elementwise(math.exp, -y)
+        terms = half_root_pi * specfun.elementwise(math.erfc, r) + r * decay
+        sums = np.cumsum(np.concatenate(([total], terms)))
         # bound on sum_{m>n}: sqrt(y) e^{-y} (1 + 1/(2y)) summed by integral
-        bound = (1.0 + 0.5 / (c * n * n)) * math.exp(-c * n * n) / (2.0 * math.sqrt(c))
-        if c * n * n >= 40.0 and bound <= 1e-16 * total:
-            value = check_normal(pref * total, f"per-area trace at a={a!r}, tau={tau!r}")
-            return HeatTraceSample(tau=tau, value=value, tail_bound=pref * bound)
-        n += 1
+        bound = (1.0 + 0.5 / y) * decay / (2.0 * root_c)
+        done = (y >= 40.0) & (bound <= 1e-16 * sums[1:])
+        if done.any():
+            i = int(done.argmax())
+            what = f"per-area trace at a={a!r}, tau={tau!r}"
+            value = check_normal(pref * float(sums[i + 1]), what)
+            return HeatTraceSample(tau=tau, value=value, tail_bound=pref * float(bound[i]))
+        total, start = float(sums[-1]), start + count
 
 
 def default_tau_grid(a: float) -> np.ndarray:

@@ -29,6 +29,7 @@ from .errors import (
     ResourceError,
     check_choice,
     check_normal,
+    check_normal_at,
     check_positive,
 )
 from .specfun import Bc
@@ -123,12 +124,20 @@ class BoxSpec:
             v *= ax.length
         return v
 
-    def heat_trace(self, t: float) -> float:
+    def heat_trace(self, t):
         """K(t) = sum over every mode of exp(-t lambda), which separability
-        factorizes into the product of the three axis heat sums.  A t so small
-        that K overflows, or so large that it underflows, raises ParameterError."""
-        value = math.prod(specfun.theta_eval(ax.bc, ax.length, t).value for ax in self.axes)
-        return check_normal(value, f"box heat trace at t={t!r}")
+        factorizes into the product of the three axis heat sums: a float for a
+        scalar t, an array of its shape for an array of t, the axes and nodes
+        summed in one specfun.theta_eval call.  A t so small that K overflows,
+        or so large that it underflows, raises ParameterError naming the first
+        such t."""
+        bcs, lengths = zip(*((ax.bc, ax.length) for ax in self.axes))
+        sums = specfun.theta_eval(bcs, lengths, t).value
+        with np.errstate(over="ignore"):  # an overflow is an inf, which the check refuses
+            value = sums[0] * sums[1] * sums[2]
+        nodes = np.ravel(t)
+        check_normal_at(value, lambda i: f"box heat trace at t={float(nodes[i])!r}")
+        return float(value) if np.ndim(t) == 0 else value
 
     def heat_coefficients(self) -> dict[str, float]:
         """The small-t law K(t) ~ c32 t^-3/2 + c1 t^-1 + c12 t^-1/2 + c0 in

@@ -9,6 +9,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import caslab
@@ -483,6 +484,12 @@ def _edge_sweep():
         ("short_time_coefficients",
          lambda l1, a: heattrace.short_time_coefficients(l1, 1.0, a), two),
         ("theta_eval", specfun.theta_eval, list(itertools.product(specfun.Bc, _EDGES, _EDGES))),
+        ("theta_eval_array",
+         lambda bc, length, t: specfun.theta_eval(bc, length, np.array([1.0, t, 0.25])),
+         list(itertools.product(specfun.Bc, _EDGES, _EDGES))),
+        ("heat_trace_array", lambda t: spectrum.UNIT_CUBE.heat_trace(np.array([t, 0.5])), one),
+        ("mixed_cell_heat_trace_array",
+         lambda l1, t: heattrace.mixed_cell_heat_trace(l1, 1.0, 1.0, np.array([[0.5], [t]])), two),
         ("upper_gamma_three_halves", specfun.upper_gamma_three_halves, one),
         ("interval_overlap", boxint.interval_overlap, two),
         ("cell_overlap_energy", lambda l1, l2: boxint.cell_overlap_energy((l1, l2, 1.0)), two),
@@ -494,8 +501,9 @@ def test_public_entry_points_refuse_with_package_errors():
     # lateral period whose mode scale underflows) and OverflowError (its
     # cutoff floor at a = 1e-200), and enumerate_modes ZeroDivisionError on a
     # long axis, and AxisSpec.modes_below ValueError at a nan cutoff; every
-    # refusal is a CaslabError now.  5,083 calls, about 0.35 s (0.2 s of it one
-    # per_area_trace at a = tau = 1e10, which sums 2e5 terms)
+    # refusal is a CaslabError now, at a scalar t and at an array of t holding
+    # the edge.  5,772 calls, about 0.15 s (0.04 s of it one per_area_trace at
+    # a = tau = 1e10, which sums 2e5 terms)
     bare = []
     for name, call, arguments in _edge_sweep():
         for args in arguments:

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from caslab import heattrace, plates, spectrum, stochastic
+from caslab import heattrace, plates, specfun, spectrum, stochastic
 from caslab.errors import ParameterError
 
 
@@ -32,6 +32,37 @@ def test_per_area_trace_against_oracle(a, tau):
     assert sample.value == pytest.approx(per_area_oracle(a, tau), rel=1e-12)
     assert sample.tau == tau
     assert sample.tail_bound <= 1e-12 * sample.value
+
+
+def _per_area_loop(a, tau):
+    """(value, tail bound) of per_area_trace as a term-by-term loop, the way
+    the sum was written before it was summed in blocks of n."""
+    c = tau * (math.pi / a) ** 2
+    pref = tau**-1.5 / (8.0 * math.pi)
+    total = 0.0
+    n = 1
+    while True:
+        total += specfun.upper_gamma_three_halves(c * n * n)
+        bound = (1.0 + 0.5 / (c * n * n)) * math.exp(-c * n * n) / (2.0 * math.sqrt(c))
+        if c * n * n >= 40.0 and bound <= 1e-16 * total:
+            return pref * total, pref * bound
+        n += 1
+
+
+@pytest.mark.parametrize("a", [0.25, 0.3, 0.5, 0.7, 1.0, 1.3, 2.0, 3.7, 4.0])
+def test_per_area_trace_is_the_term_loop_bit_for_bit(a):
+    # the fit window of every separation, powers of two and others, and a
+    # tau where a handful of terms suffice
+    for tau in plates.default_tau_grid(a).tolist() + [0.3 * a * a, 4.0 * a * a]:
+        sample = plates.per_area_trace(a, tau)
+        assert type(sample.value) is float and type(sample.tail_bound) is float
+        assert (sample.value, sample.tail_bound) == _per_area_loop(a, tau)
+
+
+def test_per_area_trace_long_sum_is_the_term_loop_bit_for_bit():
+    # about 2e5 terms, so about 50 blocks each carrying the total of the last
+    sample = plates.per_area_trace(1e10, 1e10)
+    assert (sample.value, sample.tail_bound) == _per_area_loop(1e10, 1e10)
 
 
 def test_per_area_trace_width_scaling():

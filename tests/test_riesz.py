@@ -289,13 +289,24 @@ HOMOGENEITY_PAIRS = ((1, 3.0), (2, 2.0), (3, 2.5), (3, 4.0), (4, 3.0))
 def test_routes_are_homogeneous_in_lambda(log_lam):
     # q = sqrt(lam) u and t = u / lam put the nodes on the integrand's own
     # scale, so lam enters each route only as the factor lam^(m/2 - s); over
-    # 3,001 log-spaced lam the worst gap was 6.1e-14 relative (4.1e-14 when
-    # every call summed all 833 nodes)
+    # 3,001 log-spaced lam the worst gap was 2.8e-14 relative for Schwinger,
+    # whose exponent still carries a |log lam|, and 2.2e-16 for momentum,
+    # whose lam^(m/2 - s) is one power outside the integrand
     lam = 10.0**log_lam
     for route in (riesz.momentum_integral, riesz.schwinger_integral):
         for m, s in HOMOGENEITY_PAIRS:
             got = route(m, s, lam) / lam ** (0.5 * m - s)
             assert got == pytest.approx(route(m, s, 1.0), rel=2e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("lam", [1e-100, 1e100])
+def test_momentum_integral_keeps_its_accuracy_at_extreme_lambda(lam):
+    # with s |log lam| (about 900 here) in the integrand's exponent the route
+    # was 5.9e-14 from the closed form at 1e+-100; with lam^(m/2 - s) applied
+    # outside it, 2.2e-16 here and 5.5e-16 at 2,000 lam in [1e-123, 1e123]
+    for m, s in HOMOGENEITY_PAIRS:
+        closed = riesz.reduction_constant(m, s) * lam ** (0.5 * m - s)
+        assert riesz.momentum_integral(m, s, lam) == pytest.approx(closed, rel=1e-15, abs=0.0)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

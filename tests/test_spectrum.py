@@ -610,6 +610,33 @@ def test_box_heat_trace_matches_lattice_sum(box):
         assert box.heat_trace(t) == pytest.approx(brute, rel=1e-13)
 
 
+@pytest.mark.parametrize(
+    "box",
+    [plates.plate_box(2.0, 1.0), spectrum.mixed_cell(1.3, 0.7, 1.1), spectrum.UNIT_CUBE],
+    ids=["plate_PPD", "mixed_cell_NND", "cube_DDD"],
+)
+def test_box_heat_trace_over_an_array_is_the_scalar_calls(box):
+    # one theta_eval call over the axes and nodes, each entry the scalar
+    # call bit for bit, in the shape of t
+    t = np.geomspace(1e-4, 10.0, 833)
+    values = box.heat_trace(t)
+    assert values.shape == t.shape
+    assert values.tolist() == [box.heat_trace(x) for x in t.tolist()]
+    assert box.heat_trace(t[:6].reshape(2, 3)).tolist() == values[:6].reshape(2, 3).tolist()
+    assert type(box.heat_trace(0.3)) is float
+
+
+def test_box_heat_trace_over_an_array_refuses_as_the_scalar_call():
+    # a node whose product leaves the float range, or a node theta_eval
+    # refuses, raises the scalar call's ParameterError
+    for bad in (1e-300, 80.0, math.nan):
+        with pytest.raises(ParameterError) as scalar:
+            spectrum.UNIT_CUBE.heat_trace(bad)
+        with pytest.raises(ParameterError) as array:
+            spectrum.UNIT_CUBE.heat_trace(np.array([0.5, bad]))
+        assert str(array.value) == str(scalar.value)
+
+
 def test_mixed_cell_layout():
     cell = spectrum.mixed_cell(1.3, 0.7, 1.1)
     assert [(ax.length, ax.bc) for ax in cell.axes] == [(1.3, N), (0.7, N), (1.1, D)]
