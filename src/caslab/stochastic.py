@@ -36,6 +36,9 @@ _BATCH_DRAWS = 1 << 16  # draws per batch, 512 KiB; the partition fixes the stre
 # on a 2-vCPU Xeon, with 25 or 147 drawn values alike
 _DRAW_BUDGET = 1 << 28
 _PIVOT_RTOL = 1e-10  # smallest Cholesky pivot of a kept control, unit diagonal
+# largest z-score of a kept control's sample mean against its exact mean 0,
+# whitened against the controls kept before it; a normal one passes but for 2e-9
+_CONTROL_Z_MAX = 6.0
 
 
 @dataclass(frozen=True)
@@ -108,16 +111,24 @@ def _control_fit(n: int, mean: np.ndarray, m2: np.ndarray) -> tuple[float, float
     sqrt(s2 / n) with s2 = (M_ff - M_fg beta) / (n - 1 - q) over the q
     controls kept.  C_gg is equilibrated to unit diagonal and factored by a
     Cholesky sweep in row order, in Python floats; a control whose pivot is
-    1e-10 or less (collinear with those before it, constant or not finite),
-    or one past the n - 2 that leave the residual a degree of freedom, is
-    dropped with beta = 0.  With no controls this is the plain mean and
-    sqrt(M_ff / (n - 1) / n).
+    1e-10 or less (collinear with those before it, constant or not finite)
+    is dropped with beta = 0, and so is one past the n - 2 that leave the
+    residual a degree of freedom.  So is one whose sample mean, whitened
+    against the controls kept before it (L z = the z-scores of the control
+    means), lies more than 6 standard errors from 0: the fit shifts mean_0 by
+    at most |z| plain standard errors, and a control so far from its exact
+    mean has too few nonzero values for its sample moments to hold, or is
+    constant but for the rounding of its batch means; fitted, such a row
+    moved the pair Monte Carlo by up to 1e18 standard errors.  With no
+    controls this is the plain mean and sqrt(M_ff / (n - 1) / n).
     """
     c = m2.tolist()
     scale = [1.0 / math.sqrt(v) if v > 0.0 else 0.0 for v in m2.diagonal().tolist()]
     kept: list[int] = []
     chol: list[list[float]] = []  # the rows of L, over the kept controls
     y: list[float] = []  # L y = the equilibrated C_gf
+    z: list[float] = []  # L z = the z-scores of the control means
+    root_nn = math.sqrt(n * (n - 1.0))
     for j in range(1, len(c)):
         if len(kept) == n - 2:
             break
@@ -129,6 +140,11 @@ def _control_fit(n: int, mean: np.ndarray, m2: np.ndarray) -> tuple[float, float
         if not pivot > _PIVOT_RTOL:
             continue
         row.append(math.sqrt(pivot))
+        zj = float(mean[j]) * scale[j] * root_nn - sum(v * w for v, w in zip(row, z))
+        zj /= row[-1]
+        if not abs(zj) <= _CONTROL_Z_MAX:
+            continue
+        z.append(zj)
         y.append((c[j][0] * scale[j] - sum(v * w for v, w in zip(row, y))) / row[-1])
         chol.append(row)
         kept.append(j)

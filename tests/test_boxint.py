@@ -201,6 +201,7 @@ def test_face_rule_loads_no_quadrature_package():
         "from caslab import boxint\n"
         "boxint.delta_alpha(1.5, boxint.DeltaMethod.QUADRATURE_3D)\n"
         "boxint.delta_alpha(1.5, boxint.DeltaMethod.T_INTEGRAL)\n"
+        "boxint.delta_alpha(1.5, boxint.DeltaMethod.MONTE_CARLO, budget=20_000, seed=1)\n"
         "print([m for m in ('scipy', 'mpmath') if m in sys.modules])\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -243,27 +244,37 @@ def _pairs(sides, rng, rows):
 
 def test_pair_distances_are_strictly_positive():
     lengths = (2.0, 0.5, 1.0)
-    # the largest uniform gives the shortest distance, 2^-53 L_i per axis
+    rate = boxint._SINGULAR_RATE / 0.5**2
+    m_c = boxint._singular_mean(lengths)
+    # the largest uniform gives the shortest distance, 2^-53 L_i per axis, where
+    # row 0 is m_c + (1 - e^{-c r^2}) / r = m_c + c r to within c r^3 / 2
     closest = _pairs(lengths, TopUniformRng(), 4)
-    assert closest[0] == pytest.approx(2.0**53 / np.linalg.norm(lengths), rel=1e-15)
+    shortest = 2.0**-53 * np.linalg.norm(lengths)
+    assert closest[0] == pytest.approx(m_c + rate * shortest, rel=1e-15)
+    # over a million pairs row 0 stays within m_c + [0, 0.64 sqrt(c)]: the
+    # largest of (1 - e^{-x^2}) / x is 0.6382 at x = 1.12
     rng = np.random.Generator(np.random.Philox(3))
-    inv = _pairs(lengths, rng, 1_000_000)[0]
-    assert np.all(np.isfinite(inv)) and np.all(inv > 0.0)
+    row = _pairs(lengths, rng, 1_000_000)[0] - m_c
+    assert np.all(row > 0.0) and np.all(row <= 0.6382 * math.sqrt(rate))
 
 
 @pytest.mark.parametrize("alpha", [1e-3, 1.0, 1e3])
 def test_pair_controls_are_their_formulas(alpha):
-    # rows 1-5 are e^{-c r^2} by repeated squaring and row 6 is r^2, each less
-    # its exact mean; the uniforms are those of a twin generator
+    # row 0 is 1/r less its singular part e^{-c r^2}/r plus that part's exact
+    # mean, rows 1-5 are e^{-c r^2} by repeated squaring and row 6 is
+    # (r / max L)^2, each less its exact mean; the uniforms are those of a twin
+    # generator
     sides = spectrum.aspect_sides(1.0, alpha)
     means = boxint._control_means(sides)
     got = _pairs(sides, np.random.Generator(np.random.Philox(5)), 10_000)
     d = 1.0 - np.sqrt(np.random.Generator(np.random.Philox(5)).random((3, 10_000)))
     r2 = ((d * np.array(sides)[:, None]) ** 2).sum(axis=0)
-    assert np.allclose(got[0], 1.0 / np.sqrt(r2), rtol=1e-15, atol=0.0)
-    for c, row, mean in zip(boxint._CONTROL_RATES, got[1:6], means):
+    rate = boxint._SINGULAR_RATE / min(sides) ** 2
+    want = means[0] - np.expm1(-rate * r2) / np.sqrt(r2)
+    assert np.allclose(got[0], want, rtol=1e-15, atol=0.0)
+    for c, row, mean in zip(boxint._CONTROL_RATES, got[1:6], means[1:6]):
         assert np.allclose(row + mean, np.exp(-c * r2), rtol=1e-12, atol=1e-15)
-    assert np.allclose(got[6], r2 - means[5], rtol=1e-15, atol=0.0)
+    assert np.allclose(got[6] + means[6], r2 / max(sides) ** 2, rtol=1e-15, atol=1e-16)
 
 
 def _triangular_mean(length, integrand):
@@ -281,11 +292,59 @@ def test_control_means_match_the_triangular_integrals(alpha):
     # the triangular density, and the axes are independent
     sides = spectrum.aspect_sides(1.0, alpha)
     means = boxint._control_means(sides)
-    for c, mean in zip(boxint._CONTROL_RATES, means):
+    for c, mean in zip(boxint._CONTROL_RATES, means[1:6]):
         want = math.prod(_triangular_mean(L, lambda d: mpmath.exp(-c * d * d)) for L in sides)
         assert mean == pytest.approx(want, rel=1e-13)
-    want = math.fsum(_triangular_mean(L, lambda d: d * d) for L in sides)
-    assert means[5] == pytest.approx(want, rel=1e-13)
+    want = math.fsum(_triangular_mean(L, lambda d: d * d) for L in sides) / max(sides) ** 2
+    assert means[6] == pytest.approx(want, rel=1e-13)
+
+
+def _shifted_t_integral(sides, rate):
+    """E e^{-c r^2} / r over the box at 30 digits, without the closed form or
+    interval_overlap: 1/r = pi^{-1/2} int_0^inf t^{-1/2} e^{-t r^2} dt, and
+    E e^{-s d^2} over the triangular density of one axis is its own mpmath
+    closed form I_L(s) / L^2, so the mean is pi^{-1/2} int_0^inf t^{-1/2}
+    prod_i I_{L_i}(t + c) / L_i^2 dt."""
+    with mpmath.workdps(30):
+        c = mpmath.mpf(rate)
+
+        def axis(L, s):
+            x = L * mpmath.sqrt(s)
+            overlap = L * mpmath.sqrt(mpmath.pi / s) * mpmath.erf(x) + mpmath.expm1(-x * x) / s
+            return overlap / L**2
+
+        def f(t):
+            return mpmath.fprod(axis(mpmath.mpf(L), t + c) for L in sides) / mpmath.sqrt(t)
+
+        return mpmath.quad(f, [0, c / 100, c, 100 * c, mpmath.inf]) / mpmath.sqrt(mpmath.pi)
+
+
+def _octant_remainder_bound(sides, rate):
+    """A bound on what the closed form for m_c adds by integrating the
+    difference density's polynomial prod_i (L_i - x_i) / L_i^2 over the whole
+    positive octant instead of the box: there some x_i > L_i, so r > min L,
+    and |L_i - x_i| <= L_i + r, so the part is at most
+    (8 / V^2)(pi / 2) int_{min L}^inf prod_i (L_i + r) r e^{-c r^2} dr."""
+    with mpmath.workdps(30):
+        ls = [mpmath.mpf(L) for L in sides]
+        shortest, c = min(ls), mpmath.mpf(rate)
+        tail = mpmath.quad(
+            lambda r: mpmath.fprod(L + r for L in ls) * r * mpmath.exp(-c * r * r),
+            [shortest, 2 * shortest, mpmath.inf],
+        )
+        return float(4 * mpmath.pi / mpmath.fprod(ls) ** 2 * tail)
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 0.5, 1.0, 1.5, 1e3])
+def test_singular_mean_matches_the_shifted_t_integral(alpha):
+    # the dropped octant part is below 5e-17 of m_c (4.3e-17 at the cube, 9e-18
+    # at alpha = 1e-3 and 1e3); the closed form is within 3.4e-16 of the oracle
+    sides = spectrum.aspect_sides(1.0, alpha)
+    rate = boxint._SINGULAR_RATE / min(sides) ** 2
+    m_c = boxint._control_means(sides)[0]
+    assert m_c == boxint._singular_mean(sides)
+    assert _octant_remainder_bound(sides, rate) <= 5e-17 * m_c
+    assert m_c == pytest.approx(float(_shifted_t_integral(sides, rate)), rel=1e-13)
 
 
 @pytest.mark.parametrize("alpha", [1e-3, 1e3])
@@ -301,11 +360,37 @@ def test_controlled_pairs_hold_far_from_the_cube(alpha):
 def test_delta_monte_carlo_is_pinned():
     # pins the pair kernel and its controls, the per-batch keys, the 9362-row
     # batches of seven values per pair, the merge order and the control fit;
-    # 1.01 standard errors below the t-integral
+    # 0.30 standard errors above the t-integral
     est = boxint.delta_alpha(
         1.5, boxint.DeltaMethod.MONTE_CARLO, budget=1_000_000, seed=5
     )
-    assert (est.mean, est.stderr) == (1.8029735733761834, 0.0002449310696404487)
+    assert (est.mean, est.stderr) == (1.80322727212146, 2.3918433841002166e-05)
+
+
+def test_pair_monte_carlo_z_scores_are_standard_normal():
+    # 200 seeds of 20,000 pairs on the cube, about 0.25 s: the mean of z has
+    # standard deviation 0.071 and its sample standard deviation about 0.05
+    # over 200 seeds; measured 0.10 and 1.06.  With the whole of 1/r in row 0
+    # they read -1.20 and 2.43, from the rare near pairs no control follows
+    closed = boxint.delta_cube_closed_form()
+    z = []
+    for seed in range(200):
+        est = boxint.delta_alpha(
+            1.0, boxint.DeltaMethod.MONTE_CARLO, budget=20_000, seed=seed
+        )
+        z.append((est.mean - closed) / est.stderr)
+    z = np.array(z)
+    assert abs(float(z.mean())) <= 0.3
+    assert 0.85 <= float(z.std(ddof=1)) <= 1.2
+
+
+def test_sparse_controls_do_not_move_the_estimate():
+    # at alpha = 1e4, 10,000 pairs hold a handful with r < 6, so e^{-64 r^2}
+    # and e^{-256 r^2} are their exact means less a few values below the
+    # rounding of those means; fitted, they put the estimate at 2.8, 26,000
+    # standard errors from Delta = 0.0021
+    est = boxint.delta_alpha(1e4, boxint.DeltaMethod.MONTE_CARLO, budget=10_000, seed=1)
+    assert abs(est.mean - boxint.delta_alpha(1e4)) <= 4.0 * est.stderr
 
 
 def test_pair_sampler_mean_matches_t_integral():

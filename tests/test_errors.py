@@ -476,8 +476,10 @@ def _edge_sweep():
          two),
         ("delta_alpha_t_integral", lambda alpha: boxint.delta_alpha(alpha, t_integral), one),
         ("delta_alpha_quadrature_3d", lambda alpha: boxint.delta_alpha(alpha, quadrature), one),
+        # past a side of about 1e77 the squares of r^2 left the float range
         ("delta_alpha_monte_carlo",
-         lambda alpha: boxint.delta_alpha(alpha, monte_carlo, budget=10, seed=0), one),
+         lambda alpha: boxint.delta_alpha(alpha, monte_carlo, budget=10, seed=0),
+         [*one, (1e80,), (1e-80,)]),
         ("theta_bar", plates.theta_bar, one),
         ("two_step_chain", riesz.two_step_chain, one),
         ("momentum_integral", lambda s, lam: riesz.momentum_integral(3, s, lam), two),
@@ -502,7 +504,7 @@ def test_public_entry_points_refuse_with_package_errors():
     # cutoff floor at a = 1e-200), and enumerate_modes ZeroDivisionError on a
     # long axis, and AxisSpec.modes_below ValueError at a nan cutoff; every
     # refusal is a CaslabError now, at a scalar t and at an array of t holding
-    # the edge.  5,772 calls, about 0.15 s (0.04 s of it one per_area_trace at
+    # the edge.  5,774 calls, about 0.15 s (0.04 s of it one per_area_trace at
     # a = tau = 1e10, which sums 2e5 terms)
     bare = []
     for name, call, arguments in _edge_sweep():

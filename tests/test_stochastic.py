@@ -207,6 +207,24 @@ def test_control_fit_drops_what_it_cannot_use():
     assert math.isfinite(got_mean) and got_stderr >= 0.0
 
 
+def test_control_fit_drops_a_control_far_from_its_mean():
+    # a row that is constant but for rounding, and a sparse row whose one
+    # nonzero value falls far short of its exact mean: their sample means lie
+    # 9e16 and 1e4 standard errors from 0, and the fit leaves them out
+    rng = np.random.default_rng(8)
+    n = 1_000
+    g = rng.standard_normal(n)
+    f = g + rng.standard_normal(n)
+    mean, m2 = _moments(np.vstack([f, g]))
+    want = stochastic._control_fit(n, mean, m2)
+    flat = np.full(n, -0.3) + 1e-17 * rng.standard_normal(n)
+    sparse = np.full(n, -0.01)
+    sparse[17] += 1e-3
+    for row in (flat, sparse):
+        mean, m2 = _moments(np.vstack([f, g, row]))
+        assert stochastic._control_fit(n, mean, m2) == pytest.approx(want, rel=1e-12)
+
+
 def _sampler(monkeypatch, spec):
     """The (sample, draws_per_row) that mc_estimate hands to monte_carlo."""
     calls = []
