@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import boxint, heattrace, plates, riesz, spectrum, stochastic
-from .errors import CheckReport
+from .errors import CheckReport, check_count
 
 CUBE_CUTOFF = 200.0
 TEN_MODE_CUTOFF = 11.5 * math.pi**2  # unit Dirichlet cube: 10 modes in total
@@ -312,6 +312,9 @@ def criterion_12(res: CriterionResult, seed: int) -> None:
 
 
 def run_criterion(number: int, seed: int = 42) -> CriterionResult:
+    """Criterion number at seed, an error it raises recorded as a failure;
+    a seed that is not an int >= 0 raises ParameterError before it runs."""
+    check_count(seed, "seed", minimum=0)
     title, build = _CRITERIA[number]
     res = CriterionResult(number, title)
     try:

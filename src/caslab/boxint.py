@@ -307,7 +307,12 @@ def delta_alpha(
     """Delta(alpha) of the unit-volume cell aspect_sides(1, alpha) by the chosen method.
 
     Deterministic methods return a float; MONTE_CARLO returns an MCEstimate
-    whose budget is the number of point pairs.
+    whose budget is the number of point pairs.  Its standard error is
+    calibrated near the cube: over 200 seeds of 10k pairs, z against the
+    t-integral has mean 0.14 and standard deviation 1.01 at alpha = 1, but
+    -0.36 and 1.30 at alpha = 10, -0.98 and 1.44 at 1e3 and -1.14 and 1.37
+    at 1e-3, since n pairs draw none below about alpha / n along the long
+    axis, over whose every decade the mean of 1/r gathers.
     """
     method = check_choice(method, DeltaMethod, "Delta method")
     if method is DeltaMethod.T_INTEGRAL:

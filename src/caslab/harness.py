@@ -326,6 +326,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value!r}")
     seed = resolve("seed", _DEFAULT_SEED)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     out = resolve("out", "") or os.environ.get(OUT_ENV_VAR) or "caslab-report"
     fmt = resolve("format", _DEFAULT_FORMAT)
     if fmt not in _FORMATS:

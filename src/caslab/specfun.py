@@ -7,7 +7,8 @@ math.erf elementwise over a numpy array, which numpy lacks; elementwise maps
 any math function so.  Both routes of a theta sum, the defining series and
 its modular dual (chosen automatically by pi t / L^2 at each node), sum one
 Gaussian series with a certified truncation tail, over an array of t and
-over several axes at once; math.exp gives each term, so a node's value does
+over several axes at once, in one loop over k that forms each term only at
+the nodes still summing; math.exp gives each term, so a node's value does
 not depend on which other nodes share the call.
 """
 
@@ -118,53 +119,37 @@ class ThetaEval:
     tail_bound: float | np.ndarray
 
 
-_TERMS_AT_ONCE = 4  # series terms per node per pass; on its route every node stops by k = 4
-_FIRST_TERMS = np.arange(1.0, _TERMS_AT_ONCE + 1.0)
-
-
 def _gauss_series(q, first, weight, scale, offset) -> ThetaEval:
     """offset + scale (first + weight sum_{k>=1} exp(-q k^2)) at each node,
-    every argument an array of one shape, summed until a scaled term drops
-    below _SERIES_RTOL (1 + |value|), but past a value of 0 while the term
-    is not 0; a nonzero first counts as a term."""
-    shape, first = q.shape, first.reshape(-1, 1)
-    value, tail, k_sum = _series_pass(
-        q.reshape(-1, 1), first, weight.reshape(-1, 1), scale.reshape(-1, 1),
-        offset.reshape(-1, 1), _FIRST_TERMS,
-    )
-    terms = k_sum - int(np.count_nonzero(first == 0.0))
+    every argument an array of one shape, summed in order over k until a
+    scaled term drops below _SERIES_RTOL (1 + |value|), but past a value of 0
+    while the term is not 0; a nonzero first counts as a term.  Term k is
+    formed only at the nodes still summing, so each node sums exactly what
+    a loop over k at that node alone would."""
+    shape = q.shape
+    value, tail = np.empty(q.size), np.empty(q.size)
+    live = np.arange(q.size)
+    q, acc, weight, scale, offset = (a.ravel() for a in (q, first, weight, scale, offset))
+    terms = -int(np.count_nonzero(acc == 0.0))
+    k = 1.0
+    while live.size:
+        term = weight * elementwise(math.exp, q * -k * k)
+        vals = scale * acc + offset
+        scaled = scale * term
+        small = ~(scaled >= _SERIES_RTOL * (1.0 + np.abs(vals)))  # so is a NaN
+        stop = small & ((vals != 0.0) | (term == 0.0))
+        done = live[stop]
+        value[done] = vals[stop]
+        # geometric domination: successive ratios are exp(-q(2k+1)),
+        # decreasing in k, so the tail is below term / (1 - ratio)
+        tail[done] = scaled[stop] / (1.0 - elementwise(math.exp, q[stop] * -(2.0 * k + 1.0)))
+        terms += int(k) * done.size
+        go = ~stop
+        live, q, acc, weight, scale, offset = (
+            live[go], q[go], (acc + term)[go], weight[go], scale[go], offset[go]
+        )
+        k += 1.0
     return ThetaEval(value.reshape(shape), terms, tail.reshape(shape))
-
-
-def _series_pass(q, acc, weight, scale, offset, k):
-    """(value, tail bound, sum of the stopping k) at the nodes q, a column
-    like the others, whose sums so far are acc: the terms k are taken at
-    once, added in order, and each node stops at the first its rule accepts;
-    a node that accepts none goes on to the next _TERMS_AT_ONCE, so every
-    node sums exactly what a loop over k would."""
-    term = weight * elementwise(math.exp, q * -k * k)
-    # the running sum before each term
-    sums = np.add.accumulate(np.concatenate((acc, term[:, :-1]), axis=1), axis=1)
-    vals = scale * sums + offset
-    scaled = scale * term
-    small = ~(scaled >= _SERIES_RTOL * (1.0 + np.abs(vals)))  # so is a NaN
-    stop = small & ((vals != 0.0) | (term == 0.0))
-    node, col = np.arange(q.shape[0]), stop.argmax(axis=1)
-    at = k[col]
-    value = vals[node, col]
-    # geometric domination: successive ratios are exp(-q(2k+1)),
-    # decreasing in k, so the tail is below term / (1 - ratio)
-    tail = scaled[node, col] / (1.0 - elementwise(math.exp, q[:, 0] * -(2.0 * at + 1.0)))
-    hit = stop[node, col]
-    if np.count_nonzero(hit) == hit.size:
-        return value, tail, int(np.add.reduce(at))
-    late = ~hit
-    at[late] = 0.0
-    value[late], tail[late], more = _series_pass(
-        q[late], (sums[:, -1:] + term[:, -1:])[late], weight[late], scale[late], offset[late],
-        k + _TERMS_AT_ONCE,
-    )
-    return value, tail, int(np.add.reduce(at)) + more
 
 
 def _theta_series(

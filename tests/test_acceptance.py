@@ -8,6 +8,7 @@ the verify-all command's JSON report.
 import pytest
 
 from caslab import acceptance, riesz
+from caslab.errors import ParameterError
 
 
 def _run(number):
@@ -30,6 +31,15 @@ def test_raising_criterion_keeps_its_title(monkeypatch):
     assert result.error == "RuntimeError: quadrature exploded"
     assert result.passed is False
     assert "error: RuntimeError" in result.summary_line()
+
+
+def test_a_negative_seed_is_refused_before_any_criterion_runs(monkeypatch):
+    def boom(*args):
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(riesz, "momentum_integral", boom)
+    with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+        acceptance.run_all(seed=-1)
 
 
 def test_criterion_01_reduction_constants_and_chain():

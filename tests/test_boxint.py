@@ -384,6 +384,23 @@ def test_pair_monte_carlo_z_scores_are_standard_normal():
     assert 0.85 <= float(z.std(ddof=1)) <= 1.2
 
 
+@pytest.mark.xfail(strict=True, reason="far from the cube the pair Monte Carlo reads low")
+def test_pair_monte_carlo_z_scores_far_from_the_cube():
+    # the bounds of the cube's test above, at alpha = 1e3 against the
+    # t-integral, 200 seeds of 10,000 pairs in about 0.4 s: measured mean
+    # -0.975 and standard deviation 1.439.  The mean of 1/r gathers from every
+    # decade of the long-axis distance, and n pairs draw none below about
+    # alpha / n along it, where the exact singular part no longer reaches
+    want = boxint.delta_alpha(1e3)
+    z = []
+    for seed in range(200):
+        est = boxint.delta_alpha(1e3, boxint.DeltaMethod.MONTE_CARLO, budget=10_000, seed=seed)
+        z.append((est.mean - want) / est.stderr)
+    z = np.array(z)
+    assert abs(float(z.mean())) <= 0.3
+    assert 0.85 <= float(z.std(ddof=1)) <= 1.2
+
+
 def test_sparse_controls_do_not_move_the_estimate():
     # at alpha = 1e4, 10,000 pairs hold a handful with r < 6, so e^{-64 r^2}
     # and e^{-256 r^2} are their exact means less a few values below the

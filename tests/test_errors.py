@@ -443,6 +443,14 @@ _EDGES = (0.0, -1.0, math.inf, -math.inf, math.nan, 1e300, 1e-300, 1e200, 1e-200
           1.0, 2.5, 1e10)
 
 
+def _criterion(number, seed):
+    """Criterion number at seed; an error its record caught is raised again,
+    so the sweep sees what the builder raised."""
+    error = acceptance.run_criterion(number, seed=seed).error
+    if error is not None:
+        raise RuntimeError(error)
+
+
 def _edge_sweep():
     """(name, function, arguments) for every public entry point that takes
     lengths, times, exponents or aspect ratios, at each edge value; two- and
@@ -495,6 +503,8 @@ def _edge_sweep():
         ("upper_gamma_three_halves", specfun.upper_gamma_three_halves, one),
         ("interval_overlap", boxint.interval_overlap, two),
         ("cell_overlap_energy", lambda l1, l2: boxint.cell_overlap_energy((l1, l2, 1.0)), two),
+        # a negative seed reached numpy's SeedSequence as a bare ValueError
+        ("run_criterion", _criterion, [(5, -1), (6, -1)]),
     ]
 
 
@@ -504,7 +514,7 @@ def test_public_entry_points_refuse_with_package_errors():
     # cutoff floor at a = 1e-200), and enumerate_modes ZeroDivisionError on a
     # long axis, and AxisSpec.modes_below ValueError at a nan cutoff; every
     # refusal is a CaslabError now, at a scalar t and at an array of t holding
-    # the edge.  5,774 calls, about 0.15 s (0.04 s of it one per_area_trace at
+    # the edge.  5,776 calls, about 0.15 s (0.04 s of it one per_area_trace at
     # a = tau = 1e10, which sums 2e5 terms)
     bare = []
     for name, call, arguments in _edge_sweep():

@@ -326,6 +326,42 @@ def test_mollifier_width_must_be_positive():
         riesz.MollifierSpec(eps=0.0)
 
 
+def mp_mollified_reduction(m, s, lam, eps):
+    """S_{m-1} / (2 pi)^m (1/2) Gamma(m/2) lam^{m/2-s} U(m/2, m/2-s+1, eps^2 lam)
+    at 30 digits: with q^2 = lam t the radial integral of q^{m-1}
+    (lam + q^2)^{-s} e^{-(eps q)^2} is Kummer's U in its integral form
+    (DLMF 13.4.4)."""
+    with mpmath.workdps(30):
+        m, s, lam, eps = (mpmath.mpf(v) for v in (m, s, lam, eps))
+        half = m / 2
+        sphere = 2 * mpmath.pi**half / mpmath.gamma(half)
+        val = (
+            sphere / (2 * mpmath.pi) ** m * mpmath.gamma(half) / 2
+            * lam ** (half - s) * mpmath.hyperu(half, half - s + 1, eps * eps * lam)
+        )
+        return float(val)
+
+
+@pytest.mark.parametrize("m,s", HOMOGENEITY_PAIRS)
+def test_mollified_route_matches_its_closed_form(m, s):
+    # measured at most 5.0e-16 relative over these 60 points
+    for lam in (0.5, 1.0, 4.0):
+        for eps in (0.2, 0.1, 0.05, 0.025):
+            got = riesz.mollified_reduction(m, s, lam, riesz.MollifierSpec(eps=eps))
+            want = mp_mollified_reduction(m, s, lam, eps)
+            assert got == pytest.approx(want, rel=2e-15, abs=0.0)
+
+
+def test_criterion_3_ladder_misses_on_exact_values_too():
+    # criterion 3's three widths, each value exact, miss the closed form by
+    # the 8.48296012804714e-6 the criterion measures from its quadratures:
+    # the shortfall belongs to the ladder, not to the quadrature
+    eps = (0.2, 0.1, 0.05)
+    lim = riesz.richardson_limit(eps, [mp_mollified_reduction(3, 2.5, 1.0, e) for e in eps])
+    miss = abs(lim - mp_reduction_constant(3, 2.5))
+    assert miss == pytest.approx(8.48296012804714e-06, rel=1e-9, abs=0.0)
+
+
 def test_mollified_error_battery_at_critical_pair():
     """Frozen deficit ladder at (3, 5/2): the width-squared-log law shows up
     as halving ratios well below 4."""

@@ -224,6 +224,67 @@ def test_theta_routes_are_pinned_bit_for_bit(key):
     assert (ev.value.hex(), ev.terms, ev.tail_bound.hex()) == (value, terms, tail)
 
 
+def _scalar_series(q, first, weight, scale, offset):
+    """(value, tail bound, terms) of _gauss_series at one node, its docstring
+    as a loop over k: offset + scale (first + weight sum_{k>=1} exp(-q k^2)),
+    summed until a scaled term drops below _SERIES_RTOL (1 + |value|), but
+    past a value of 0 while the term is not 0; the tail bound is that term
+    over 1 - exp(-q (2k + 1))."""
+    acc, k = first, 1
+    while True:
+        term = weight * math.exp(q * -k * k)
+        value = scale * acc + offset
+        if not scale * term >= specfun._SERIES_RTOL * (1.0 + abs(value)):
+            if value != 0.0 or term == 0.0:
+                tail = scale * term / (1.0 - math.exp(q * -(2 * k + 1)))
+                return value, tail, k - (first == 0.0)
+        acc += term
+        k += 1
+
+
+def _series_parameters(kind, length, x, direct):
+    """The _gauss_series arguments _theta_series builds for one axis at the
+    nodes t = x L^2 / pi, by the route that direct names at each node."""
+    t = x * length * length / math.pi
+    pref = length / np.sqrt(math.pi * t)
+    neumann = float(kind is specfun.Bc.NEUMANN)
+    squared = length * length
+    return (
+        np.where(direct, math.pi * math.pi * t / squared, squared / t),
+        np.where(direct, neumann, 1.0),
+        np.where(direct, 1.0, 2.0),
+        np.where(direct, 1.0, 0.5 * pref),
+        np.where(direct, 0.0, specfun.HEAT_OFFSET[kind]),
+    )
+
+
+@pytest.mark.parametrize("kind", [specfun.Bc.DIRICHLET, specfun.Bc.NEUMANN],
+                         ids=["dirichlet", "neumann"])
+@pytest.mark.parametrize("route", ["on", "off"])
+def test_gauss_series_is_the_scalar_loop_bit_for_bit(kind, route):
+    # 50 lengths log-uniform in [1e-3, 1e3], 20 nodes each at x = pi t / L^2:
+    # on route log-uniform in [1e-6, 100], each node by the route theta_eval
+    # takes; off route the other one, the direct series down to x = 0.1 and
+    # the dual up to x = 10, about a dozen terms at either end
+    rng = np.random.default_rng(4242 + (kind is specfun.Bc.NEUMANN))
+    lengths = 10.0 ** rng.uniform(-3.0, 3.0, (50, 1))
+    if route == "on":
+        x = 10.0 ** rng.uniform(-6.0, 2.0, (50, 20))
+        direct = x >= 1.0
+    else:
+        direct = rng.random((50, 20)) < 0.5
+        x = np.where(direct, 10.0 ** rng.uniform(-1.0, 0.0, (50, 20)),
+                     10.0 ** rng.uniform(0.0, 1.0, (50, 20)))
+    args = _series_parameters(kind, lengths, x, direct)
+    ev = specfun._gauss_series(*args)
+    want = [_scalar_series(*node) for node in zip(*(a.ravel().tolist() for a in args))]
+    got = list(zip(ev.value.ravel().tolist(), ev.tail_bound.ravel().tolist()))
+    assert [(v.hex(), b.hex()) for v, b in got] == [(v.hex(), b.hex()) for v, b, _ in want]
+    assert ev.terms == sum(n for _, _, n in want)
+    if route == "off":
+        assert max(n for _, _, n in want) >= 10
+
+
 def test_theta_term_counts_at_crossover():
     length = 1.0
     t = _at_switch(length)
